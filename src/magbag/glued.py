@@ -12,6 +12,12 @@ abelian pair forces the correction 1-form to enter with a minus sign
 relative to the primitive normalization of `alpha_pq` (whose exterior
 derivative is +*d eta_pq).  The finite-difference residual oracle pins
 this choice; see tests.
+
+The tail sums over the other shell points use closed forms: eta_pq is the
+recentred Coulomb term and alpha_pq the exact radial-gauge primitive
+(w x D) / (s (|D| s + D.(x-q))), with w = x-p, D = p-q, s = |x-q|.  Both
+are evaluated from the dot products w.D, |w|^2 and |D|^2, which carry no
+cancellation inside a ball (|w| < L < |D|/2).
 """
 
 from dataclasses import dataclass
@@ -20,17 +26,14 @@ import numpy as np
 
 from .monopole import (
     SingularEvaluationError,
+    _hedgehog_form,
     coth_minus_inv,
     inv_minus_csch,
 )
-from .su2 import EPS, bracket, star_real_wedge, wedge_dual
+from .su2 import bracket, star_real_wedge, wedge_dual
 
 
 class ChartViolationError(ValueError):
-    pass
-
-
-class NumericFailureError(RuntimeError):
     pass
 
 
@@ -77,17 +80,6 @@ def chi_prime(t):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class CutoffProfile:
-    """The scalar cutoff; kept as a value object for report metadata."""
-
-    plateau_lo: float = _PLATEAU_LO
-    plateau_hi: float = _PLATEAU_HI
-
-    def __call__(self, t):
-        return chi(t)
-
-
 def chi_p(x, p, L):
     """Ball cutoff chi(8|x-p|/L - 1): 1 inside radius L/8, 0 outside 3L/16."""
     d = np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(p, dtype=float), axis=-1)
@@ -129,50 +121,42 @@ def eta_pq(x, p, q):
     return 1.0 / dxq - 1.0 / dpq
 
 
-_GL_CACHE = {}
+# Where |D| s + D.(x-q) falls below this multiple of |D| s, rounding alone
+# can produce it: x lies on the primitive's string, the ray from q away from p.
+_STRING_TOL = 16.0 * np.finfo(float).eps
 
 
-def _gl_nodes(n):
-    if n not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(n)
-        # Map from [-1, 1] to [0, 1].
-        _GL_CACHE[n] = (0.5 * (x + 1.0), 0.5 * w)
-    return _GL_CACHE[n]
+def _alpha_weight(s, Dn, Dxq):
+    """1 / (s (|D| s + D.(x-q))), the factor with alpha_pq = weight * (w x D).
 
-
-def _alpha_integral(w, D, order):
-    """I = int_0^1 t / |D + t w|^3 dt, Gauss-Legendre of given order.
-
-    Broadcasts over leading axes of w (..., 3) and D (..., 3).
+    Arguments are s = |x-q|, Dn = |D| = |p-q| and Dxq = D.(x-q), broadcast
+    together.  The bracket vanishes only on the ray from q away from p
+    (x = q included), where the primitive is singular; evaluation there
+    raises.
     """
-    t, wt = _gl_nodes(order)
-    seg = D[..., None, :] + t[:, None] * w[..., None, :]
-    nrm = np.linalg.norm(seg, axis=-1)
-    return np.einsum("g,...g->...", wt * t, nrm**-3)
+    t = Dn * s + Dxq
+    if np.any(t <= _STRING_TOL * Dn * s):
+        raise SingularEvaluationError("alpha_pq evaluated on its string behind q")
+    return 1.0 / (s * t)
 
 
-def alpha_pq(x, p, q, tol=1e-10):
+def alpha_pq(x, p, q):
     """Radial-gauge primitive of *d(eta_pq) centred at p.
 
     alpha(x) = (x-p) x (p-q) * int_0^1 t/|p-q+t(x-p)|^3 dt; it vanishes at
     p, has no radial component, and its exterior derivative reproduces
-    *d(eta_pq).  Quadrature order doubles until two refinements agree to
-    `tol`; failure to converge raises.
+    *d(eta_pq).  The integral is elementary and equals
+    1 / (s (|D| s + D.(x-q))) with D = p-q, s = |x-q|: the antiderivative
+    with its 0/0 on the line through p and q removed.  Raises on the ray
+    from q away from p, where the integral diverges.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    w = x - p
     D = p - q
-    cross = np.cross(w, D)
-    cross_scale = np.max(np.abs(cross), initial=0.0)
-    prev = _alpha_integral(w, D, 16)
-    for order in (32, 64, 128):
-        cur = _alpha_integral(w, D, order)
-        if np.max(np.abs(cur - prev), initial=0.0) * cross_scale <= tol:
-            return cross * cur[..., None]
-        prev = cur
-    raise NumericFailureError("alpha_pq quadrature did not converge")
+    xq = x - q
+    k = _alpha_weight(np.linalg.norm(xq, axis=-1), np.linalg.norm(D), xq @ D)
+    return np.cross(x - p, D) * k[..., None]
 
 
 def _others(cfg, p_idx):
@@ -181,31 +165,31 @@ def _others(cfg, p_idx):
     return cfg.points[mask]
 
 
-def _eta_alpha_sums(X, p_idx, cfg, order=8, chunk=512):
-    """(sum_q eta_pq, sum_q alpha_pq) at points X (B, 3), batched over q.
+def _eta_alpha_sums(X, p_idx, cfg, chunk=512):
+    """(sum_q eta_pq, sum_q alpha_pq) at points X (B, 3) of the ball around p.
 
-    The sources sit at least 2L from the ball, so the segment integrand is
-    nearly constant and a low Gauss-Legendre order is already exact; the
-    order-doubling check still guards every call.
+    With w = x-p and D = p-q, both sums come from the dot products w.D
+    (one matrix product per chunk), |w|^2 and |D|^2:
+    |x-q|^2 = |D|^2 + 2 w.D + |w|^2, D.(x-q) = |D|^2 + w.D, and
+    eta_pq = -(2 w.D + |w|^2) / (|x-q| |D| (|D| + |x-q|)), the difference
+    1/|x-q| - 1/|D| without its cancellation.  Since w x D is linear in D,
+    sum_q alpha_pq = w x sum_q weight_q D.  Rows are taken `chunk` at a
+    time, so memory stays O(chunk N).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     p = cfg.points[p_idx]
-    Q = _others(cfg, p_idx)
-    D = p - Q  # (Nq, 3)
-    dpq = np.linalg.norm(D, axis=1)
+    D = p - _others(cfg, p_idx)  # (Nq, 3)
+    DD = np.einsum("qk,qk->q", D, D)
+    Dn = np.sqrt(DD)
     eta = np.empty(len(X))
     alpha = np.empty((len(X), 3))
     for lo in range(0, len(X), chunk):
-        xs = X[lo : lo + chunk]
-        w = xs - p  # (b, 3)
-        dxq = np.linalg.norm(xs[:, None, :] - Q[None, :, :], axis=-1)
-        eta[lo : lo + chunk] = np.sum(1.0 / dxq - 1.0 / dpq, axis=1)
-        I1 = _alpha_integral(w[:, None, :], D[None, :, :], order)
-        I2 = _alpha_integral(w[:, None, :], D[None, :, :], 2 * order)
-        if np.max(np.abs(I2 - I1)) > 1e-10:
-            raise NumericFailureError("alpha quadrature did not converge")
-        cross = np.cross(w[:, None, :], D[None, :, :])
-        alpha[lo : lo + chunk] = np.sum(cross * I2[..., None], axis=1)
+        w = X[lo : lo + chunk] - p  # (b, 3)
+        wD = w @ D.T  # (b, Nq)
+        shift = 2.0 * wD + np.einsum("bk,bk->b", w, w)[:, None]  # |x-q|^2 - |D|^2
+        s = np.sqrt(DD + shift)
+        eta[lo : lo + chunk] = -np.sum(shift / (s * Dn * (Dn + s)), axis=1)
+        alpha[lo : lo + chunk] = np.cross(w, _alpha_weight(s, Dn, DD + wD) @ D)
     return eta, alpha
 
 
@@ -223,11 +207,7 @@ class Chart:
         return self.ball_index is None
 
 
-def _hedgehog(xhat, coeff):
-    return np.asarray(coeff)[..., None, None] * np.einsum("ijk,...i->...jk", EPS, xhat)
-
-
-def ball_fields(X, p_idx, cfg, order=8):
+def ball_fields(X, p_idx, cfg):
     """Ball-chart pair (a, phi) at points X (B, 3) inside the ball.
 
     Connection: (1/d - chi r/sinh(r d)) hedgehog - (1-chi) (sum_q alpha_pq)
@@ -249,7 +229,7 @@ def ball_fields(X, p_idx, cfg, order=8):
 
     need_tail = np.any(c < 1.0)
     if need_tail:
-        eta_sum, alpha_sum = _eta_alpha_sums(X, p_idx, cfg, order=order)
+        eta_sum, alpha_sum = _eta_alpha_sums(X, p_idx, cfg)
     else:
         eta_sum = np.zeros(len(X))
         alpha_sum = np.zeros((len(X), 3))
@@ -257,7 +237,7 @@ def ball_fields(X, p_idx, cfg, order=8):
     # Connection: hedgehog coefficient 1/d - chi r/sinh(r d), written so the
     # chi = 1 plateau is the (cancellation-free) smooth-core profile.
     core = np.where(d > 0, c * r * inv_minus_csch(s) + (1.0 - c) / safe, 0.0)
-    a = _hedgehog(xhat, core)
+    a = _hedgehog_form(xhat, core)
     a -= ((1.0 - c) * 1.0)[:, None, None] * alpha_sum[:, :, None] * xhat[:, None, :]
 
     higgs = c * r * coth_minus_inv(s) + (1.0 - c) * (r - 1.0 / safe - eta_sum)
@@ -266,11 +246,11 @@ def ball_fields(X, p_idx, cfg, order=8):
     return a, phi
 
 
-def ball_evaluator(cfg, p_idx, order=8):
+def ball_evaluator(cfg, p_idx):
     def ev(pts):
         pts = np.asarray(pts, dtype=float)
         flat = pts.reshape(-1, 3)
-        a, phi = ball_fields(flat, p_idx, cfg, order=order)
+        a, phi = ball_fields(flat, p_idx, cfg)
         shp = pts.shape[:-1]
         return a.reshape(*shp, 3, 3), phi.reshape(*shp, 3)
 
@@ -345,7 +325,7 @@ class ResidualSample:
     x: np.ndarray
 
 
-def residual_fields(X, p_idx, cfg, order=8):
+def residual_fields(X, p_idx, cfg):
     """(gT, gL) of the glued pair on the ball around point p, batched.
 
     Derived in closed form from the chart data; supported on the cutoff
@@ -379,11 +359,11 @@ def residual_fields(X, p_idx, cfg, order=8):
     Xl, dl, xh = X[live], d[live], xhat[live]
     cl, cpl = c[live], cp[live]
     s = r * dl
-    eta_sum, alpha_sum = _eta_alpha_sums(Xl, p_idx, cfg, order=order)
+    eta_sum, alpha_sum = _eta_alpha_sums(Xl, p_idx, cfg)
     eta = -eta_sum  # (3.36)-style signed tails
     alpha = -alpha_sum
     Q = r * (1.0 / np.tanh(s) - 1.0)
-    Ap = _hedgehog(xh, -r / np.sinh(s))
+    Ap = _hedgehog_form(xh, -r / np.sinh(s))
     dchi = cpl[:, None] * xh  # real 1-form
     sh_Ap = bracket(xh[:, None, :], Ap)  # [sigma_hat, A_p] per form row
     ccm = (cl * (cl - 1.0))[:, None, None]

@@ -8,6 +8,7 @@ asymptotic Higgs scale of the core glued there.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -168,10 +169,13 @@ def gluing_length(N, m):
 
 def make_shell_config(N, m):
     """Build and validate the full configuration for charge N, thickness m."""
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral):
+        raise InvalidParameterError(f"charge N must be an integer, got {N!r}")
     if N < 8:
         raise InvalidParameterError(f"need N >= 8, got {N}")
-    if not m > 1:
-        raise InvalidParameterError(f"need m > 1, got {m}")
+    if not (isinstance(m, numbers.Real) and math.isfinite(m) and m > 1):
+        raise InvalidParameterError(f"need a finite m > 1, got {m!r}")
+    N = int(N)
     if N < 64:
         warnings.warn(
             f"N={N} is far below the asymptotic regime; bound diagnostics "

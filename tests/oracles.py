@@ -1,9 +1,10 @@
 """Independent oracles used by the test suite.
 
 Everything here recomputes quantities by a route disjoint from the package
-implementation: explicit 2x2 complex matrices for the algebra, closed-form
-antiderivatives for the gauge primitive, multipole expansions for the far
-field, and plain enumeration for the shell combinatorics.
+implementation: explicit 2x2 complex matrices for the algebra, the textbook
+antiderivative and Gauss-Legendre quadrature for the gauge primitive,
+multipole expansions for the far field, and plain enumeration for the shell
+combinatorics.
 """
 
 import numpy as np
@@ -59,6 +60,22 @@ def alpha_closed_form(x, p, q):
     upper = -(a + b) / (disc * np.sqrt(a + 2 * b + c))
     lower = -a / (disc * np.sqrt(a))
     return np.cross(w, D) * (upper - lower)
+
+
+def alpha_quadrature(x, p, q, order):
+    """Gauss-Legendre route for the radial-gauge primitive.
+
+    (w x (p-q)) times int_0^1 t / |p-q + t w|^3 dt with w = x-p, the
+    integral taken with `order` Gauss-Legendre nodes mapped to [0, 1].
+    Broadcasts over the leading axes of x.
+    """
+    w = np.asarray(x, dtype=float) - np.asarray(p, dtype=float)
+    D = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    t = 0.5 * (nodes + 1.0)
+    seg = D + t[:, None] * w[..., None, :]  # (..., order, 3)
+    integral = np.sum(0.5 * weights * t / np.linalg.norm(seg, axis=-1) ** 3, axis=-1)
+    return np.cross(w, D) * integral[..., None]
 
 
 def multipole_far_field(x, points):

@@ -104,3 +104,13 @@ def test_invalid_flags():
     assert run_cli(["profile", "--n", "1", "--quad", "64"]) == 2  # quad too small
     assert run_cli(["profile", "--n", "1", "--h", "1.0"]) == 2
     assert run_cli(["verify", "--n", "3"]) == 2
+
+
+@pytest.mark.parametrize("data", [{"n": 100.5}, {"m": math.inf}])
+def test_config_rejects_bad_shell_parameters(tmp_path, capsys, data):
+    # the file bypasses argparse's int/float typing; the shell builder rejects
+    cfgfile = tmp_path / "bad.json"
+    cfgfile.write_text(json.dumps(data))
+    assert run_cli(["place", "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert "integer" in err or "finite m > 1" in err

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,9 +22,10 @@ from magbag.glued import (
 )
 from magbag.monopole import SingularEvaluationError, ps_higgs_norm
 from magbag.operators import fd_curvature
+from magbag.shell import make_shell_config
 from magbag.su2 import EPS, bracket, form_norm
 
-from oracles import alpha_closed_form, multipole_far_field
+from oracles import alpha_closed_form, alpha_quadrature, multipole_far_field
 
 
 # --- cutoff ---------------------------------------------------------------
@@ -126,14 +129,51 @@ def test_alpha_vanishes_at_center_and_radially():
 
 
 def test_alpha_matches_closed_form():
+    # both oracles: the textbook antiderivative and Gauss-Legendre quadrature
     rng = np.random.default_rng(3)
     p = np.array([1.0, -2.0, 0.5])
     for _ in range(50):
         q = p + rng.normal(size=3) * 40
         x = p + rng.normal(size=3)
         got = alpha_pq(x, p, q)
-        want = alpha_closed_form(x, p, q)
-        assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())
+        for want in (alpha_closed_form(x, p, q), alpha_quadrature(x, p, q, 64)):
+            assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_alpha_on_the_line_through_p_and_q():
+    p = np.array([1.0, -2.0, 0.5])
+    q = p + np.array([8.0, -4.0, 2.0])
+    # ball side: between p and q and behind p, where the old antiderivative
+    # divided 0 by 0; the cross product vanishes exactly
+    for t in (0.25, -0.5, 0.125):
+        al = alpha_pq(p + t * (q - p), p, q)
+        assert np.all(np.isfinite(al)) and np.all(al == 0.0)
+    # past q on the far ray the segment integral diverges
+    for x in (q, q + 0.5 * (q - p), q + 3.0 * (q - p)):
+        with pytest.raises(SingularEvaluationError):
+            alpha_pq(x, p, q)
+
+
+def test_eta_alpha_sums_match_per_source_oracles():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = make_shell_config(256, 16.0)
+    rng = np.random.default_rng(7)
+    for p_idx in (0, 100, 255):
+        p = cfg.points[p_idx]
+        dirs = rng.normal(size=(64, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        X = p + rng.uniform(cfg.L / 8, cfg.L / 4, 64)[:, None] * dirs
+        eta, alpha = glued._eta_alpha_sums(X, p_idx, cfg)
+        Q = np.delete(cfg.points, p_idx, axis=0)
+        want = sum(alpha_quadrature(X, p, q, 16) for q in Q)
+        err = np.linalg.norm(alpha - want, axis=1)
+        assert np.max(err / np.linalg.norm(want, axis=1)) <= 1e-13
+        # eta_pq subtracts 1/|p-q| from 1/|x-q|, so the per-source oracle
+        # carries cancellation of order 1e-13 of sum |eta_pq|
+        terms = np.array([eta_pq(X, p, q) for q in Q])
+        scale = np.abs(terms).sum(axis=0)
+        assert np.max(np.abs(eta - terms.sum(axis=0)) / scale) <= 1e-12
 
 
 def test_alpha_fd_exterior_derivative():

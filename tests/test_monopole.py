@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from magbag.monopole import (
+    SERIES_CUTOFF,
     ScaledMonopole,
     SingularEvaluationError,
     coth_minus_inv,
@@ -21,31 +22,22 @@ ORIGIN = ScaledMonopole(center=np.zeros(3), scale=1.0)
 
 
 def test_profile_series_matches_highprec():
-    # the 50-digit oracle pins both branches at the switchover; the direct
-    # double-precision formulas carry ~1e-10 relative cancellation noise
-    # there, which is exactly why the series takes over
+    # a 40-digit oracle over a geometric sweep of [1e-6, 400] that straddles
+    # the series/direct switch; both branches are exact to a few ulp
     import mpmath
 
-    mpmath.mp.dps = 50
-
-    def oracle(s):
-        ms = mpmath.mpf(s)
-        return float(mpmath.coth(ms) - 1 / ms), float(1 / ms - 1 / mpmath.sinh(ms))
-
-    # series branch: exact to rounding
-    for s in (1e-4, 0.5e-3, 1e-3 * (1 - 1e-12)):
-        want_h, want_c = oracle(s)
-        assert abs(coth_minus_inv(s) - want_h) < 1e-14 * abs(want_h)
-        assert abs(inv_minus_csch(s) - want_c) < 1e-14 * abs(want_c)
-    # direct branch just above the switch: limited by the 1/s cancellation
-    for s in (1e-3, 2e-3, 1e-2):
-        want_h, want_c = oracle(s)
-        assert abs(coth_minus_inv(s) - want_h) < 1e-9 * abs(want_h)
-        assert abs(inv_minus_csch(s) - want_c) < 1e-9 * abs(want_c)
-    # branches join continuously at the switch
-    h_lo = coth_minus_inv(1e-3 * (1 - 1e-12))
-    h_hi = coth_minus_inv(1e-3)
-    assert abs(h_lo - h_hi) < 1e-9 * abs(h_hi)
+    mpmath.mp.dps = 40
+    zs = np.concatenate(
+        [np.geomspace(1e-6, 400.0, 601), SERIES_CUTOFF * (1 + np.array([-1e-12, 0.0, 1e-3]))]
+    )
+    got_h = coth_minus_inv(zs)
+    got_c = inv_minus_csch(zs)
+    for z, h, c in zip(zs, got_h, got_c):
+        mz = mpmath.mpf(float(z))
+        want_h = float(mpmath.coth(mz) - 1 / mz)
+        want_c = float(1 / mz - 1 / mpmath.sinh(mz))
+        assert abs(h - want_h) <= 1e-14 * abs(want_h), z
+        assert abs(c - want_c) <= 1e-14 * abs(want_c), z
 
 
 def test_profile_large_argument():

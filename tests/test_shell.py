@@ -185,6 +185,23 @@ def test_make_shell_config_rejects_bad_params():
         make_shell_config(100, 1.0)
 
 
+@pytest.mark.parametrize("N", [100.5, 100.0, True, "100", None])
+def test_make_shell_config_rejects_non_integer_charge(N):
+    with pytest.raises(InvalidParameterError, match="integer"):
+        make_shell_config(N, 16.0)
+
+
+@pytest.mark.parametrize("m", [math.inf, -math.inf, math.nan, "16", None])
+def test_make_shell_config_rejects_non_finite_thickness(m):
+    with pytest.raises(InvalidParameterError, match="finite m > 1"):
+        make_shell_config(100, m)
+
+
+def test_make_shell_config_accepts_numpy_integer():
+    cfg = make_shell_config(np.int64(100), np.float64(16.0))
+    assert type(cfg.N) is int and cfg.N == 100 and len(cfg.points) == 100
+
+
 def test_small_N_warns():
     with pytest.warns(UserWarning):
         make_shell_config(25, 16.0)

@@ -10,13 +10,18 @@ import warnings
 
 import numpy as np
 
-warnings.filterwarnings("ignore")
-
 from magbag import glued
 from magbag.analysis import SphereQuadrature, fibonacci_sphere, sphere_stats
 from magbag.monopole import ScaledMonopole, ps_evaluator
 from magbag.operators import fd_curvature
-from magbag.shell import band_sizes, choose_band_count, coulomb_sums, make_shell_config, place_points
+from magbag.shell import (
+    band_sizes,
+    choose_band_count,
+    coulomb_maxima,
+    coulomb_sums,
+    make_shell_config,
+    place_points,
+)
 from magbag.su2 import form_norm
 
 
@@ -35,16 +40,7 @@ def coulomb_sweep():
     d1 = {}
     d2 = {}
     for N in (64, 128, 256, 512):
-        pts = place_points(N, float(N))
-        R = float(N)
-        s1_dev = 0.0
-        s2_max = 0.0
-        for i in range(N):
-            s1, s2, _, _ = coulomb_sums(pts, pts[i], 1.0)
-            s1_dev = max(s1_dev, abs(s1 - N / R))
-            s2_max = max(s2_max, s2)
-        d1[N] = s1_dev * R / (math.sqrt(N) * math.log(N))
-        d2[N] = s2_max * R * R / (N * math.log(N))
+        d1[N], d2[N] = coulomb_maxima(N)
         print(f"  N={N}: normalized S1 dev={d1[N]:.4f}  S2={d2[N]:.4f}")
     for tag, d in (("S1", d1), ("S2", d2)):
         vals = np.array(list(d.values()))
@@ -88,14 +84,8 @@ def longitudinal_scaling():
     print("[residual] max |<sh, g>| * N / ln N  (m = 16):")
     vals = {}
     for N in (64, 128, 256):
-        cfg = make_shell_config(N, 16.0)
-        worst = 0.0
-        for p_idx in range(cfg.N):
-            pts, _, _ = glued.annulus_points(cfg, p_idx, 8, 64)
-            _, gL = glued.residual_fields(pts, p_idx, cfg)
-            xh = pts - cfg.points[p_idx]
-            xh /= np.linalg.norm(xh, axis=1)[:, None]
-            worst = max(worst, float(np.abs(np.einsum("bk,bmk->bm", xh, gL)).max()))
+        _, _, inner = glued.annulus_maxima(make_shell_config(N, 16.0), 8, 64)
+        worst = float(inner.max())
         vals[N] = worst * N / math.log(N)
         print(f"  N={N}: max long = {worst:.4f}, normalized = {vals[N]:.4f}")
     arr = np.array(list(vals.values()))
@@ -108,12 +98,8 @@ def gt_slope():
     for m in (16.0, 81.0, 256.0):
         cfg = make_shell_config(100, m)
         rbar = float(cfg.residues.min())
-        worst = 0.0
-        for p_idx in range(cfg.N):
-            pts, _, _ = glued.annulus_points(cfg, p_idx, 8, 64)
-            gT, _ = glued.residual_fields(pts, p_idx, cfg)
-            worst = max(worst, float(form_norm(gT).max()))
-        rows.append((rbar * cfg.L, math.log(worst)))
+        max_gT, _, _ = glued.annulus_maxima(cfg, 8, 64)
+        rows.append((rbar * cfg.L, math.log(max_gT.max())))
         print(f"  m={m}: rbar*L={rows[-1][0]:.4f}  ln max|gT|={rows[-1][1]:.4f}")
     x = np.array([r[0] for r in rows])
     y = np.array([r[1] for r in rows])
@@ -126,10 +112,7 @@ def gstar_values():
     print("[gstar] weighted norm (support shells contain Higgs zeros at desk scale):")
     for N in (64, 256):
         cfg = make_shell_config(N, 16.0)
-        total, sup_t, int_t = glued.gstar_norm(cfg)
-        total2, sup2, int2 = glued.gstar_norm(
-            cfg, n_radial=16, n_angular=256, quad_radial=16, quad_angular=128
-        )
+        (total, sup_t, int_t), (total2, _, _) = glued.gstar_doubling(cfg)
         print(
             f"  N={N}: gstar={total:.4g} (sup {sup_t:.4g} + int {int_t:.4g}); "
             f"doubled sampling -> {total2:.4g}  (ratio {total2 / total:.3f})"
@@ -165,6 +148,7 @@ def higgs_floor():
 
 
 if __name__ == "__main__":
+    warnings.filterwarnings("ignore")
     bogomolny_scale()
     coulomb_sweep()
     band_overshoot()

@@ -16,8 +16,6 @@ import warnings
 
 import numpy as np
 
-warnings.filterwarnings("ignore")
-
 from magbag import glued
 from magbag.shell import make_shell_config
 
@@ -40,8 +38,7 @@ def survey_row(N, m):
     cfg = make_shell_config(N, m)
     u = m * math.log(N) / math.sqrt(N)
     zeros = profile_zero_radii(cfg)
-    gstar1 = glued.gstar_norm(cfg, n_radial=4, n_angular=32, quad_radial=4, quad_angular=16)[0]
-    gstar2 = glued.gstar_norm(cfg, n_radial=8, n_angular=64, quad_radial=8, quad_angular=32)[0]
+    (gstar1, _, _), (gstar2, _, _) = glued.gstar_doubling(cfg, 4, 32, 4, 16)
     return {
         "N": N,
         "m": m,
@@ -69,4 +66,5 @@ def main():
 
 
 if __name__ == "__main__":
+    warnings.filterwarnings("ignore")
     main()

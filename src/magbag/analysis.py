@@ -50,7 +50,7 @@ class SphereQuadrature:
         return 4.0 * np.pi / self.M
 
 
-def _norm_fn(field, cfg=None):
+def _norm_fn(field):
     """Coerce a field spec into a batched |Phi| evaluator.
 
     Accepts a ShellConfig (glued pair), a ScaledMonopole (exact core), or a
@@ -86,12 +86,12 @@ def radial_profile(radii, field, quad):
     return rows
 
 
-def write_profile_csv(rows, path):
+def write_profile_csv(rows, fh):
+    """Profile table radius,min_phi,mean_phi,max_phi, 17 significant digits, to text file fh."""
     lines = ["radius,min_phi,mean_phi,max_phi"]
     for r, lo, mean, hi in rows:
         lines.append(f"{r:.17g},{lo:.17g},{mean:.17g},{hi:.17g}")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ invocation.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 import warnings
@@ -87,12 +88,14 @@ def _merge_config(args):
     return cfg
 
 
-def _emit(text, out):
-    if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _output(out):
+    """The text file `out`, or stdout when no path is given."""
+    if not out:
+        yield sys.stdout
+        return
+    with open(out, "w", newline="") as fh:
+        yield fh
 
 
 def cmd_place(cfg):
@@ -102,25 +105,13 @@ def cmd_place(cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         shell = make_shell_config(cfg.n, cfg.m)
-    if cfg.out:
-        write_points_csv(shell, cfg.out)
-    else:
-        import io
-
-        buf = io.StringIO()
-        lines = ["index,band,x,y,z,r_p"]
-        for i in range(shell.N):
-            x, y, z = shell.points[i]
-            lines.append(
-                f"{i},{shell.bands[i]},{x:.17g},{y:.17g},{z:.17g},{shell.residues[i]:.17g}"
-            )
-        buf.write("\n".join(lines) + "\n")
-        sys.stdout.write(buf.getvalue())
+    with _output(cfg.out) as fh:
+        write_points_csv(shell, fh)
     return 0
 
 
 def cmd_profile(cfg):
-    from .analysis import SphereQuadrature, radial_profile
+    from .analysis import SphereQuadrature, radial_profile, write_profile_csv
     from .monopole import ScaledMonopole
     from .shell import make_shell_config
 
@@ -135,10 +126,8 @@ def cmd_profile(cfg):
             field = make_shell_config(cfg.n, cfg.m)
         radii = field.R * np.linspace(cfg.r_min, cfg.r_max, cfg.steps)
     rows = radial_profile(radii, field, quad)
-    lines = ["radius,min_phi,mean_phi,max_phi"]
-    for r, lo, mean, hi in rows:
-        lines.append(f"{r:.17g},{lo:.17g},{mean:.17g},{hi:.17g}")
-    _emit("\n".join(lines) + "\n", cfg.out)
+    with _output(cfg.out) as fh:
+        write_profile_csv(rows, fh)
     return 0
 
 
@@ -149,7 +138,8 @@ def cmd_verify(cfg):
     if cfg.suite != "all" and cfg.suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {cfg.suite!r}; choose from {SUITE_NAMES} or 'all'")
     results = run_suite(cfg.suite)
-    _emit(json.dumps(results, indent=2) + "\n", cfg.out)
+    with _output(cfg.out) as fh:
+        fh.write(json.dumps(results, indent=2) + "\n")
     return 0 if all(r["pass"] for r in results) else 1
 
 

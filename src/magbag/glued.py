@@ -30,7 +30,7 @@ from .monopole import (
     coth_minus_inv,
     inv_minus_csch,
 )
-from .su2 import bracket, star_real_wedge, wedge_dual
+from .su2 import bracket, form_norm, star_real_wedge, wedge_dual
 
 
 class ChartViolationError(ValueError):
@@ -318,13 +318,6 @@ def higgs_norm(x, cfg):
 # ---------------------------------------------------------------------------
 # Explicit residual
 
-@dataclass
-class ResidualSample:
-    gT: np.ndarray  # (3, 3) transverse part, <sigma_hat, gT> = 0
-    gL: np.ndarray  # (3, 3) longitudinal part, [sigma_hat, gL] = 0
-    x: np.ndarray
-
-
 def residual_fields(X, p_idx, cfg):
     """(gT, gL) of the glued pair on the ball around point p, batched.
 
@@ -380,16 +373,10 @@ def residual_fields(X, p_idx, cfg):
     return gT, gL
 
 
-def residual_explicit(x, p_idx, cfg):
-    """ResidualSample at a single point of the ball around point p."""
-    gT, gL = residual_fields(np.asarray(x, dtype=float)[None, :], p_idx, cfg)
-    return ResidualSample(gT=gT[0], gL=gL[0], x=np.asarray(x, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # Support sampling and the weighted residual norm
 
-def annulus_points(cfg, p_idx, n_radial, n_angular, rng=None):
+def annulus_points(cfg, p_idx, n_radial, n_angular):
     """Deterministic product sampling of the residual support shell."""
     from .analysis import fibonacci_sphere
 
@@ -400,6 +387,65 @@ def annulus_points(cfg, p_idx, n_radial, n_angular, rng=None):
     return pts.reshape(-1, 3), radii, dirs
 
 
+def _annulus_residuals(cfg, p_idx, n_radial, n_angular):
+    """The support shell of ball p sampled once on `annulus_points`.
+
+    Returns the points, max_m |<sigma_hat, gL_m>| at each (the part the
+    weighted norm divides by |Phi|^2), and the shell's maxima
+    (max |gT|, max |gL|, max |<sigma_hat, gL>|).
+    """
+    pts, _, _ = annulus_points(cfg, p_idx, n_radial, n_angular)
+    gT, gL = residual_fields(pts, p_idx, cfg)
+    xh = pts - cfg.points[p_idx]
+    xh /= np.linalg.norm(xh, axis=1)[:, None]
+    inner = np.abs(np.einsum("bk,bmk->bm", xh, gL)).max(axis=1)
+    return pts, inner, (form_norm(gT).max(), form_norm(gL).max(), inner.max())
+
+
+def annulus_maxima(cfg, n_radial, n_angular):
+    """Per support shell: max |gT|, max |gL| and max |<sigma_hat, gL>|.
+
+    Returns a (3, N) array, one row per quantity, one column per shell
+    point, each shell sampled on `annulus_points(cfg, p, n_radial,
+    n_angular)`.
+    """
+    rows = [_annulus_residuals(cfg, p_idx, n_radial, n_angular)[2] for p_idx in range(cfg.N)]
+    return np.array(rows).T
+
+
+def _residual_sweep(cfg, n_radial, n_angular, quad_radial, quad_angular):
+    """Every support shell evaluated once on each of its two grids.
+
+    Returns (`annulus_maxima` on the sampling grid, the sup term of the
+    weighted norm on that grid, its integral term on the Gauss-Legendre x
+    Fibonacci quadrature grid).
+    """
+    from .analysis import fibonacci_sphere
+
+    nodes, wts = np.polynomial.legendre.leggauss(quad_radial)
+    lo, hi = cfg.L / 8, cfg.L / 4
+    q_radii = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+    q_w = 0.5 * (hi - lo) * wts
+    q_dirs = fibonacci_sphere(quad_angular)
+    maxima = np.empty((3, cfg.N))
+    sup_term = 0.0
+    integral = 0.0
+    for p_idx in range(cfg.N):
+        pts, inner, maxima[:, p_idx] = _annulus_residuals(cfg, p_idx, n_radial, n_angular)
+        with np.errstate(divide="ignore"):
+            sup_term = max(sup_term, float(np.max(inner / higgs_norm(pts, cfg) ** 2)))
+
+        qpts = cfg.points[p_idx] + q_radii[:, None, None] * q_dirs[None, :, :]
+        qflat = qpts.reshape(-1, 3)
+        gTq, _ = residual_fields(qflat, p_idx, cfg)
+        # |[sh, gT]| = |gT| for transverse parts in su(2).
+        dens = (form_norm(gTq) / higgs_norm(qflat, cfg)) ** 3
+        dens = dens.reshape(quad_radial, quad_angular)
+        shell = np.sum(q_w * q_radii**2 * dens.sum(axis=1) * (4.0 * np.pi / quad_angular))
+        integral += float(shell)
+    return maxima, sup_term, integral ** (1.0 / 3.0)
+
+
 def gstar_norm(cfg, n_radial=8, n_angular=128, quad_radial=8, quad_angular=64):
     """The weighted residual norm: sup |Phi|^-2 |<sh, g>| plus the cubed
     integral of |Phi|^-1 |[sh, g]| over the support shells.
@@ -408,65 +454,36 @@ def gstar_norm(cfg, n_radial=8, n_angular=128, quad_radial=8, quad_angular=64):
     Higgs norm vanishes on the support shell, which happens whenever
     r_p L is small; the sampled value is then resolution-dependent.
     """
-    sup_term = 0.0
-    integral = 0.0
-    nodes, wts = np.polynomial.legendre.leggauss(quad_radial)
-    lo, hi = cfg.L / 8, cfg.L / 4
-    q_radii = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-    q_w = 0.5 * (hi - lo) * wts
-    from .analysis import fibonacci_sphere
+    _, sup_term, int_term = _residual_sweep(cfg, n_radial, n_angular, quad_radial, quad_angular)
+    return sup_term + int_term, sup_term, int_term
 
-    q_dirs = fibonacci_sphere(quad_angular)
-    for p_idx in range(cfg.N):
-        pts, _, _ = annulus_points(cfg, p_idx, n_radial, n_angular)
-        gT, gL = residual_fields(pts, p_idx, cfg)
-        xh = pts - cfg.points[p_idx]
-        xh /= np.linalg.norm(xh, axis=1)[:, None]
-        phi_n = higgs_norm(pts, cfg)
-        long_part = np.abs(np.einsum("bk,bmk->bm", xh, gL)).max(axis=1)
-        with np.errstate(divide="ignore"):
-            sup_term = max(sup_term, float(np.max(long_part / phi_n**2)))
 
-        qpts = cfg.points[p_idx] + q_radii[:, None, None] * q_dirs[None, :, :]
-        qflat = qpts.reshape(-1, 3)
-        gTq, _ = residual_fields(qflat, p_idx, cfg)
-        phiq = higgs_norm(qflat, cfg)
-        trans = np.sqrt(np.sum(gTq * gTq, axis=(1, 2)))
-        # |[sh, gT]| = |gT| for transverse parts in su(2).
-        dens = (trans / phiq) ** 3
-        dens = dens.reshape(quad_radial, quad_angular)
-        shell = np.sum(q_w * q_radii**2 * dens.sum(axis=1) * (4.0 * np.pi / quad_angular))
-        integral += float(shell)
-    return sup_term + integral ** (1.0 / 3.0), sup_term, integral ** (1.0 / 3.0)
+def gstar_doubling(cfg, n_radial=8, n_angular=128, quad_radial=8, quad_angular=64):
+    """`gstar_norm` at the given resolution and at twice it on every axis.
+
+    Returns the two (total, sup_term, integral_term) triples; their shift
+    tells whether the sampled norm has a resolution-independent value.
+    """
+    base = gstar_norm(cfg, n_radial, n_angular, quad_radial, quad_angular)
+    return base, gstar_norm(cfg, 2 * n_radial, 2 * n_angular, 2 * quad_radial, 2 * quad_angular)
 
 
 def residual_report(cfg, n_radial=8, n_angular=128):
-    """Summary of the residual over every support shell (JSON-friendly)."""
-    max_gT = 0.0
-    max_gL = 0.0
-    max_long = 0.0
-    per_annulus = []
-    for p_idx in range(cfg.N):
-        pts, _, _ = annulus_points(cfg, p_idx, n_radial, n_angular)
-        gT, gL = residual_fields(pts, p_idx, cfg)
-        xh = pts - cfg.points[p_idx]
-        xh /= np.linalg.norm(xh, axis=1)[:, None]
-        nT = float(np.sqrt(np.sum(gT * gT, axis=(1, 2))).max())
-        nL = float(np.sqrt(np.sum(gL * gL, axis=(1, 2))).max())
-        nlong = float(np.abs(np.einsum("bk,bmk->bm", xh, gL)).max())
-        per_annulus.append(
-            {"point": p_idx, "max_gT": nT, "max_gL": nL, "max_inner_sigma_g": nlong}
-        )
-        max_gT = max(max_gT, nT)
-        max_gL = max(max_gL, nL)
-        max_long = max(max_long, nlong)
-    total, sup_term, int_term = gstar_norm(cfg)
+    """Summary of the residual over every support shell (JSON-friendly).
+
+    The maxima and the weighted norm's sup term share one evaluation per
+    support shell at (n_radial, n_angular); the integral term uses
+    `gstar_norm`'s default quadrature.
+    """
+    maxima, sup_term, int_term = _residual_sweep(cfg, n_radial, n_angular, 8, 64)
+    keys = ("max_gT", "max_gL", "max_inner_sigma_g")
     return {
-        "max_gT": max_gT,
-        "max_gL": max_gL,
-        "max_inner_sigma_g": max_long,
-        "gstar": total,
+        **dict(zip(keys, maxima.max(axis=1).tolist())),
+        "gstar": sup_term + int_term,
         "gstar_sup_term": sup_term,
         "gstar_integral_term": int_term,
-        "per_annulus": per_annulus,
+        "per_annulus": [
+            {"point": p_idx, **dict(zip(keys, col))}
+            for p_idx, col in enumerate(maxima.T.tolist())
+        ],
     }

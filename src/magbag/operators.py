@@ -19,20 +19,10 @@ deformation identity test pins every sign above simultaneously.
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .su2 import EPS, bracket, wedge_dual
-
-PairEval = Callable[[np.ndarray], tuple]
-
-
-@dataclass
-class FDScheme:
-    """Central second-order differencing with step h."""
-
-    h: float = 1e-4
 
 
 @dataclass
@@ -77,14 +67,38 @@ def fd_curvature(pair_eval, x, h=1e-4):
     return Curvature(F=F, star_F=star_F, d_phi=d_phi)
 
 
-def _eval_pair_stencil(pair_eval, x, h):
-    """Values and first derivatives of an (alpha, eta) evaluator at x."""
-    offsets = h * np.eye(3)
-    pts = np.concatenate([x + offsets, x - offsets, x[None, :]], axis=0)
-    alpha, eta = pair_eval(pts)
-    d_alpha = (alpha[0:3] - alpha[3:6]) / (2.0 * h)  # [j, l, k] = d_j alpha_l
-    d_eta = (eta[0:3] - eta[3:6]) / (2.0 * h)  # [j, k]
-    return alpha[6], eta[6], d_alpha, d_eta
+def flat_bg(phi3=0.8):
+    """Evaluator of the flat background: zero connection, constant Higgs phi3 sigma_3."""
+
+    def ev(pts):
+        pts = np.asarray(pts, dtype=float)
+        shp = pts.shape[:-1]
+        phi = np.zeros((*shp, 3))
+        phi[..., 2] = phi3
+        return np.zeros((*shp, 3, 3)), phi
+
+    return ev
+
+
+def bump_pair(center, width, seed, power=8):
+    """Compactly supported C^{power-1} deformation pair (alpha, eta).
+
+    Polynomial profile (1 - |x-c|^2/w^2)^power times constant coefficients
+    drawn from `seed`: smooth enough for the second-order stencils and
+    quadrature-friendly at its support edge.
+    """
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(3, 3))
+    E = rng.normal(size=3)
+    center = np.asarray(center, dtype=float)
+
+    def ev(pts):
+        pts = np.asarray(pts, dtype=float)
+        t = np.sum(((pts - center) / width) ** 2, axis=-1)
+        prof = np.where(t < 1.0, (1.0 - np.minimum(t, 1.0)) ** power, 0.0)
+        return prof[..., None, None] * A, prof[..., None] * E
+
+    return ev
 
 
 def apply_D_batch(h_pair, bg_pair, X, h=1e-4, sign=1.0):
@@ -239,11 +253,6 @@ def weitzenbock_defect(u_pair, bg_pair, x, h=1e-4):
     da = lhs[0] - rhs_a
     de = lhs[1] - rhs_e
     return float(np.sqrt(np.sum(da * da) + np.sum(de * de)))
-
-
-def pair_inner(q, q2):
-    """Pointwise inner product on deformation-pair values."""
-    return float(np.sum(q[0] * q2[0]) + np.sum(q[1] * q2[1]))
 
 
 def adjointness_gap(q_pair, q2_pair, bg_pair, box, n_nodes=64, h=1e-4):

@@ -45,11 +45,6 @@ def choose_band_count(N):
     return K
 
 
-def band_count_deviation(N):
-    """|K - sqrt(pi N)/2|, the departure from the equal-area estimate."""
-    return abs(choose_band_count(N) - 0.5 * math.sqrt(math.pi * N))
-
-
 def _layout(N, R):
     """Band index, longitude and coordinates for each of the N points."""
     K = choose_band_count(N)
@@ -88,10 +83,20 @@ def _layout(N, R):
     )
 
 
+def _check_charge(N):
+    """N as an int; raises unless it is an integer (bools excluded) >= 8."""
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral):
+        raise InvalidParameterError(f"charge N must be an integer, got {N!r}")
+    if N < 8:
+        raise InvalidParameterError(f"need N >= 8, got {N}")
+    return int(N)
+
+
 def place_points(N, R):
     """The N shell points, ordered by (band, longitude)."""
-    if not R > 0:
-        raise InvalidParameterError(f"radius must be positive, got {R}")
+    N = _check_charge(N)
+    if not (isinstance(R, numbers.Real) and math.isfinite(R) and R > 0):
+        raise InvalidParameterError(f"radius must be finite and positive, got {R!r}")
     return _layout(N, R)[3]
 
 
@@ -101,23 +106,28 @@ def pairwise_distances(points):
     return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
+def _distances_apart(points):
+    """pairwise_distances with an infinite diagonal, so that 1/d vanishes
+    there and the minimum is the smallest separation."""
+    dist = pairwise_distances(points)
+    np.fill_diagonal(dist, np.inf)
+    return dist
+
+
+def _residue_sums(dist):
+    """1 - sum_{q != p} 1/|p - q| from `_distances_apart`; coincident points raise."""
+    if np.any(dist == 0.0):
+        raise InvalidConfigurationError("coincident points in the configuration")
+    return 1.0 - np.sum(1.0 / dist, axis=1)
+
+
 def residues(points):
     """Coulomb residues r_p = 1 - sum_{q != p} 1/|p - q|.
 
     Non-positive residues are returned as-is (the caller decides whether
     that invalidates the configuration); coincident points raise.
     """
-    points = np.asarray(points, dtype=float)
-    n = len(points)
-    if n == 1:
-        return np.ones(1)
-    dist = pairwise_distances(points)
-    off = ~np.eye(n, dtype=bool)
-    if np.any(dist[off] == 0.0):
-        raise InvalidConfigurationError("coincident points in the configuration")
-    inv = np.zeros_like(dist)
-    inv[off] = 1.0 / dist[off]
-    return 1.0 - inv.sum(axis=1)
+    return _residue_sums(_distances_apart(points))
 
 
 def coulomb_sums(points, x, L):
@@ -135,6 +145,20 @@ def coulomb_sums(points, x, L):
     s3 = float(np.sum(1.0 / (d + L)))
     s4 = float(np.sum(1.0 / (d + L) ** 2))
     return s1, s2, s3, s4
+
+
+def coulomb_maxima(N):
+    """Normalised Lemma 3.1 maxima over the shell points of the R = N layout.
+
+    With S1(p), S2(p) the `coulomb_sums` at shell point p, returns
+    (max_p |S1(p) - N/R| R / (sqrt(N) ln N), max_p S2(p) R^2 / (N ln N)),
+    every S1 and S2 taken from one pairwise distance matrix.
+    """
+    R = float(N)
+    dist = _distances_apart(place_points(N, R))
+    dev1 = float(np.abs(np.sum(1.0 / dist, axis=1) - N / R).max())
+    max2 = float(np.sum(1.0 / dist**2, axis=1).max())
+    return dev1 * R / (math.sqrt(N) * math.log(N)), max2 * R * R / (N * math.log(N))
 
 
 @dataclass(frozen=True)
@@ -169,13 +193,9 @@ def gluing_length(N, m):
 
 def make_shell_config(N, m):
     """Build and validate the full configuration for charge N, thickness m."""
-    if isinstance(N, bool) or not isinstance(N, numbers.Integral):
-        raise InvalidParameterError(f"charge N must be an integer, got {N!r}")
-    if N < 8:
-        raise InvalidParameterError(f"need N >= 8, got {N}")
+    N = _check_charge(N)
     if not (isinstance(m, numbers.Real) and math.isfinite(m) and m > 1):
         raise InvalidParameterError(f"need a finite m > 1, got {m!r}")
-    N = int(N)
     if N < 64:
         warnings.warn(
             f"N={N} is far below the asymptotic regime; bound diagnostics "
@@ -190,8 +210,7 @@ def make_shell_config(N, m):
     if np.any(np.abs(radii - R) > 1e-12 * R):
         raise InvalidConfigurationError("points off the shell sphere")
 
-    dist = pairwise_distances(points)
-    np.fill_diagonal(dist, np.inf)
+    dist = _distances_apart(points)
     min_sep = float(dist.min())
     sep_floor = R * math.sin(math.pi / (2 * K))
     if min_sep < sep_floor * (1 - 1e-12):
@@ -203,7 +222,7 @@ def make_shell_config(N, m):
             f"gluing length too large: 2L={2 * L} vs separation {min_sep}"
         )
 
-    r_p = residues(points)
+    r_p = _residue_sums(dist)
     if np.any(r_p <= 0):
         worst = int(np.argmin(r_p))
         raise InvalidConfigurationError(
@@ -240,13 +259,12 @@ def make_shell_config(N, m):
     )
 
 
-def write_points_csv(cfg, path):
-    """Point table: index,band,x,y,z,r_p with 17 significant digits."""
+def write_points_csv(cfg, fh):
+    """Point table index,band,x,y,z,r_p, 17 significant digits, to text file fh."""
     lines = ["index,band,x,y,z,r_p"]
     for i in range(cfg.N):
         x, y, z = cfg.points[i]
         lines.append(
             f"{i},{cfg.bands[i]},{x:.17g},{y:.17g},{z:.17g},{cfg.residues[i]:.17g}"
         )
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    fh.write("\n".join(lines) + "\n")

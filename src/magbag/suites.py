@@ -1,9 +1,11 @@
 """Named verification suites with machine-readable results.
 
 Each suite returns a list of {check, value, bound, pass} dicts; the CLI
-serializes them and the acceptance tests assert on them.  Bounds come
-either from exact statements (checked at numerical tolerance) or from the
-frozen calibration constants.
+serializes them.  A suite holds only bound checks: the sweeps it bounds
+(`shell.coulomb_maxima`, `glued.annulus_maxima`, ...) live next to the code
+they measure and are shared with the acceptance tests and the calibration
+script.  Bounds come either from exact statements (checked at numerical
+tolerance) or from the frozen calibration constants.
 """
 
 import math
@@ -23,12 +25,14 @@ from .analysis import (
 from .monopole import ScaledMonopole, ps_evaluator
 from .operators import (
     adjointness_gap,
+    bump_pair,
     deformation_identity,
     fd_curvature,
+    flat_bg,
     hash_bilinear,
     weitzenbock_defect,
 )
-from .shell import coulomb_sums, make_shell_config, place_points
+from .shell import coulomb_maxima, coulomb_sums, make_shell_config, place_points
 from .su2 import alg_norm, bracket, form_norm, inner, wedge_dual
 
 SUITE_NAMES = ("algebra", "ps", "lemma31", "lemma32", "theorems", "operator")
@@ -114,16 +118,7 @@ def lemma31_suite(sweep=(64, 128, 256, 512)):
     d1 = {}
     d2 = {}
     for N in sweep:
-        pts = place_points(N, float(N))
-        R = float(N)
-        dev1 = 0.0
-        dev2 = 0.0
-        for i in range(N):
-            s1, s2, _, _ = coulomb_sums(pts, pts[i], 1.0)
-            dev1 = max(dev1, abs(s1 - N / R))
-            dev2 = max(dev2, s2)
-        d1[N] = dev1 * R / (math.sqrt(N) * math.log(N))
-        d2[N] = dev2 * R * R / (N * math.log(N))
+        d1[N], d2[N] = coulomb_maxima(N)
         out.append(_check(f"S1_normalized_N{N}", d1[N], constants.KAPPA_S1))
         out.append(_check(f"S2_normalized_N{N}", d2[N], constants.KAPPA_S2))
     for tag, d in (("S1", d1), ("S2", d2)):
@@ -195,15 +190,8 @@ def lemma32_suite(N=100, m=16.0, seed=0):
     # Longitudinal scaling across the charge sweep (frozen constant).
     worst_norm = {}
     for Ns in (64, 128, 256):
-        cfg_s = _shell(Ns, m)
-        worst = 0.0
-        for idx in range(cfg_s.N):
-            spts, _, _ = glued.annulus_points(cfg_s, idx, 8, 64)
-            _, gLs = glued.residual_fields(spts, idx, cfg_s)
-            xhs = spts - cfg_s.points[idx]
-            xhs /= np.linalg.norm(xhs, axis=1)[:, None]
-            worst = max(worst, float(np.abs(np.einsum("bk,bmk->bm", xhs, gLs)).max()))
-        worst_norm[Ns] = worst * Ns / math.log(Ns)
+        _, _, inner = glued.annulus_maxima(_shell(Ns, m), 8, 64)
+        worst_norm[Ns] = float(inner.max()) * Ns / math.log(Ns)
         out.append(
             _check(
                 f"longitudinal_scaled_N{Ns}", worst_norm[Ns], constants.C_LONGITUDINAL
@@ -233,32 +221,12 @@ def theorems_suite(N=100, m=16.0):
     return out
 
 
-def _bump_pair(center, width, amp_seed, power=8):
-    """Compactly supported C^{power-1} deformation pair for operator tests.
-
-    Polynomial profile (1 - |x-c|^2/w^2)^power: smooth enough for the
-    second-order stencils and quadrature-friendly at its support edge.
-    """
-    rng = np.random.default_rng(amp_seed)
-    A = rng.normal(size=(3, 3))
-    E = rng.normal(size=3)
-    center = np.asarray(center, dtype=float)
-
-    def ev(pts):
-        pts = np.asarray(pts, dtype=float)
-        t = np.sum(((pts - center) / width) ** 2, axis=-1)
-        prof = np.where(t < 1.0, (1.0 - np.minimum(t, 1.0)) ** power, 0.0)
-        return prof[..., None, None] * A, prof[..., None] * E
-
-    return ev
-
-
 def operator_suite(N_deg=25, m=16.0, seed=0):
     out = []
     mono = ScaledMonopole(center=np.zeros(3), scale=1.0)
     ps_bg = ps_evaluator(mono)
     x0 = np.array([0.9, -0.4, 0.7])
-    bump = _bump_pair(x0, 1.5, seed + 1)
+    bump = bump_pair(x0, 1.5, seed + 1)
 
     defect = deformation_identity(bump, ps_bg, x0, h=1e-4)
     a0, e0 = bump(x0[None, :])
@@ -266,34 +234,27 @@ def operator_suite(N_deg=25, m=16.0, seed=0):
     out.append(_check("deformation_identity_rel", defect / scale, 1e-6))
 
     # Weitzenboeck on flat, exact-core, and glued backgrounds: order 2 in h.
-    def flat_bg(pts):
-        pts = np.asarray(pts, dtype=float)
-        shp = pts.shape[:-1]
-        phi = np.zeros((*shp, 3))
-        phi[..., 2] = 0.8
-        return np.zeros((*shp, 3, 3)), phi
-
     cfg = _shell(100, m)
     p_idx = 11
     x_ann = cfg.points[p_idx] + (0.17 * cfg.L) * np.array([0.6, 0.64, 0.48]) / np.linalg.norm(
         [0.6, 0.64, 0.48]
     )
     backgrounds = [
-        ("flat", flat_bg, x0),
+        ("flat", flat_bg(), x0),
         ("core", ps_bg, x0),
         ("glued", glued.ball_evaluator(cfg, p_idx), x_ann),
     ]
     for name, bg, x in backgrounds:
-        u = _bump_pair(x, 1.0 if name != "glued" else 0.05 * cfg.L, seed + 2)
+        u = bump_pair(x, 1.0 if name != "glued" else 0.05 * cfg.L, seed + 2)
         d1 = weitzenbock_defect(u, bg, x, h=2e-4 if name != "glued" else 4e-5)
         d2 = weitzenbock_defect(u, bg, x, h=1e-4 if name != "glued" else 2e-5)
         # exact-at-rounding counts as within the order-2 budget (flat case)
         ratio = 4.0 if max(d1, d2) < 1e-12 else d1 / d2
         out.append(_check(f"weitzenbock_order_{name}", ratio, 5.0, ok=3.0 <= ratio <= 5.0))
 
-    q1 = _bump_pair(np.array([0.2, 0.1, -0.3]), 1.2, seed + 3)
-    q2 = _bump_pair(np.array([-0.3, 0.25, 0.1]), 1.2, seed + 4)
-    gap, magnitude = adjointness_gap(q1, q2, flat_bg, ((-2, 2), (-2, 2), (-2, 2)), n_nodes=48)
+    q1 = bump_pair(np.array([0.2, 0.1, -0.3]), 1.2, seed + 3)
+    q2 = bump_pair(np.array([-0.3, 0.25, 0.1]), 1.2, seed + 4)
+    gap, magnitude = adjointness_gap(q1, q2, flat_bg(), ((-2, 2), (-2, 2), (-2, 2)), n_nodes=48)
     out.append(_check("adjointness_gap_rel", gap / magnitude, 1e-6))
 
     rng = np.random.default_rng(seed + 5)

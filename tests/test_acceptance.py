@@ -1,5 +1,10 @@
 """Acceptance gate: one test per numbered criterion, one printed verdict line each.
 
+Where a criterion bounds a sweep, the sweep is the package's own
+(`shell.coulomb_maxima`, `glued.annulus_maxima`, `glued.gstar_doubling`,
+`suites.ps_suite`, `suites.operator_suite`), the one the verification suites and the
+calibration script run; the test adds only its stated bounds.
+
 Nine criteria pass at their stated tolerances.  Three (08, 09 and 10) probe
 asymptotic bounds that measurably fail at this charge scale (the gluing
 scale satisfies r_p L ~ 1 instead of >> 1, so the Higgs norm vanishes on the
@@ -21,34 +26,29 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from magbag import constants, glued
+from magbag import constants, glued, suites
 from magbag.analysis import (
     SphereQuadrature,
-    critical_radii,
     fibonacci_sphere,
     flux_charge,
-    local_degree,
     ps_energy,
     sphere_stats,
 )
 from magbag.monopole import ScaledMonopole, ps_evaluator
-from magbag.operators import (
-    adjointness_gap,
-    deformation_identity,
-    fd_curvature,
-    hash_bilinear,
-    weitzenbock_defect,
-)
-from magbag.shell import coulomb_sums, make_shell_config, place_points
+from magbag.operators import fd_curvature
+from magbag.shell import coulomb_maxima, make_shell_config
 from magbag.su2 import form_norm
-
-from test_operators import bump_pair, flat_bg
 
 
 def _verdict(num, ok, detail):
     line = f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} - {detail}"
     print(line)
     return line
+
+
+def _suite_values(suite, **kwargs):
+    """{check: value} of a verification suite; the test applies its own bounds."""
+    return {c["check"]: c["value"] for c in suite(**kwargs)}
 
 
 def _shell(N, m):
@@ -190,16 +190,7 @@ def test_criterion_06_coulomb_sum_suite():
     norm1 = {}
     norm2 = {}
     for N in (64, 128, 256, 512):
-        pts = place_points(N, float(N))
-        R = float(N)
-        dev1 = 0.0
-        dev2 = 0.0
-        for i in range(N):
-            s1, s2, _, _ = coulomb_sums(pts, pts[i], 1.0)
-            dev1 = max(dev1, abs(s1 - N / R))
-            dev2 = max(dev2, s2)
-        norm1[N] = dev1 * R / (math.sqrt(N) * math.log(N))
-        norm2[N] = dev2 * R * R / (N * math.log(N))
+        norm1[N], norm2[N] = coulomb_maxima(N)
     elapsed = time.time() - t0
     v1 = np.array(list(norm1.values()))
     v2 = np.array(list(norm2.values()))
@@ -223,22 +214,11 @@ def test_criterion_06_coulomb_sum_suite():
     assert elapsed < 60.0
 
 
-def _max_longitudinal(cfg):
-    worst = 0.0
-    for idx in range(cfg.N):
-        pts, _, _ = glued.annulus_points(cfg, idx, 8, 64)
-        _, gL = glued.residual_fields(pts, idx, cfg)
-        xh = pts - cfg.points[idx]
-        xh /= np.linalg.norm(xh, axis=1)[:, None]
-        worst = max(worst, float(np.abs(np.einsum("bk,bmk->bm", xh, gL)).max()))
-    return worst
-
-
 def test_criterion_07_longitudinal_scaling(shells):
     vals = {}
     for N in (64, 128, 256):
-        cfg = shells[(N, 16)]
-        vals[N] = _max_longitudinal(cfg) * N / math.log(N)
+        _, _, inner = glued.annulus_maxima(shells[(N, 16)], 8, 64)
+        vals[N] = float(inner.max()) * N / math.log(N)
     arr = np.array(list(vals.values()))
     dev = np.abs(arr - arr.mean()).max() / arr.mean()
     ok = arr.max() <= constants.C_LONGITUDINAL and dev <= 0.5
@@ -255,12 +235,8 @@ def test_criterion_08_transverse_decay_mechanism(shells):
     rows = []
     for m in (16, 81, 256):
         cfg = shells[(100, m)]
-        worst = 0.0
-        for idx in range(cfg.N):
-            pts, _, _ = glued.annulus_points(cfg, idx, 8, 64)
-            gT, _ = glued.residual_fields(pts, idx, cfg)
-            worst = max(worst, float(form_norm(gT).max()))
-        rows.append((float(cfg.residues.min() * cfg.L), math.log(worst)))
+        max_gT, _, _ = glued.annulus_maxima(cfg, 8, 64)
+        rows.append((float(cfg.residues.min() * cfg.L), math.log(max_gT.max())))
     x = np.array([r[0] for r in rows])
     y = np.array([r[1] for r in rows])
     slope = float(np.polyfit(x, y, 1)[0])
@@ -282,11 +258,7 @@ def test_criterion_08_transverse_decay_mechanism(shells):
 def test_criterion_09_weighted_residual_norm(shells):
     results = {}
     for N in (64, 256):
-        cfg = shells[(N, 16)]
-        base, _, _ = glued.gstar_norm(cfg)
-        dbl, _, _ = glued.gstar_norm(
-            cfg, n_radial=16, n_angular=256, quad_radial=16, quad_angular=128
-        )
+        (base, _, _), (dbl, _, _) = glued.gstar_doubling(shells[(N, 16)])
         results[N] = (base * 16.0 * math.log(N), abs(dbl - base) / base)
     bound_ok = all(v[0] <= constants.C_GSTAR for v in results.values())
     stab_ok = all(v[1] < 0.01 for v in results.values())
@@ -366,14 +338,9 @@ def test_criterion_10_bag_geometry(shells):
 
 
 def test_criterion_11_core_critical_radii():
-    quad = SphereQuadrature(1024)
-    mono = ScaledMonopole(center=np.zeros(3), scale=1.0)
-    vals = {}
-    ok = True
-    for eps in (0.3, 0.5, 0.7):
-        _, r_e, rh_e = critical_radii(eps, mono, quad)
-        vals[eps] = (r_e, rh_e)
-        ok &= r_e < 1 / (1 - eps) and rh_e < 1 / (1 - eps) ** 2
+    checks = _suite_values(suites.ps_suite)
+    vals = {eps: (checks[f"r_eps<{eps}"], checks[f"rhat_eps<{eps}"]) for eps in (0.3, 0.5, 0.7)}
+    ok = all(r_e < 1 / (1 - eps) and rh_e < 1 / (1 - eps) ** 2 for eps, (r_e, rh_e) in vals.items())
     r_half = vals[0.5][0]
     ok &= abs(r_half - 1.797) <= 0.01
     _verdict(
@@ -387,65 +354,33 @@ def test_criterion_11_core_critical_radii():
     assert abs(r_half - 1.797) <= 0.01
 
 
-def test_criterion_12_operator_suite(shells):
-    mono = ScaledMonopole(center=np.zeros(3), scale=1.0)
-    ps_bg = ps_evaluator(mono)
-    x0 = np.array([0.9, -0.4, 0.7])
-    q = bump_pair(x0, 1.5, 21)
-    a0, e0 = q(x0[None, :])
-    scale = float(np.sqrt(np.sum(a0**2) + np.sum(e0**2)))
-    deform_rel = deformation_identity(q, ps_bg, x0, h=1e-4) / scale
-
-    cfg = shells[(100, 16)]
-    i = 11
-    u_dir = np.array([0.6, 0.64, 0.48])
-    u_dir /= np.linalg.norm(u_dir)
-    x_ann = cfg.points[i] + 0.17 * cfg.L * u_dir
-    ratios = {}
-    for name, bg, x, hs in (
-        ("flat", flat_bg(), x0, (2e-4, 1e-4)),
-        ("core", ps_bg, x0, (2e-4, 1e-4)),
-        ("glued", glued.ball_evaluator(cfg, i), x_ann, (4e-5, 2e-5)),
-    ):
-        u = bump_pair(x, 1.0 if name != "glued" else 0.05 * cfg.L, 22)
-        d1 = weitzenbock_defect(u, bg, x, h=hs[0])
-        d2 = weitzenbock_defect(u, bg, x, h=hs[1])
-        if max(d1, d2) < 1e-12:
-            # constant-coefficient background: the discrete identity is
-            # exact, which satisfies the order-2 budget outright
-            ratios[name] = 4.0
-        else:
-            ratios[name] = d1 / d2
-
-    q1 = bump_pair([0.2, 0.1, -0.3], 1.2, 23)
-    q2 = bump_pair([-0.3, 0.25, 0.1], 1.2, 24)
-    gap, magnitude = adjointness_gap(q1, q2, flat_bg(), ((-2, 2), (-2, 2), (-2, 2)), n_nodes=48)
-
-    rng = np.random.default_rng(25)
-    qa = (rng.normal(size=(3, 3)), rng.normal(size=3))
-    qb = (rng.normal(size=(3, 3)), rng.normal(size=3))
-    hash_sym = np.abs(hash_bilinear(qa, qb)[0] - hash_bilinear(qb, qa)[0]).max()
-
-    cfg25 = shells[(25, 16)]
-    degree_total = sum(local_degree(k, cfg25) for k in range(cfg25.N))
+def test_criterion_12_operator_suite():
+    # the operator suite on the bump fields of seeds 21..25, held to this
+    # criterion's own windows
+    checks = _suite_values(suites.operator_suite, seed=20)
+    deform_rel = checks["deformation_identity_rel"]
+    ratios = {name: checks[f"weitzenbock_order_{name}"] for name in ("flat", "core", "glued")}
+    adjoint_rel = checks["adjointness_gap_rel"]
+    hash_sym = checks["hash_symmetry"]
+    degree_off = checks["local_degree_sum"]
 
     ok = (
         deform_rel <= 1e-6
         and all(3.4 <= r <= 4.6 for r in ratios.values())
-        and gap / magnitude <= 1e-6
+        and adjoint_rel <= 1e-6
         and hash_sym == 0.0
-        and degree_total == 25
+        and degree_off == 0.0
     )
     _verdict(
         12,
         ok,
         f"deformation rel {deform_rel:.1e}; weitzenbock h-ratios "
-        f"{({k: f'{v:.2f}' for k, v in ratios.items()})}; adjoint rel {gap / magnitude:.1e}; "
-        f"hash exact; degree sum {degree_total}",
+        f"{({k: f'{v:.2f}' for k, v in ratios.items()})}; adjoint rel {adjoint_rel:.1e}; "
+        f"hash exact; degree sum {'25' if degree_off == 0.0 else f'off 25 by {degree_off:g}'}",
     )
     assert deform_rel <= 1e-6
     for name, r in ratios.items():
         assert 3.4 <= r <= 4.6, f"weitzenbock ratio on {name} background: {r}"
-    assert gap / magnitude <= 1e-6
+    assert adjoint_rel <= 1e-6
     assert hash_sym == 0.0
-    assert degree_total == 25
+    assert degree_off == 0.0

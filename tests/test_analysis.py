@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -72,11 +73,11 @@ def test_radial_profile_monotone_radii(cfg100):
         radial_profile([2.0, 1.0], PS, quad)
 
 
-def test_profile_csv(tmp_path):
+def test_profile_csv():
     rows = [(1.0, 0.1, 0.2, 0.3), (2.0, 0.4, 0.5, 0.6)]
-    path = tmp_path / "prof.csv"
-    write_profile_csv(rows, path)
-    lines = path.read_text().strip().split("\n")
+    buf = io.StringIO()
+    write_profile_csv(rows, buf)
+    lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "radius,min_phi,mean_phi,max_phi"
     assert len(lines) == 3
 

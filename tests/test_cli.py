@@ -38,6 +38,19 @@ def test_place_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("args", [
+    ["place", "--n", "64", "--m", "16"],
+    ["profile", "--n", "100", "--m", "16", "--quad", "256", "--steps", "3"],
+])
+def test_stdout_matches_out_file(tmp_path, capsys, args):
+    capsys.readouterr()
+    assert run_cli(args) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "table.csv"
+    assert run_cli(args + ["--out", str(out)]) == 0
+    assert out.read_bytes() == printed.encode()
+
+
 def test_profile_core_mode(tmp_path):
     out = tmp_path / "prof.csv"
     code = run_cli(

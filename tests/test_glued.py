@@ -17,7 +17,6 @@ from magbag.glued import (
     eta_pq,
     higgs_norm,
     phi_theta,
-    residual_explicit,
     residual_fields,
 )
 from magbag.monopole import SingularEvaluationError, ps_higgs_norm
@@ -363,12 +362,12 @@ def test_residual_split_properties(cfg100):
     ).max()
 
 
-def test_residual_sample_wrapper(cfg100):
+def test_residual_at_a_single_point(cfg100):
     i = 2
     x = cfg100.points[i] + np.array([0.17 * cfg100.L, 0, 0])
-    s = residual_explicit(x, i, cfg100)
-    assert s.gT.shape == (3, 3) and s.gL.shape == (3, 3)
-    assert form_norm(s.gT) > 0
+    gT, gL = residual_fields(x[None, :], i, cfg100)
+    assert gT.shape == (1, 3, 3) and gL.shape == (1, 3, 3)
+    assert form_norm(gT[0]) > 0
 
 
 def test_residual_matches_fd_oracle(cfg100):
@@ -395,13 +394,26 @@ def test_gstar_unstable_under_refinement(cfg100):
     # documented desk-scale behavior: the weighting divides by a Higgs norm
     # that vanishes on the support shell, so the sampled value swings by
     # orders of magnitude with the grid instead of converging
-    total1, _, _ = glued.gstar_norm(cfg100, n_radial=4, n_angular=32, quad_radial=4, quad_angular=16)
-    total2, _, _ = glued.gstar_norm(cfg100, n_radial=8, n_angular=64, quad_radial=8, quad_angular=32)
+    (total1, _, _), (total2, _, _) = glued.gstar_doubling(cfg100, 4, 32, 4, 16)
     assert abs(total2 - total1) > 0.5 * min(total1, total2)
 
 
-def test_residual_report_keys(cfg25):
+def test_residual_report_keys(cfg25, monkeypatch):
+    # one residual evaluation per support shell on the sampling grid, shared
+    # by the maxima and the sup term, and one on the quadrature grid
+    calls = []
+    original = glued.residual_fields
+    monkeypatch.setattr(glued, "residual_fields", lambda *args: calls.append(args) or original(*args))
     rep = glued.residual_report(cfg25, n_radial=4, n_angular=32)
+    assert len(calls) == 2 * cfg25.N
+    monkeypatch.undo()
+
     assert set(rep) >= {"max_gT", "max_gL", "max_inner_sigma_g", "gstar", "per_annulus"}
     assert len(rep["per_annulus"]) == 25
     assert rep["max_gT"] > 0
+    maxima = glued.annulus_maxima(cfg25, 4, 32)
+    keys = ("max_gT", "max_gL", "max_inner_sigma_g")
+    assert [[a[k] for k in keys] for a in rep["per_annulus"]] == maxima.T.tolist()
+    assert [rep[k] for k in keys] == maxima.max(axis=1).tolist()
+    gstar = (rep["gstar"], rep["gstar_sup_term"], rep["gstar_integral_term"])
+    assert gstar == glued.gstar_norm(cfg25, 4, 32)

@@ -7,8 +7,10 @@ from magbag.operators import (
     adjointness_gap,
     apply_D,
     apply_D_dagger,
+    bump_pair,
     deformation_identity,
     fd_curvature,
+    flat_bg,
     hash_bilinear,
     weitzenbock_defect,
 )
@@ -27,33 +29,6 @@ def constant_pair(alpha, eta):
         return np.broadcast_to(alpha, (*shp, 3, 3)).copy(), np.broadcast_to(
             eta, (*shp, 3)
         ).copy()
-
-    return ev
-
-
-def flat_bg(phi3=0.8):
-    def ev(pts):
-        pts = np.asarray(pts, dtype=float)
-        shp = pts.shape[:-1]
-        phi = np.zeros((*shp, 3))
-        phi[..., 2] = phi3
-        return np.zeros((*shp, 3, 3)), phi
-
-    return ev
-
-
-def bump_pair(center, width, seed, power=8):
-    # polynomial profile: C^{power-1}, quadrature-friendly support edge
-    rng = np.random.default_rng(seed)
-    A = rng.normal(size=(3, 3))
-    E = rng.normal(size=3)
-    center = np.asarray(center, dtype=float)
-
-    def ev(pts):
-        pts = np.asarray(pts, dtype=float)
-        t = np.sum(((pts - center) / width) ** 2, axis=-1)
-        prof = np.where(t < 1.0, (1.0 - np.minimum(t, 1.0)) ** power, 0.0)
-        return prof[..., None, None] * A, prof[..., None] * E
 
     return ev
 

@@ -1,3 +1,4 @@
+import io
 import math
 import warnings
 
@@ -12,6 +13,7 @@ from magbag.shell import (
     InvalidParameterError,
     band_sizes,
     choose_band_count,
+    coulomb_maxima,
     coulomb_sums,
     make_shell_config,
     pairwise_distances,
@@ -86,6 +88,13 @@ def test_place_points_removal_pattern():
     assert removed.tolist() == [3, 3, 3, 3, 3, 2, 2, 2, 2]
 
 
+@pytest.mark.parametrize("N, R", [(100.5, 10.0), (True, 10.0), (100, math.inf),
+                                  (100, math.nan), (100, 0.0), (100, -1.0)])
+def test_place_points_rejects_bad_input(N, R):
+    with pytest.raises(InvalidParameterError):
+        place_points(N, R)
+
+
 def test_place_points_deterministic():
     a = place_points(137, 200.0)
     b = place_points(137, 200.0)
@@ -139,6 +148,19 @@ def test_coulomb_onshell_bounds():
     assert s4 <= constants.KAPPA_S34 * (1.0 + math.log(N) / N)
 
 
+@pytest.mark.parametrize("N", [64, 128])
+def test_coulomb_maxima_match_per_point_sums(N):
+    # oracle: coulomb_sums at every shell point, one point at a time
+    R = float(N)
+    pts = place_points(N, R)
+    sums = [coulomb_sums(pts, p, 1.0) for p in pts]
+    dev1 = max(abs(s[0] - N / R) for s in sums) * R / (math.sqrt(N) * math.log(N))
+    max2 = max(s[1] for s in sums) * R * R / (N * math.log(N))
+    got1, got2 = coulomb_maxima(N)
+    assert got1 == pytest.approx(dev1, rel=1e-12)
+    assert got2 == pytest.approx(max2, rel=1e-12)
+
+
 def test_make_shell_config_values(cfg100):
     # arithmetic from the radius and gluing-length formulas; the worked
     # numbers in the planning notes (173.68) mis-evaluate the same formula
@@ -156,6 +178,14 @@ def test_shell_invariants(cfg100):
     assert dist.min() >= cfg.R * math.sin(math.pi / (2 * cfg.K)) * (1 - 1e-12)
     assert 2 * cfg.L < dist.min()
     assert np.all(cfg.residues > 0)
+
+
+def test_make_shell_config_residues_and_diagnostics(cfg100):
+    # one distance matrix serves the separation checks and the residues
+    assert np.array_equal(cfg100.residues, residues(place_points(100, cfg100.R)))
+    diag = cfg100.diagnostics
+    assert (diag["min_separation"], diag["r_min"], diag["r_max"]) == (
+        258.5938353509599, 0.8825922060064197, 0.9063745860241845)
 
 
 def test_residue_window_is_saturated_at_desk_scale(cfg100):
@@ -207,10 +237,10 @@ def test_small_N_warns():
         make_shell_config(25, 16.0)
 
 
-def test_points_csv_roundtrip(tmp_path, cfg100):
-    path = tmp_path / "theta.csv"
-    write_points_csv(cfg100, path)
-    text = path.read_text()
+def test_points_csv_roundtrip(cfg100):
+    buf = io.StringIO()
+    write_points_csv(cfg100, buf)
+    text = buf.getvalue()
     lines = text.strip().split("\n")
     assert lines[0] == "index,band,x,y,z,r_p"
     assert len(lines) == 101
@@ -218,10 +248,10 @@ def test_points_csv_roundtrip(tmp_path, cfg100):
     assert int(row[0]) == 0 and int(row[1]) == 1
     got = np.array([float(v) for v in row[2:5]])
     np.testing.assert_allclose(got, cfg100.points[0], rtol=1e-16)
-    # determinism: byte-identical on rewrite
-    path2 = tmp_path / "theta2.csv"
-    write_points_csv(cfg100, path2)
-    assert path2.read_bytes() == path.read_bytes()
+    # determinism: identical on rewrite
+    buf2 = io.StringIO()
+    write_points_csv(cfg100, buf2)
+    assert buf2.getvalue() == text
 
 
 def test_shell_radius_formula():

@@ -50,38 +50,40 @@ class SphereQuadrature:
         return 4.0 * np.pi / self.M
 
 
-def _norm_fn(field):
-    """Coerce a field spec into a batched |Phi| evaluator.
+def _sphere_fn(field, dirs):
+    """The function r -> |Phi|(r * dirs) over unit directions dirs (B, 3).
 
-    Accepts a ShellConfig (glued pair), a ScaledMonopole (exact core), or a
-    callable X (B, 3) -> (B,).
+    Accepts a ShellConfig (glued pair, from one direction table built here),
+    a ScaledMonopole (exact core), or a callable X (B, 3) -> (B,).
     """
     if callable(field):
-        return field
+        return lambda r: field(r * dirs)
     if isinstance(field, ScaledMonopole):
-        return lambda X: ps_higgs_norm(
-            np.linalg.norm(np.asarray(X) - field.center, axis=-1), field.scale
+        return lambda r: ps_higgs_norm(
+            np.linalg.norm(r * dirs - field.center, axis=-1), field.scale
         )
-    return lambda X: glued.higgs_norm(X, field)
+    return glued.sphere_higgs_norm(dirs, field)
 
 
 def sphere_stats(r, field, quad):
     """(min, mean, max) of |Phi| over the radius-r sphere."""
-    if not r > 0:
-        raise InvalidParameterError("sphere radius must be positive")
-    vals = _norm_fn(field)(r * quad.points)
+    if not 0 < r < np.inf:
+        raise InvalidParameterError("sphere radius must be positive and finite")
+    vals = _sphere_fn(field, quad.points)(r)
     return float(vals.min()), float(vals.mean()), float(vals.max())
 
 
 def radial_profile(radii, field, quad):
-    """Rows of (radius, min, mean, max); radii must increase strictly."""
+    """Rows of (radius, min, mean, max); radii must be finite and increase strictly."""
     radii = np.asarray(radii, dtype=float)
+    if not np.all(np.isfinite(radii)):
+        raise InvalidParameterError("radii must be finite")
     if np.any(np.diff(radii) <= 0):
         raise InvalidParameterError("radii must be strictly increasing")
-    fn = _norm_fn(field)
+    sphere = _sphere_fn(field, quad.points)
     rows = []
     for r in radii:
-        vals = fn(r * quad.points)
+        vals = sphere(r)
         rows.append((float(r), float(vals.min()), float(vals.mean()), float(vals.max())))
     return rows
 
@@ -102,8 +104,9 @@ def _bisect(fn, lo, hi, resolution):
     flo = fn(lo)
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
-        if (fn(mid) > 0) == (flo > 0):
-            lo, flo = mid, fn(mid)
+        fmid = fn(mid)
+        if (fmid > 0) == (flo > 0):
+            lo, flo = mid, fmid
         else:
             hi = mid
     return 0.5 * (lo + hi)
@@ -118,7 +121,7 @@ def critical_radii(eps, field, quad, r_max=None, n_scan=400, resolution=None):
     """
     if not 0 < eps < 1:
         raise InvalidParameterError("eps must lie in (0, 1)")
-    fn = _norm_fn(field)
+    sphere = _sphere_fn(field, quad.points)
     if r_max is None:
         r_max = 40.0 if isinstance(field, ScaledMonopole) or callable(field) else 4.0 * field.R
     if resolution is None:
@@ -128,11 +131,11 @@ def critical_radii(eps, field, quad, r_max=None, n_scan=400, resolution=None):
     maxs = np.empty(n_scan)
     means = np.empty(n_scan)
     for i, r in enumerate(grid):
-        vals = fn(r * quad.points)
+        vals = sphere(r)
         mins[i], means[i], maxs[i] = vals.min(), vals.mean(), vals.max()
 
     def stat_fn(stat):
-        return lambda r: stat(fn(r * quad.points)) - eps
+        return lambda r: stat(sphere(r)) - eps
 
     # Largest radius where the sphere minimum still dips to eps.
     below = np.nonzero(mins <= eps)[0]
@@ -170,9 +173,7 @@ def flux_charge(r, cfg, quad):
     """
     if r <= cfg.R + cfg.L:
         raise InvalidParameterError("flux sphere must enclose the shell")
-    dirs = quad.points
-    grad = glued.grad_phi_theta(r * dirs, cfg)
-    dens = np.einsum("bi,bi->b", grad, dirs)
+    dens = glued.sphere_flux_density(quad.points, cfg)(r)
     return float(r * r * quad.weight * dens.sum() / (4.0 * np.pi))
 
 
@@ -346,11 +347,9 @@ def theorem_report(cfg, eps_list=(0.3, 0.5, 0.7), quad=None):
 
     # Floor of |Phi| away from the cores, then the outermost radius where
     # the sphere minimum still dips below half that floor.
-    dirs = fibonacci_sphere(512)
+    sphere = glued.sphere_higgs_norm(fibonacci_sphere(512), cfg)
     radii = cfg.R + cfg.L * np.array([1.0, 1.5, 2.0, 3.0, 5.0])
-    floor = min(
-        float(np.min(glued.higgs_norm(r * dirs, cfg))) for r in radii
-    )
+    floor = min(float(np.min(sphere(r))) for r in radii)
     eps_floor = 0.5 * floor
     R_eps, _, _ = critical_radii(
         eps_floor, cfg, SphereQuadrature(2048), r_max=cfg.R + 6 * cfg.L, n_scan=300

@@ -9,6 +9,7 @@ invocation.
 import argparse
 import contextlib
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass, fields
@@ -39,6 +40,8 @@ class RunConfig:
             raise ValueError(f"need at least 256 quadrature points, got {self.quad}")
         if not 1e-8 < self.h < 1e-2:
             raise ValueError(f"fd step must lie in (1e-8, 1e-2), got {self.h}")
+        if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
+            raise ValueError(f"r-min and r-max must be finite, got {self.r_min}, {self.r_max}")
         if not 0 < self.r_min < self.r_max:
             raise ValueError("need 0 < r-min < r-max")
         if self.steps < 2:

@@ -279,40 +279,105 @@ def chart_pair(x, chart, cfg):
     return FieldSample(a=a[0], phi=phi[0])
 
 
+def _higgs_from_distances(d_all, cfg):
+    """|Phi| from the (B, N) table of distances to the shell points.
+
+    Within distance L of its nearest point a sample takes the ball-chart
+    coefficient, outside it |phi_theta|; continuous across the switch.
+    """
+    nearest = np.argmin(d_all, axis=1)
+    d = d_all[np.arange(len(d_all)), nearest]
+    with np.errstate(divide="ignore"):
+        ext = 1.0 - np.sum(1.0 / d_all, axis=1)  # phi_theta; -inf on a shell point
+    out = np.abs(ext)
+
+    near = d < cfg.L
+    dn = d[near]
+    r = cfg.residues[nearest[near]]
+    c = chi(8.0 * dn / cfg.L - 1.0)
+    # chi < 1 only off-centre, where phi_theta is finite; the identity
+    # r_p - 1/d - sum eta = phi_theta collapses the tail sum.  At a shell
+    # point chi = 1 and the core term is exactly 0.
+    ext_near = np.where(c < 1.0, ext[near], 0.0)
+    out[near] = np.abs(c * (r * coth_minus_inv(r * dn)) + (1.0 - c) * ext_near)
+    return out
+
+
 def higgs_norm(x, cfg):
     """|Phi| at points x (..., 3): ball-chart coefficient within distance L
     of a shell point, |phi_theta| outside.  Continuous across the switch."""
     x = np.asarray(x, dtype=float)
     flat = np.atleast_2d(x.reshape(-1, 3))
-    diff = flat[:, None, :] - cfg.points
-    d_all = np.linalg.norm(diff, axis=-1)
-    nearest = np.argmin(d_all, axis=1)
-    d = d_all[np.arange(len(flat)), nearest]
-    out = np.empty(len(flat))
-
-    far = d >= cfg.L
-    if np.any(far):
-        out[far] = np.abs(1.0 - np.sum(1.0 / d_all[far], axis=1))
-
-    near = ~far
-    if np.any(near):
-        dn = d[near]
-        r = cfg.residues[nearest[near]]
-        c = chi(8.0 * dn / cfg.L - 1.0)
-        core = r * coth_minus_inv(r * dn)
-        on_site = dn == 0.0
-        dn_safe = np.where(on_site, 1.0, dn)
-        # chi < 1 only off-centre, where phi_theta is finite; the identity
-        # r_p - 1/d - sum eta = phi_theta collapses the tail sum.
-        ext = np.zeros_like(dn)
-        off = ~on_site & (c < 1.0)
-        if np.any(off):
-            idx = np.nonzero(near)[0][off]
-            ext[off] = 1.0 - np.sum(1.0 / d_all[idx], axis=1)
-        out[near] = np.abs(c * core + (1.0 - c) * ext)
-        out[np.nonzero(near)[0][on_site]] = 0.0
-
+    out = _higgs_from_distances(np.linalg.norm(flat[:, None, :] - cfg.points, axis=-1), cfg)
     return out.reshape(x.shape[:-1]) if x.ndim > 1 else float(out[0])
+
+
+# ---------------------------------------------------------------------------
+# Origin-centred spheres r u over fixed unit directions u
+#
+# For a source p and radius r, |r u - p|^2 = (r - |p|)^2 + r |p| G with
+# G = |u - p/|p||^2, and (r u - p).u = (r - |p|) + |p| G / 2.  G depends only
+# on the directions and the sources, so one (B, N) table serves every radius
+# and no (B, N, 3) array is built.
+
+def _direction_table(dirs, points):
+    """(|p|, G) for unit directions (B, 3) and sources (N, 3): G = |u - p_hat|^2.
+
+    G is summed coordinate by coordinate, which keeps it accurate where u
+    points at p.  A source at the origin has p_hat = 0 and enters only
+    through |p| = 0.
+    """
+    dirs = np.asarray(dirs, dtype=float)
+    pn = np.linalg.norm(points, axis=1)
+    phat = points / np.where(pn > 0.0, pn, 1.0)[:, None]
+    G = np.zeros((len(dirs), len(points)))
+    for k in range(3):
+        diff = np.subtract.outer(dirs[:, k], phat[:, k])
+        G += diff * diff
+    return pn, G
+
+
+def sphere_higgs_norm(dirs, cfg):
+    """The function r -> higgs_norm(r * dirs, cfg) for unit directions (B, 3).
+
+    The direction table is built once here; each radius then costs a few
+    (B, N) passes.
+    """
+    pn, G = _direction_table(dirs, cfg.points)
+
+    def norm(r):
+        d = (r * pn) * G
+        d += (r - pn) ** 2
+        return _higgs_from_distances(np.sqrt(d, out=d), cfg)
+
+    return norm
+
+
+def sphere_flux_density(dirs, cfg):
+    """The function r -> grad phi_theta(r u) . u at unit directions u = dirs (B, 3).
+
+    Each term (r u - p).u / |r u - p|^3 is taken from the direction table;
+    outside the shell both parts of (r - |p|) + |p| G / 2 are non-negative,
+    so the numerator carries no cancellation.
+    """
+    pn, G = _direction_table(dirs, cfg.points)
+
+    def density(r):
+        d2 = (r * pn) * G
+        d2 += (r - pn) ** 2
+        if np.any(d2 == 0.0):
+            raise SingularEvaluationError("flux density evaluated on a shell point")
+        # |r u - p|^3 and the numerator are built in place, so at most
+        # three (B, N) arrays are alive at once.
+        cube = np.sqrt(d2)
+        cube *= d2
+        del d2
+        num = (0.5 * pn) * G
+        num += r - pn
+        num /= cube
+        return np.sum(num, axis=1)
+
+    return density
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ O(h^4) truncation.
 
 import math
 import time
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,8 +35,9 @@ from magbag.analysis import (
 )
 from magbag.monopole import ScaledMonopole, ps_evaluator
 from magbag.operators import fd_curvature
-from magbag.shell import coulomb_maxima, make_shell_config
+from magbag.shell import coulomb_maxima
 from magbag.su2 import form_norm
+from magbag.suites import _shell
 
 
 def _verdict(num, ok, detail):
@@ -49,12 +49,6 @@ def _verdict(num, ok, detail):
 def _suite_values(suite, **kwargs):
     """{check: value} of a verification suite; the test applies its own bounds."""
     return {c["check"]: c["value"] for c in suite(**kwargs)}
-
-
-def _shell(N, m):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return make_shell_config(N, m)
 
 
 @pytest.fixture(scope="module")

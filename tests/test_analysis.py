@@ -19,6 +19,7 @@ from magbag.analysis import (
     theorem_report,
     write_profile_csv,
 )
+from magbag.glued import higgs_norm
 from magbag.monopole import ScaledMonopole, dirac_evaluator, ps_evaluator, ps_higgs_norm
 from magbag.shell import InvalidParameterError
 
@@ -71,6 +72,29 @@ def test_radial_profile_monotone_radii(cfg100):
         assert lo <= mean + 1e-14 and mean <= hi + 1e-14
     with pytest.raises(InvalidParameterError):
         radial_profile([2.0, 1.0], PS, quad)
+
+
+@pytest.mark.parametrize("radii", [[1.0, 2.0, math.inf], [1.0, math.nan, 3.0], [math.nan]])
+def test_radial_profile_rejects_non_finite_radii(radii):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        radial_profile(radii, PS, SphereQuadrature(256))
+
+
+@pytest.mark.parametrize("r", [math.inf, math.nan, 0.0])
+def test_sphere_stats_rejects_bad_radius(r):
+    with pytest.raises(InvalidParameterError):
+        sphere_stats(r, PS, SphereQuadrature(256))
+
+
+def test_radial_profile_glued_matches_pointwise(cfg100):
+    # the profile reads its spheres from one direction table per call
+    quad = SphereQuadrature(1024)
+    radii = cfg100.R * np.array([0.5, 1.0, 1.5])
+    for (r, lo, mean, hi), rr in zip(radial_profile(radii, cfg100, quad), radii):
+        vals = higgs_norm(rr * quad.points, cfg100)
+        assert r == rr
+        np.testing.assert_allclose([lo, mean, hi], [vals.min(), vals.mean(), vals.max()],
+                                   rtol=0, atol=1e-12)
 
 
 def test_profile_csv():

@@ -127,3 +127,12 @@ def test_config_rejects_bad_shell_parameters(tmp_path, capsys, data):
     assert run_cli(["place", "--config", str(cfgfile)]) == 2
     err = capsys.readouterr().err
     assert "integer" in err or "finite m > 1" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--r-max", "inf"), ("--r-min", "nan"), ("--r-max", "nan")])
+def test_profile_rejects_non_finite_radii(capsys, flag, value):
+    args = ["profile", "--n", "16", "--m", "16", "--quad", "256", "--steps", "3", flag, value]
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert "r-min and r-max must be finite" in captured.err
+    assert captured.out == ""

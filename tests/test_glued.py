@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magbag import glued
+from magbag.analysis import fibonacci_sphere
 from magbag.glued import (
     Chart,
     ChartViolationError,
@@ -327,6 +329,60 @@ def test_desk_scale_profile_has_interior_zero(cfg100):
     vals = higgs_norm(p + ds[:, None] * u, cfg100)
     assert vals.min() < 0.02  # profile dips to (near) zero off-centre
     assert cfg100.residues[i] * cfg100.L < 16.0 / 3.0
+
+
+# --- origin-centred spheres ----------------------------------------------------
+
+@pytest.mark.parametrize("N", [25, 100, 256])
+def test_sphere_higgs_norm_matches_pointwise(N):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = make_shell_config(N, 16.0)
+    # lattice directions plus the direction of every shell point, so the
+    # spheres through R pass exactly through the zeros
+    shell_dirs = cfg.points / np.linalg.norm(cfg.points, axis=1)[:, None]
+    dirs = np.vstack([fibonacci_sphere(512), shell_dirs])
+    radii = np.concatenate([
+        [0.05 * cfg.R, 0.5 * cfg.R],
+        cfg.R + cfg.L * np.linspace(-1.2, 1.2, 25),  # the ball branch
+        [2.0 * cfg.R, 40.0 * cfg.R],
+    ])
+    sphere = glued.sphere_higgs_norm(dirs, cfg)
+    for r in radii:
+        want = higgs_norm(r * dirs, cfg)
+        # absolute where |Phi| <= 1; above it (|Phi| ~ 1/d within L/4 of a
+        # zero) the oracle's points r*u carry the rounding of coordinates of
+        # size R, and both sides sit within 4e-13 relative of a 30-digit sum
+        assert np.all(np.abs(sphere(r) - want) <= 1e-12 * np.maximum(1.0, want))
+
+
+def _point_sets():
+    rng = np.random.default_rng(31)
+    seeded = rng.normal(size=(40, 3)) * rng.uniform(0.1, 3.0, size=(40, 1))
+    return {
+        "centre": SimpleNamespace(points=np.zeros((1, 3))),
+        "seeded": SimpleNamespace(points=np.vstack([np.zeros(3), seeded])),
+    }
+
+
+@pytest.mark.parametrize("name", ["centre", "seeded", "cfg25", "cfg100"])
+def test_sphere_flux_density_matches_gradient(name, request):
+    cfg = request.getfixturevalue(name) if name.startswith("cfg") else _point_sets()[name]
+    dirs = fibonacci_sphere(1024)
+    outer = np.max(np.linalg.norm(cfg.points, axis=1)) + getattr(cfg, "L", 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # a centre point divides by nothing
+        density = glued.sphere_flux_density(dirs, cfg)
+        for r in (1.2 * outer + 0.5, 1.5 * outer + 1.0, 4.0 * outer + 2.0):
+            want = np.einsum("bi,bi->b", glued.grad_phi_theta(r * dirs, cfg), dirs)
+            assert np.max(np.abs(density(r) - want) / np.abs(want)) <= 1e-12
+
+
+def test_sphere_flux_density_singular_on_a_point(cfg25):
+    p = cfg25.points[4]
+    R = np.linalg.norm(p)
+    with pytest.raises(SingularEvaluationError):
+        glued.sphere_flux_density((p / R)[None, :], cfg25)(R)
 
 
 # --- residual ----------------------------------------------------------------

@@ -4,6 +4,7 @@ deleted name they use fails here and not only when a script is run."""
 import ast
 import importlib.util
 import inspect
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,15 @@ def test_script_names_existing_api(name):
 
 
 def test_survey_row_keys():
-    row = _load("desk_scale_survey").survey_row(64, 16.0)
+    tracemalloc.start()
+    try:
+        row = _load("desk_scale_survey").survey_row(64, 16.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 200000-sample ray is evaluated in chunks, not as one (samples, N, 3) array
+    assert peak <= 64e6
+    assert row["profile_zero_radii_over_L"] == [0.16763482417412084]
     assert set(row) == {
         "N", "m", "R", "L", "residue_target", "r_min", "r_max", "rL_min",
         "rL_needed_for_positive_profile", "profile_zero_radii_over_L",

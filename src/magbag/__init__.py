@@ -1,24 +1,18 @@
 """Glued large-charge SU(2) monopole shell configurations."""
 
-from .monopole import FieldSample, ScaledMonopole, dirac_pair, ps_pair, sigma_hat
+from .monopole import ScaledMonopole
 from .shell import ShellConfig, make_shell_config, place_points, residues
-from .glued import Chart, chart_pair, higgs_norm, phi_theta
+from .glued import higgs_norm, phi_theta
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Chart",
-    "FieldSample",
     "ScaledMonopole",
     "ShellConfig",
-    "chart_pair",
-    "dirac_pair",
     "higgs_norm",
     "make_shell_config",
     "phi_theta",
     "place_points",
-    "ps_pair",
     "residues",
-    "sigma_hat",
     "__version__",
 ]

@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import json
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass, fields
@@ -30,12 +31,25 @@ class RunConfig:
     out: str | None = None
 
     def validate(self, need_shell=True):
+        # Values from a --config file bypass argparse's typing.
+        for name in ("n", "quad", "steps"):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {val!r}")
+        for name in ("m", "h", "r_min", "r_max"):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {val!r}")
+        if not isinstance(self.suite, str):
+            raise ValueError(f"suite must be a string, got {self.suite!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a string or null, got {self.out!r}")
         if need_shell and self.n < 8:
             raise ValueError(f"charge must be at least 8, got n={self.n}")
         if not need_shell and self.n != 1 and self.n < 8:
             raise ValueError(f"charge must be 1 (exact core) or >= 8, got n={self.n}")
-        if not self.m > 1:
-            raise ValueError(f"thickness parameter must exceed 1, got m={self.m}")
+        if not (math.isfinite(self.m) and self.m > 1):
+            raise ValueError(f"thickness parameter must be a finite m > 1, got m={self.m}")
         if self.quad < 256:
             raise ValueError(f"need at least 256 quadrature points, got {self.quad}")
         if not 1e-8 < self.h < 1e-2:

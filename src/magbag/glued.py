@@ -1,26 +1,23 @@
-"""Chart-wise evaluation of the glued bag pair.
+"""Ball-wise evaluation of the glued bag pair.
 
-The configuration is covered by one exterior chart (abelian, Higgs norm
-|phi_theta|) and one ball chart per shell point, where a smooth core with
-residue r_p is interpolated into the abelian field by a radial cutoff.
-Only gauge-invariant exterior quantities are exposed; ball charts carry
-explicit connection tables.
+Around each shell point a smooth core with residue r_p is interpolated
+into the abelian field by a radial cutoff; the ball pair carries explicit
+connection tables.  Away from the balls only gauge-invariant quantities
+(|phi_theta| and its flux) are exposed.
 
-Sign conventions: writing the exterior chart connection as the singular
-hedgehog plus a correction (sum over the other points), exactness of the
-abelian pair forces the correction 1-form to enter with a minus sign
-relative to the primitive normalization of `alpha_pq` (whose exterior
-derivative is +*d eta_pq).  The finite-difference residual oracle pins
-this choice; see tests.
+Sign conventions: writing the ball connection as the singular hedgehog
+plus a correction (sum over the other points), exactness of the abelian
+pair forces the correction 1-form to enter with a minus sign relative to
+the primitive normalization of alpha_pq (whose exterior derivative is
++*d eta_pq).  The finite-difference residual oracle pins this choice; see
+tests.
 
 The tail sums over the other shell points use closed forms: eta_pq is the
-recentred Coulomb term and alpha_pq the exact radial-gauge primitive
-(w x D) / (s (|D| s + D.(x-q))), with w = x-p, D = p-q, s = |x-q|.  Both
-are evaluated from the dot products w.D, |w|^2 and |D|^2, which carry no
-cancellation inside a ball (|w| < L < |D|/2).
+recentred Coulomb term 1/|x-q| - 1/|p-q| and alpha_pq the exact
+radial-gauge primitive (w x D) / (s (|D| s + D.(x-q))), with w = x-p,
+D = p-q, s = |x-q|.  Both are evaluated from the dot products w.D, |w|^2
+and |D|^2, which carry no cancellation inside a ball (|w| < L < |D|/2).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +31,7 @@ from .su2 import bracket, form_norm, star_real_wedge, wedge_dual
 
 
 class ChartViolationError(ValueError):
-    pass
+    """Ball pair evaluated outside its ball."""
 
 
 # ---------------------------------------------------------------------------
@@ -80,12 +77,6 @@ def chi_prime(t):
     return out if out.ndim else float(out)
 
 
-def chi_p(x, p, L):
-    """Ball cutoff chi(8|x-p|/L - 1): 1 inside radius L/8, 0 outside 3L/16."""
-    d = np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(p, dtype=float), axis=-1)
-    return chi(8.0 * d / L - 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Exterior harmonic data
 
@@ -109,18 +100,6 @@ def grad_phi_theta(x, cfg):
     return np.sum(diff / d[..., None] ** 3, axis=-2)
 
 
-def eta_pq(x, p, q):
-    """Recentred Coulomb tail of q seen from p: 1/|x-q| - 1/|p-q|."""
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    dxq = np.linalg.norm(x - q, axis=-1)
-    dpq = np.linalg.norm(p - q)
-    if dpq == 0.0 or np.any(dxq == 0.0):
-        raise SingularEvaluationError("eta_pq evaluated at a singular point")
-    return 1.0 / dxq - 1.0 / dpq
-
-
 # Where |D| s + D.(x-q) falls below this multiple of |D| s, rounding alone
 # can produce it: x lies on the primitive's string, the ray from q away from p.
 _STRING_TOL = 16.0 * np.finfo(float).eps
@@ -138,25 +117,6 @@ def _alpha_weight(s, Dn, Dxq):
     if np.any(t <= _STRING_TOL * Dn * s):
         raise SingularEvaluationError("alpha_pq evaluated on its string behind q")
     return 1.0 / (s * t)
-
-
-def alpha_pq(x, p, q):
-    """Radial-gauge primitive of *d(eta_pq) centred at p.
-
-    alpha(x) = (x-p) x (p-q) * int_0^1 t/|p-q+t(x-p)|^3 dt; it vanishes at
-    p, has no radial component, and its exterior derivative reproduces
-    *d(eta_pq).  The integral is elementary and equals
-    1 / (s (|D| s + D.(x-q))) with D = p-q, s = |x-q|: the antiderivative
-    with its 0/0 on the line through p and q removed.  Raises on the ray
-    from q away from p, where the integral diverges.
-    """
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    D = p - q
-    xq = x - q
-    k = _alpha_weight(np.linalg.norm(xq, axis=-1), np.linalg.norm(D), xq @ D)
-    return np.cross(x - p, D) * k[..., None]
 
 
 def _others(cfg, p_idx):
@@ -194,18 +154,7 @@ def _eta_alpha_sums(X, p_idx, cfg, chunk=512):
 
 
 # ---------------------------------------------------------------------------
-# Charts
-
-@dataclass(frozen=True)
-class Chart:
-    """Exterior chart (ball_index None) or the ball around one shell point."""
-
-    ball_index: int | None = None
-
-    @property
-    def is_exterior(self):
-        return self.ball_index is None
-
+# Ball pairs
 
 def ball_fields(X, p_idx, cfg):
     """Ball-chart pair (a, phi) at points X (B, 3) inside the ball.
@@ -255,28 +204,6 @@ def ball_evaluator(cfg, p_idx):
         return a.reshape(*shp, 3, 3), phi.reshape(*shp, 3)
 
     return ev
-
-
-def chart_pair(x, chart, cfg):
-    """FieldSample in the given chart; raises outside its validity region.
-
-    The exterior chart exposes only gauge-invariant content: its Higgs is
-    phi_theta times the radial frame of the nearest ball and its connection
-    slot is zeroed (the abelian potential needs a Dirac-string choice that
-    nothing downstream requires; fluxes come from `grad_phi_theta`).
-    """
-    from .monopole import FieldSample
-
-    x = np.asarray(x, dtype=float)
-    if chart.is_exterior:
-        dmin = np.min(np.linalg.norm(cfg.points - x, axis=1))
-        if dmin <= cfg.L / 4:
-            raise ChartViolationError("exterior chart evaluated inside a core ball")
-        near = int(np.argmin(np.linalg.norm(cfg.points - x, axis=1)))
-        frame = (x - cfg.points[near]) / np.linalg.norm(x - cfg.points[near])
-        return FieldSample(a=np.zeros((3, 3)), phi=phi_theta(x, cfg) * frame)
-    a, phi = ball_fields(x[None, :], chart.ball_index, cfg)
-    return FieldSample(a=a[0], phi=phi[0])
 
 
 def _higgs_from_distances(d_all, cfg):

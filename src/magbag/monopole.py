@@ -1,9 +1,8 @@
-"""Closed-form hedgehog monopole pairs.
+"""Closed-form smooth-core hedgehog monopole pair.
 
-Two exact families: the smooth core solution with Higgs profile
-r*coth(r|x-p|) - 1/|x-p| (finite everywhere, single non-degenerate zero at
-the center) and the singular abelian pair with profile r - 1/|x-p|.  Both
-are stored as coefficient tables relative to the product connection.
+The core solution has Higgs profile r*coth(r|x-p|) - 1/|x-p| (finite
+everywhere, single non-degenerate zero at the center); it is stored as
+coefficient tables relative to the product connection.
 """
 
 from dataclasses import dataclass
@@ -37,14 +36,6 @@ class ScaledMonopole:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         if not self.scale > 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
-
-
-@dataclass
-class FieldSample:
-    """Connection coefficients (relative to the product connection) and Higgs value."""
-
-    a: np.ndarray  # (3, 3), entry [j, k] on dx_j (x) sigma_k/2
-    phi: np.ndarray  # (3,)
 
 
 # Bernoulli numbers B_2, B_4, ..., B_24 as (numerator, denominator).
@@ -118,38 +109,6 @@ def ps_pair_batch(x, mono):
     return a, phi
 
 
-def ps_pair(x, mono):
-    """Smooth-core pair at a single point (the center is allowed)."""
-    a, phi = ps_pair_batch(np.asarray(x, dtype=float), mono)
-    return FieldSample(a=a, phi=phi)
-
-
-def dirac_pair_batch(x, p, r_res):
-    """Abelian pair at points x (..., 3); raises at the center."""
-    w = np.asarray(x, dtype=float) - np.asarray(p, dtype=float)
-    d = np.linalg.norm(w, axis=-1)
-    if np.any(d == 0):
-        raise SingularEvaluationError("abelian pair evaluated at its center")
-    xhat = w / d[..., None]
-    a = _hedgehog_form(xhat, 1.0 / d)
-    phi = (r_res - 1.0 / d)[..., None] * xhat
-    return a, phi
-
-
-def dirac_pair(x, p, r_res=1.0):
-    a, phi = dirac_pair_batch(np.asarray(x, dtype=float), p, r_res)
-    return FieldSample(a=a, phi=phi)
-
-
-def sigma_hat(x, p):
-    """Unit hedgehog direction (x-p)/|x-p| as an algebra element."""
-    w = np.asarray(x, dtype=float) - np.asarray(p, dtype=float)
-    d = np.linalg.norm(w, axis=-1)
-    if np.any(d == 0):
-        raise SingularEvaluationError("sigma_hat undefined at the center")
-    return w / d[..., None]
-
-
 def ps_higgs_norm(d, r=1.0):
     """|Higgs| of the smooth core at distance d from the center."""
     return r * coth_minus_inv(r * np.asarray(d, dtype=float))
@@ -160,12 +119,5 @@ def ps_evaluator(mono):
 
     def ev(x):
         return ps_pair_batch(x, mono)
-
-    return ev
-
-
-def dirac_evaluator(p, r_res=1.0):
-    def ev(x):
-        return dirac_pair_batch(x, p, r_res)
 
     return ev

@@ -1,9 +1,9 @@
 """Finite-difference deformation operators.
 
-Fields are given as evaluators x -> (a, phi) with a the (3, 3) connection
-coefficient table and phi the (3,) Higgs coefficients; derivatives are
-second-order central differences at query points, combined with exact
-coefficient algebra.  Conventions:
+Fields are given as pair evaluators x (..., 3) -> (a, phi), with a the
+(..., 3, 3) connection coefficient table and phi the (..., 3) Higgs
+coefficients; derivatives are second-order central differences at query
+points, combined with exact coefficient algebra.  Conventions:
 
     F_{jl}     = d_j a_l - d_l a_j + [a_j, a_l]
     (*F)_m     = (1/2) eps_{jlm} F_{jl}
@@ -14,10 +14,12 @@ and the first-order operator on pairs (alpha, eta):
     D(alpha, eta) = (*d_A alpha - d_A eta + [phi, alpha],
                      div_A alpha + [phi, eta])
 
-with its formal adjoint obtained by phi -> -phi.  The single end-to-end
-deformation identity test pins every sign above simultaneously.
+with its formal adjoint obtained by phi -> -phi (`apply_D(..., sign=-1.0)`).
+The single end-to-end deformation identity test pins every sign above
+simultaneously.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,41 +103,30 @@ def bump_pair(center, width, seed, power=8):
     return ev
 
 
-def apply_D_batch(h_pair, bg_pair, X, h=1e-4, sign=1.0):
-    """Deformation operator on (alpha, eta) at points X (B, 3).
+def apply_D(h_pair, bg_pair, x, h=1e-4, sign=1.0):
+    """Deformation operator on (alpha, eta) at points x (..., 3).
 
     `sign` multiplies the background Higgs: -1 gives the formal adjoint.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    a, phi = bg_pair(X)
+    x = np.asarray(x, dtype=float)
+    a, phi = bg_pair(x)
     phi = sign * phi
     offsets = h * np.eye(3)
     pts = np.concatenate(
-        [X[:, None, :] + offsets, X[:, None, :] - offsets, X[:, None, :]], axis=1
-    )  # (B, 7, 3)
+        [x[..., None, :] + offsets, x[..., None, :] - offsets, x[..., None, :]], axis=-2
+    )  # (..., 7, 3)
     al, et = h_pair(pts)
-    alpha0, eta0 = al[:, 6], et[:, 6]
-    d_alpha = (al[:, 0:3] - al[:, 3:6]) / (2.0 * h)  # (B, j, l, k)
-    d_eta = (et[:, 0:3] - et[:, 3:6]) / (2.0 * h)  # (B, j, k)
-    cov = bracket(a[:, :, None, :], alpha0[:, None, :, :])
-    dA_alpha = d_alpha - np.swapaxes(d_alpha, 1, 2) + cov - np.swapaxes(cov, 1, 2)
-    star = 0.5 * np.einsum("jlm,bjlk->bmk", EPS, dA_alpha)
-    dA_eta = d_eta + bracket(a, eta0[:, None, :])
-    first = star - dA_eta + bracket(phi[:, None, :], alpha0)
-    second = np.einsum("bjjk->bk", d_alpha) + bracket(a, alpha0).sum(axis=1)
+    alpha0, eta0 = al[..., 6, :, :], et[..., 6, :]
+    d_alpha = (al[..., 0:3, :, :] - al[..., 3:6, :, :]) / (2.0 * h)  # (..., j, l, k)
+    d_eta = (et[..., 0:3, :] - et[..., 3:6, :]) / (2.0 * h)  # (..., j, k)
+    cov = bracket(a[..., :, None, :], alpha0[..., None, :, :])
+    dA_alpha = d_alpha - np.swapaxes(d_alpha, -3, -2) + cov - np.swapaxes(cov, -3, -2)
+    star = 0.5 * np.einsum("jlm,...jlk->...mk", EPS, dA_alpha)
+    dA_eta = d_eta + bracket(a, eta0[..., None, :])
+    first = star - dA_eta + bracket(phi[..., None, :], alpha0)
+    second = np.einsum("...jjk->...k", d_alpha) + bracket(a, alpha0).sum(axis=-2)
     second = second + bracket(phi, eta0)
     return first, second
-
-
-def apply_D(h_pair, bg_pair, x, h=1e-4, sign=1.0):
-    """Single-point wrapper around apply_D_batch."""
-    first, second = apply_D_batch(h_pair, bg_pair, np.asarray(x, dtype=float)[None, :], h, sign)
-    return first[0], second[0]
-
-
-def apply_D_dagger(h_pair, bg_pair, x, h=1e-4):
-    """Formal adjoint: D with the background Higgs negated."""
-    return apply_D(h_pair, bg_pair, x, h, sign=-1.0)
 
 
 def hash_bilinear(q, q2):
@@ -192,20 +183,18 @@ def _grande(u_pair, bg_pair, x, h):
 
 def _cov_component(pair_eval, bg_pair, j, h):
     """Evaluator for the j-th covariant derivative of an (alpha, eta) field."""
+    e = np.zeros(3)
+    e[j] = h
 
     def ev(pts):
         pts = np.asarray(pts, dtype=float)
-        flat = pts.reshape(-1, 3)
-        e = np.zeros(3)
-        e[j] = h
-        ap, ep = pair_eval(flat + e)
-        am, em = pair_eval(flat - e)
-        a0, e0 = pair_eval(flat)
-        abg, _ = bg_pair(flat)
-        dal = (ap - am) / (2.0 * h) + bracket(abg[:, j, None, :], a0)
-        det = (ep - em) / (2.0 * h) + bracket(abg[:, j, :], e0)
-        shp = pts.shape[:-1]
-        return dal.reshape(*shp, 3, 3), det.reshape(*shp, 3)
+        ap, ep = pair_eval(pts + e)
+        am, em = pair_eval(pts - e)
+        a0, e0 = pair_eval(pts)
+        abg, _ = bg_pair(pts)
+        dal = (ap - am) / (2.0 * h) + bracket(abg[..., j, None, :], a0)
+        det = (ep - em) / (2.0 * h) + bracket(abg[..., j, :], e0)
+        return dal, det
 
     return ev
 
@@ -213,19 +202,7 @@ def _cov_component(pair_eval, bg_pair, j, h):
 def weitzenbock_defect(u_pair, bg_pair, x, h=1e-4):
     """Defect of D D^dag u = cov-Laplacian u + [phi,[u,phi]] + G(u) at x."""
     x = np.asarray(x, dtype=float)
-
-    def ddag(pts):
-        pts = np.asarray(pts, dtype=float)
-        flat = pts.reshape(-1, 3)
-        firsts = np.empty((len(flat), 3, 3))
-        seconds = np.empty((len(flat), 3))
-        for i, y in enumerate(flat):
-            f, s = apply_D_dagger(u_pair, bg_pair, y, h)
-            firsts[i] = f
-            seconds[i] = s
-        shp = pts.shape[:-1]
-        return firsts.reshape(*shp, 3, 3), seconds.reshape(*shp, 3)
-
+    ddag = functools.partial(apply_D, u_pair, bg_pair, h=h, sign=-1.0)
     lhs = apply_D(ddag, bg_pair, x, h)
 
     # Rough covariant Laplacian -sum_j cov_j cov_j, componentwise.
@@ -285,8 +262,8 @@ def adjointness_gap(q_pair, q2_pair, bg_pair, box, n_nodes=64, h=1e-4):
     if np.any((mag1 + mag2).reshape(grid_shape)[on_edge] != 0.0):
         raise ValueError("pair support touches the quadrature box boundary")
     live = (mag1 > 0) | (mag2 > 0)
-    Dq = apply_D_batch(q_pair, bg_pair, pts[live], h)
-    Ddq2 = apply_D_batch(q2_pair, bg_pair, pts[live], h, sign=-1.0)
+    Dq = apply_D(q_pair, bg_pair, pts[live], h)
+    Ddq2 = apply_D(q2_pair, bg_pair, pts[live], h, sign=-1.0)
     total1 = vol * float(
         np.sum(a2[live] * Dq[0]) + np.sum(e2[live] * Dq[1])
     )

@@ -2,12 +2,15 @@
 
 Everything here recomputes quantities by a route disjoint from the package
 implementation: explicit 2x2 complex matrices for the algebra, the textbook
-antiderivative and Gauss-Legendre quadrature for the gauge primitive,
+antiderivative and Gauss-Legendre quadrature for the gauge primitive, one
+source at a time for the glued tail sums, the singular abelian pair,
 multipole expansions for the far field, and plain enumeration for the shell
 combinatorics.
 """
 
 import numpy as np
+
+from magbag.monopole import SingularEvaluationError, _hedgehog_form
 
 TAU = np.array(
     [
@@ -76,6 +79,50 @@ def alpha_quadrature(x, p, q, order):
     seg = D + t[:, None] * w[..., None, :]  # (..., order, 3)
     integral = np.sum(0.5 * weights * t / np.linalg.norm(seg, axis=-1) ** 3, axis=-1)
     return np.cross(w, D) * integral[..., None]
+
+
+def eta_pq(x, p, q):
+    """Recentred Coulomb tail of q seen from p: 1/|x-q| - 1/|p-q|."""
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    dxq = np.linalg.norm(x - q, axis=-1)
+    dpq = np.linalg.norm(p - q)
+    if dpq == 0.0 or np.any(dxq == 0.0):
+        raise SingularEvaluationError("eta_pq evaluated at a singular point")
+    return 1.0 / dxq - 1.0 / dpq
+
+
+def alpha_pq(x, p, q):
+    """Radial-gauge primitive of *d(eta_pq) centred at p, one source q.
+
+    (w x D) / (s (|D| s + D.(x-q))) with w = x-p, D = p-q, s = |x-q|: the
+    rationalised antiderivative, finite on the line through p and q on the
+    ball side.  Broadcasts over the leading axes of x.
+    """
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    D = p - q
+    xq = x - q
+    s = np.linalg.norm(xq, axis=-1)
+    weight = 1.0 / (s * (np.linalg.norm(D) * s + xq @ D))
+    return np.cross(x - p, D) * weight[..., None]
+
+
+def dirac_evaluator(p, r_res=1.0):
+    """Singular abelian pair x (..., 3) -> (a, phi) with Higgs profile r_res - 1/|x-p|."""
+    p = np.asarray(p, dtype=float)
+
+    def ev(x):
+        w = np.asarray(x, dtype=float) - p
+        d = np.linalg.norm(w, axis=-1)
+        if np.any(d == 0):
+            raise SingularEvaluationError("abelian pair evaluated at its center")
+        xhat = w / d[..., None]
+        return _hedgehog_form(xhat, 1.0 / d), (r_res - 1.0 / d)[..., None] * xhat
+
+    return ev
 
 
 def multipole_far_field(x, points):

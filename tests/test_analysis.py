@@ -20,8 +20,10 @@ from magbag.analysis import (
     write_profile_csv,
 )
 from magbag.glued import higgs_norm
-from magbag.monopole import ScaledMonopole, dirac_evaluator, ps_evaluator, ps_higgs_norm
+from magbag.monopole import ScaledMonopole, ps_evaluator
 from magbag.shell import InvalidParameterError
+
+from oracles import dirac_evaluator
 
 PS = ScaledMonopole(center=np.zeros(3), scale=1.0)
 

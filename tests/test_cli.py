@@ -129,6 +129,21 @@ def test_config_rejects_bad_shell_parameters(tmp_path, capsys, data):
     assert "integer" in err or "finite m > 1" in err
 
 
+@pytest.mark.parametrize("data", [
+    {"r_max": "4"}, {"r_min": None}, {"h": [1e-4]}, {"m": True},
+    {"quad": 300.5}, {"steps": 3.0}, {"n": True}, {"n": "64"},
+    {"suite": 3}, {"out": 5},
+])
+def test_config_rejects_mistyped_values(tmp_path, capsys, data):
+    cfgfile = tmp_path / "bad.json"
+    cfgfile.write_text(json.dumps({"n": 16, "quad": 256, "steps": 3, **data}))
+    assert run_cli(["profile", "--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    (key,) = data
+    assert f"{key} must be" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("flag,value", [("--r-max", "inf"), ("--r-min", "nan"), ("--r-max", "nan")])
 def test_profile_rejects_non_finite_radii(capsys, flag, value):
     args = ["profile", "--n", "16", "--m", "16", "--quad", "256", "--steps", "3", flag, value]

@@ -9,24 +9,25 @@ from hypothesis import strategies as st
 from magbag import glued
 from magbag.analysis import fibonacci_sphere
 from magbag.glued import (
-    Chart,
     ChartViolationError,
-    alpha_pq,
-    chart_pair,
     chi,
-    chi_p,
     chi_prime,
-    eta_pq,
     higgs_norm,
     phi_theta,
     residual_fields,
 )
-from magbag.monopole import SingularEvaluationError, ps_higgs_norm
+from magbag.monopole import ScaledMonopole, SingularEvaluationError, ps_evaluator
 from magbag.operators import fd_curvature
 from magbag.shell import make_shell_config
 from magbag.su2 import EPS, bracket, form_norm
 
-from oracles import alpha_closed_form, alpha_quadrature, multipole_far_field
+from oracles import (
+    alpha_closed_form,
+    alpha_pq,
+    alpha_quadrature,
+    eta_pq,
+    multipole_far_field,
+)
 
 
 # --- cutoff ---------------------------------------------------------------
@@ -53,13 +54,12 @@ def test_chi_prime_matches_fd():
 
 
 def test_chi_p_radii(cfg100):
-    p = cfg100.points[0]
+    # the ball cutoff chi(8 d / L - 1): 1 inside radius L/8, 0 outside 3L/16
     L = cfg100.L
-    up = np.array([0, 0, 1.0])
-    assert chi_p(p + (L / 8) * up, p, L) == 1.0
-    assert chi_p(p + (3 * L / 16) * up, p, L) == 0.0
+    assert chi(8 * (L / 8) / L - 1) == 1.0
+    assert chi(8 * (3 * L / 16) / L - 1) == 0.0
     rads = np.linspace(1e-3, L, 1000)
-    vals = chi_p(p + rads[:, None] * up, p, L)
+    vals = chi(8 * rads / L - 1)
     assert np.all(np.diff(vals) <= 1e-12)
 
 
@@ -149,10 +149,12 @@ def test_alpha_on_the_line_through_p_and_q():
     for t in (0.25, -0.5, 0.125):
         al = alpha_pq(p + t * (q - p), p, q)
         assert np.all(np.isfinite(al)) and np.all(al == 0.0)
-    # past q on the far ray the segment integral diverges
+    # past q on the far ray the segment integral diverges: the tail sums'
+    # weight refuses it
+    D = p - q
     for x in (q, q + 0.5 * (q - p), q + 3.0 * (q - p)):
         with pytest.raises(SingularEvaluationError):
-            alpha_pq(x, p, q)
+            glued._alpha_weight(np.linalg.norm(x - q), np.linalg.norm(D), (x - q) @ D)
 
 
 def test_eta_alpha_sums_match_per_source_oracles():
@@ -206,33 +208,27 @@ def test_alpha_linear_bound(cfg100):
         assert np.linalg.norm(alpha_pq(x, p, q)) <= 4 * np.linalg.norm(x - p) / dpq**2
 
 
-# --- charts -----------------------------------------------------------------
+# --- ball pairs -------------------------------------------------------------
 
 def test_chart_regions(cfg100):
     p = cfg100.points[0]
     with pytest.raises(ChartViolationError):
-        chart_pair(p + np.array([cfg100.L, 0, 0]) * 1.5, Chart(ball_index=0), cfg100)
-    with pytest.raises(ChartViolationError):
-        chart_pair(p + np.array([cfg100.L / 8, 0, 0]), Chart(), cfg100)
+        glued.ball_fields(p + np.array([[cfg100.L, 0, 0]]) * 1.5, 0, cfg100)
 
 
 def test_chart_core_region_is_rescaled_core(cfg100):
-    # inside radius L/8 the chart is exactly the scale-r_p smooth core
-    from magbag.monopole import ScaledMonopole, ps_pair
-
+    # inside radius L/8 the ball pair is exactly the scale-r_p smooth core
     i = 5
     p = cfg100.points[i]
-    r = cfg100.residues[i]
-    mono = ScaledMonopole(center=p, scale=r)
+    mono = ScaledMonopole(center=p, scale=cfg100.residues[i])
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        u = rng.normal(size=3)
-        u /= np.linalg.norm(u)
-        x = p + rng.uniform(0, cfg100.L / 8) * u
-        got = chart_pair(x, Chart(ball_index=i), cfg100)
-        want = ps_pair(x, mono)
-        np.testing.assert_allclose(got.phi, want.phi, atol=1e-14)
-        np.testing.assert_allclose(got.a, want.a, atol=1e-14)
+    dirs = rng.normal(size=(20, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    X = p + rng.uniform(0, cfg100.L / 8, 20)[:, None] * dirs
+    got_a, got_phi = glued.ball_fields(X, i, cfg100)
+    want_a, want_phi = ps_evaluator(mono)(X)
+    np.testing.assert_allclose(got_phi, want_phi, atol=1e-14)
+    np.testing.assert_allclose(got_a, want_a, atol=1e-14)
 
 
 def test_chart_overlap_flux_density(cfg100):

@@ -8,15 +8,13 @@ from magbag.monopole import (
     ScaledMonopole,
     SingularEvaluationError,
     coth_minus_inv,
-    dirac_evaluator,
-    dirac_pair,
     inv_minus_csch,
     ps_evaluator,
-    ps_pair,
-    sigma_hat,
 )
 from magbag.operators import fd_curvature
-from magbag.su2 import alg_norm, bracket, form_norm, inner
+from magbag.su2 import alg_norm, bracket, form_norm
+
+from oracles import dirac_evaluator
 
 ORIGIN = ScaledMonopole(center=np.zeros(3), scale=1.0)
 
@@ -47,11 +45,11 @@ def test_profile_large_argument():
 
 
 def test_core_zero_at_center():
-    s = ps_pair(np.zeros(3), ORIGIN)
-    assert np.all(s.phi == 0) and np.all(s.a == 0)
+    a, phi = ps_evaluator(ORIGIN)(np.zeros(3))
+    assert np.all(phi == 0) and np.all(a == 0)
     off = ScaledMonopole(center=np.array([1.0, 2.0, -3.0]), scale=2.5)
-    s = ps_pair(off.center, off)
-    assert np.all(s.phi == 0) and np.all(s.a == 0)
+    a, phi = ps_evaluator(off)(off.center)
+    assert np.all(phi == 0) and np.all(a == 0)
 
 
 def test_core_linear_zero():
@@ -59,19 +57,19 @@ def test_core_linear_zero():
     # coefficient (a single non-degenerate zero)
     for d in (1e-4, 1e-3):
         x = np.array([d, 0.0, 0.0])
-        s = ps_pair(x, ORIGIN)
-        np.testing.assert_allclose(s.phi, x / 3.0, rtol=1e-6)
+        _, phi = ps_evaluator(ORIGIN)(x)
+        np.testing.assert_allclose(phi, x / 3.0, rtol=1e-6)
 
 
 def test_core_higgs_value_at_two():
     # scalar oracle: coth(2) - 1/2
-    s = ps_pair(np.array([0.0, 0.0, 2.0]), ORIGIN)
-    assert alg_norm(s.phi) == pytest.approx(0.5373147207275482, abs=1e-7)
+    _, phi = ps_evaluator(ORIGIN)(np.array([0.0, 0.0, 2.0]))
+    assert alg_norm(phi) == pytest.approx(0.5373147207275482, abs=1e-7)
 
 
 def test_core_far_field_approaches_unit():
-    s = ps_pair(np.array([10.0, 0.0, 0.0]), ORIGIN)
-    assert abs(alg_norm(s.phi) - (1 - 0.1)) <= 2 * np.exp(-10.0)
+    _, phi = ps_evaluator(ORIGIN)(np.array([10.0, 0.0, 0.0]))
+    assert abs(alg_norm(phi) - (1 - 0.1)) <= 2 * np.exp(-10.0)
 
 
 def test_scale_requires_positive():
@@ -81,38 +79,32 @@ def test_scale_requires_positive():
 
 def test_abelian_pair_values():
     p = np.zeros(3)
-    s = dirac_pair(p + np.array([1.0, 0, 0]), p, 1.0)
-    assert alg_norm(s.phi) == pytest.approx(0.0, abs=1e-15)
-    s = dirac_pair(p + np.array([0, 0, 2.0]), p, 1.0)
-    np.testing.assert_allclose(s.phi, [0, 0, 0.5], atol=1e-15)
+    ev = dirac_evaluator(p, 1.0)
+    _, phi = ev(p + np.array([1.0, 0, 0]))
+    assert alg_norm(phi) == pytest.approx(0.0, abs=1e-15)
+    _, phi = ev(p + np.array([0, 0, 2.0]))
+    np.testing.assert_allclose(phi, [0, 0, 0.5], atol=1e-15)
     with pytest.raises(SingularEvaluationError):
-        dirac_pair(p, p, 1.0)
+        ev(p)
 
 
 def test_core_vs_abelian_far_agreement():
     x = np.array([0.0, 6.0, 8.0])  # |x| = 10
-    ps = ps_pair(x, ORIGIN)
-    d = dirac_pair(x, np.zeros(3), 1.0)
-    assert alg_norm(ps.phi - d.phi) <= 1e-3
-    assert form_norm(ps.a - d.a) <= 1e-3
-
-
-def test_sigma_hat():
-    assert np.allclose(sigma_hat(np.array([3.0, 0, 0]), np.zeros(3)), [1, 0, 0])
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        x = rng.normal(size=3)
-        if np.linalg.norm(x) < 1e-6:
-            continue
-        assert alg_norm(sigma_hat(x, np.zeros(3))) == pytest.approx(1.0)
-    with pytest.raises(SingularEvaluationError):
-        sigma_hat(np.zeros(3), np.zeros(3))
+    a_ps, phi_ps = ps_evaluator(ORIGIN)(x)
+    a_d, phi_d = dirac_evaluator(np.zeros(3), 1.0)(x)
+    assert alg_norm(phi_ps - phi_d) <= 1e-3
+    assert form_norm(a_ps - a_d) <= 1e-3
 
 
 def test_sigma_hat_covariantly_constant():
-    # sigma_hat is parallel for the abelian connection: fd derivative O(h^2)
+    # the hedgehog direction sigma_hat = (x-p)/|x-p| is parallel for the
+    # abelian connection: fd derivative O(h^2)
     p = np.array([0.2, -0.1, 0.4])
     ev = dirac_evaluator(p, 1.0)
+
+    def sigma_hat(y):
+        return (y - p) / np.linalg.norm(y - p)
+
     x = p + np.array([1.1, -0.3, 0.7])
     for h, tol in ((1e-3, 5e-6), (1e-4, 5e-8)):
         worst = 0.0
@@ -120,8 +112,8 @@ def test_sigma_hat_covariantly_constant():
         for j in range(3):
             e = np.zeros(3)
             e[j] = h
-            d = (sigma_hat(x + e, p) - sigma_hat(x - e, p)) / (2 * h)
-            worst = max(worst, np.abs(d + bracket(a[0, j], sigma_hat(x, p))).max())
+            d = (sigma_hat(x + e) - sigma_hat(x - e)) / (2 * h)
+            worst = max(worst, np.abs(d + bracket(a[0, j], sigma_hat(x))).max())
         assert worst < tol
 
 

@@ -1,12 +1,13 @@
+import functools
+
 import numpy as np
 import pytest
 
 from magbag.glued import ball_evaluator
-from magbag.monopole import ScaledMonopole, dirac_evaluator, ps_evaluator
+from magbag.monopole import ScaledMonopole, ps_evaluator
 from magbag.operators import (
     adjointness_gap,
     apply_D,
-    apply_D_dagger,
     bump_pair,
     deformation_identity,
     fd_curvature,
@@ -15,6 +16,8 @@ from magbag.operators import (
     weitzenbock_defect,
 )
 from magbag.su2 import bracket, form_norm, wedge_dual
+
+from oracles import dirac_evaluator
 
 ORIGIN = ScaledMonopole(center=np.zeros(3), scale=1.0)
 
@@ -63,19 +66,33 @@ def test_apply_D_zero_pair():
     assert np.all(first == 0) and np.all(second == 0)
 
 
+def test_apply_D_batched_equals_rows():
+    # a (2, 7, 3) table of points gives the same bits as its rows
+    rng = np.random.default_rng(14)
+    X = rng.uniform(-1, 1, size=(2, 7, 3))
+    q = bump_pair([0.1, 0, 0], 2.0, 15)
+    bg = ps_evaluator(ORIGIN)
+    first, second = apply_D(q, bg, X)
+    assert first.shape == (2, 7, 3, 3) and second.shape == (2, 7, 3)
+    for i in range(2):
+        f, s = apply_D(q, bg, X[i])
+        np.testing.assert_array_equal(first[i], f)
+        np.testing.assert_array_equal(second[i], s)
+
+
 def test_adjoint_is_phi_negation():
-    rng = np.random.default_rng(1)
     q = bump_pair([0.1, 0, 0], 2.0, 2)
-    x = np.array([0.3, -0.2, 0.5])
 
     def neg_bg(pts):
         a, phi = ps_evaluator(ORIGIN)(pts)
         return a, -phi
 
-    d1 = apply_D_dagger(q, ps_evaluator(ORIGIN), x)
-    d2 = apply_D(q, neg_bg, x)
-    np.testing.assert_allclose(d1[0], d2[0], atol=1e-12)
-    np.testing.assert_allclose(d1[1], d2[1], atol=1e-12)
+    # one point, and a (1, 2, 3) batch
+    for x in (np.array([0.3, -0.2, 0.5]), np.array([[[0.3, -0.2, 0.5], [1.1, 0.4, -0.6]]])):
+        d1 = apply_D(q, ps_evaluator(ORIGIN), x, sign=-1.0)
+        d2 = apply_D(q, neg_bg, x)
+        np.testing.assert_allclose(d1[0], d2[0], atol=1e-12)
+        np.testing.assert_allclose(d1[1], d2[1], atol=1e-12)
 
 
 def test_flat_DDdagger_is_laplacian():
@@ -84,17 +101,7 @@ def test_flat_DDdagger_is_laplacian():
     bg = flat_bg(0.0)
     x = np.array([0.2, 0.3, -0.1])
     h = 1e-3
-
-    def ddag(pts):
-        pts = np.asarray(pts, dtype=float)
-        flat = pts.reshape(-1, 3)
-        f = np.empty((len(flat), 3, 3))
-        s = np.empty((len(flat), 3))
-        for i, y in enumerate(flat):
-            f[i], s[i] = apply_D_dagger(q, bg, y, h)
-        shp = pts.shape[:-1]
-        return f.reshape(*shp, 3, 3), s.reshape(*shp, 3)
-
+    ddag = functools.partial(apply_D, q, bg, h=h, sign=-1.0)
     got = apply_D(ddag, bg, x, h)
 
     lap_a = np.zeros((3, 3))

@@ -1,5 +1,7 @@
 """The scripts load as modules and name only package API that exists, so a
-deleted name they use fails here and not only when a script is run."""
+deleted name they use fails here and not only when a script is run.  The
+benchmark's files are only read, for the same check on the names it traces
+and calls."""
 
 import ast
 import importlib.util
@@ -9,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name):
@@ -31,6 +35,40 @@ def test_script_names_existing_api(name):
                if inspect.ismodule(mod) and mod.__name__.startswith("magbag")]
     assert lookups
     assert [f"{mod.__name__}.{attr}" for mod, attr in lookups if not hasattr(mod, attr)] == []
+
+
+def _perfbench_lookups():
+    """(module, attribute) pairs the benchmark looks up in magbag: every
+    `spans.TARGETS` entry, and every `<module>.<attr>` in `workloads.py`
+    whose module came from `from magbag import ...`."""
+    spans = ast.parse((PERFBENCH / "spans.py").read_text())
+    (targets,) = [
+        node.value for node in spans.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
+    ]
+    pairs = [(mod, fn) for mod, fns in ast.literal_eval(targets).items() for fn in fns]
+    workloads = ast.parse((PERFBENCH / "workloads.py").read_text())
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(workloads)
+        if isinstance(node, ast.ImportFrom) and node.module == "magbag"
+        for alias in node.names
+    }
+    pairs += [
+        (node.value.id, node.attr) for node in ast.walk(workloads)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    ]
+    return pairs
+
+
+def test_perfbench_names_existing_api():
+    pairs = _perfbench_lookups()
+    assert ("glued", "ball_evaluator") in pairs and ("monopole", "ps_pair_batch") in pairs
+    missing = [f"magbag.{mod}.{attr}" for mod, attr in pairs
+               if not hasattr(importlib.import_module(f"magbag.{mod}"), attr)]
+    assert missing == []
 
 
 def test_survey_row_keys():

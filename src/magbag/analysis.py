@@ -6,6 +6,7 @@ integrals use an equal-weight Fibonacci lattice; all claims about bounds
 carry the measured value alongside.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -177,8 +178,12 @@ def flux_charge(r, cfg, quad):
     return float(r * r * quad.weight * dens.sum() / (4.0 * np.pi))
 
 
+@functools.lru_cache(maxsize=4)
 def icosphere(subdivisions=3):
-    """Geodesic triangulation of S^2: 20 * 4^k faces."""
+    """Geodesic triangulation of S^2: 20 * 4^k faces.
+
+    Memoised; the returned (vertices, faces) arrays are read-only.
+    """
     t = (1.0 + math.sqrt(5.0)) / 2.0
     verts = np.array(
         [
@@ -211,7 +216,9 @@ def icosphere(subdivisions=3):
             ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
             new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
         faces = new_faces
-    return np.asarray(verts), np.asarray(faces, dtype=int)
+    verts, faces = np.asarray(verts), np.asarray(faces, dtype=int)
+    verts.flags.writeable = faces.flags.writeable = False
+    return verts, faces
 
 
 def degree_of_map(values, faces):

@@ -27,6 +27,7 @@ from .monopole import (
     coth_minus_inv,
     inv_minus_csch,
 )
+from .shell import _squared_distances
 from .su2 import bracket, form_norm, star_real_wedge, wedge_dual
 
 
@@ -82,9 +83,8 @@ def chi_prime(t):
 
 def phi_theta(x, cfg):
     """1 - sum_p 1/|x - p| at points x (..., 3)."""
-    x = np.asarray(x, dtype=float)
-    diff = x[..., None, :] - cfg.points
-    d = np.linalg.norm(diff, axis=-1)
+    d = _squared_distances(x, cfg.points)
+    np.sqrt(d, out=d)
     if np.any(d == 0.0):
         raise SingularEvaluationError("phi_theta evaluated on a shell point")
     return 1.0 - np.sum(1.0 / d, axis=-1)
@@ -235,7 +235,8 @@ def higgs_norm(x, cfg):
     of a shell point, |phi_theta| outside.  Continuous across the switch."""
     x = np.asarray(x, dtype=float)
     flat = np.atleast_2d(x.reshape(-1, 3))
-    out = _higgs_from_distances(np.linalg.norm(flat[:, None, :] - cfg.points, axis=-1), cfg)
+    d = _squared_distances(flat, cfg.points)
+    out = _higgs_from_distances(np.sqrt(d, out=d), cfg)
     return out.reshape(x.shape[:-1]) if x.ndim > 1 else float(out[0])
 
 
@@ -254,14 +255,9 @@ def _direction_table(dirs, points):
     points at p.  A source at the origin has p_hat = 0 and enters only
     through |p| = 0.
     """
-    dirs = np.asarray(dirs, dtype=float)
     pn = np.linalg.norm(points, axis=1)
     phat = points / np.where(pn > 0.0, pn, 1.0)[:, None]
-    G = np.zeros((len(dirs), len(points)))
-    for k in range(3):
-        diff = np.subtract.outer(dirs[:, k], phat[:, k])
-        G += diff * diff
-    return pn, G
+    return pn, _squared_distances(dirs, phat)
 
 
 def sphere_higgs_norm(dirs, cfg):

@@ -100,25 +100,63 @@ def place_points(N, R):
     return _layout(N, R)[3]
 
 
-def pairwise_distances(points):
+# Row blocks of the pairwise table hold about this many float64 entries
+# (2 MB), so the shell assembly needs O(N) memory plus a few blocks at any N.
+_BLOCK_ELEMENTS = 1 << 18
+
+
+def _squared_distances(x, points):
+    """|x - p|^2 for points x (..., 3) and sources p (N, 3), shape (..., N).
+
+    Summed coordinate by coordinate, ((dx^2 + dy^2) + dz^2): the order in
+    which np.linalg.norm reduces a last axis of length 3, without its
+    (..., N, 3) difference array.
+    """
+    x = np.asarray(x, dtype=float)
     points = np.asarray(points, dtype=float)
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    d2 = np.subtract.outer(x[..., 0], points[:, 0])
+    d2 *= d2
+    for k in (1, 2):
+        diff = np.subtract.outer(x[..., k], points[:, k])
+        diff *= diff
+        d2 += diff
+    return d2
 
 
-def _distances_apart(points):
-    """pairwise_distances with an infinite diagonal, so that 1/d vanishes
-    there and the minimum is the smallest separation."""
-    dist = pairwise_distances(points)
-    np.fill_diagonal(dist, np.inf)
-    return dist
+def pairwise_distances(points):
+    """The (N, N) table |p - q| of the points (N, 3)."""
+    d = _squared_distances(points, points)
+    return np.sqrt(d, out=d)
 
 
-def _residue_sums(dist):
-    """1 - sum_{q != p} 1/|p - q| from `_distances_apart`; coincident points raise."""
-    if np.any(dist == 0.0):
-        raise InvalidConfigurationError("coincident points in the configuration")
-    return 1.0 - np.sum(1.0 / dist, axis=1)
+def _distance_blocks(points):
+    """Row blocks (rows, d) of `pairwise_distances` with an infinite
+    diagonal, so that 1/d vanishes there and the minimum is the smallest
+    separation.  `rows` is the slice of points the block covers, taken
+    `_BLOCK_ELEMENTS // N` at a time; coincident points raise.
+    """
+    points = np.asarray(points, dtype=float)
+    n = len(points)
+    step = max(1, _BLOCK_ELEMENTS // max(n, 1))
+    for lo in range(0, n, step):
+        rows = slice(lo, min(lo + step, n))
+        d = _squared_distances(points[rows], points)
+        np.sqrt(d, out=d)
+        i = np.arange(len(d))
+        d[i, lo + i] = np.inf
+        if np.any(d == 0.0):
+            raise InvalidConfigurationError("coincident points in the configuration")
+        yield rows, d
+
+
+def _residues_and_separation(points):
+    """(r_p, smallest separation) of the points, one pass over `_distance_blocks`."""
+    r_p = np.empty(len(points))
+    min_sep = math.inf
+    for rows, d in _distance_blocks(points):
+        min_sep = min(min_sep, float(d.min()))
+        r_p[rows] = 1.0 - np.sum(1.0 / d, axis=1)
+    return r_p, min_sep
 
 
 def residues(points):
@@ -127,7 +165,7 @@ def residues(points):
     Non-positive residues are returned as-is (the caller decides whether
     that invalidates the configuration); coincident points raise.
     """
-    return _residue_sums(_distances_apart(points))
+    return _residues_and_separation(points)[0]
 
 
 def coulomb_sums(points, x, L):
@@ -152,12 +190,13 @@ def coulomb_maxima(N):
 
     With S1(p), S2(p) the `coulomb_sums` at shell point p, returns
     (max_p |S1(p) - N/R| R / (sqrt(N) ln N), max_p S2(p) R^2 / (N ln N)),
-    every S1 and S2 taken from one pairwise distance matrix.
+    every S1 and S2 taken from one pass over the pairwise distance blocks.
     """
     R = float(N)
-    dist = _distances_apart(place_points(N, R))
-    dev1 = float(np.abs(np.sum(1.0 / dist, axis=1) - N / R).max())
-    max2 = float(np.sum(1.0 / dist**2, axis=1).max())
+    dev1 = max2 = 0.0
+    for _, d in _distance_blocks(place_points(N, R)):
+        dev1 = max(dev1, float(np.abs(np.sum(1.0 / d, axis=1) - N / R).max()))
+        max2 = max(max2, float(np.sum(1.0 / d**2, axis=1).max()))
     return dev1 * R / (math.sqrt(N) * math.log(N)), max2 * R * R / (N * math.log(N))
 
 
@@ -210,8 +249,7 @@ def make_shell_config(N, m):
     if np.any(np.abs(radii - R) > 1e-12 * R):
         raise InvalidConfigurationError("points off the shell sphere")
 
-    dist = _distances_apart(points)
-    min_sep = float(dist.min())
+    r_p, min_sep = _residues_and_separation(points)
     sep_floor = R * math.sin(math.pi / (2 * K))
     if min_sep < sep_floor * (1 - 1e-12):
         raise InvalidConfigurationError(
@@ -222,7 +260,6 @@ def make_shell_config(N, m):
             f"gluing length too large: 2L={2 * L} vs separation {min_sep}"
         )
 
-    r_p = _residue_sums(dist)
     if np.any(r_p <= 0):
         worst = int(np.argmin(r_p))
         raise InvalidConfigurationError(

@@ -4,8 +4,8 @@ Everything here recomputes quantities by a route disjoint from the package
 implementation: explicit 2x2 complex matrices for the algebra, the textbook
 antiderivative and Gauss-Legendre quadrature for the gauge primitive, one
 source at a time for the glued tail sums, the singular abelian pair,
-multipole expansions for the far field, and plain enumeration for the shell
-combinatorics.
+multipole expansions for the far field, plain enumeration for the shell
+combinatorics, and full (..., N, 3) difference arrays for distance tables.
 """
 
 import numpy as np
@@ -123,6 +123,25 @@ def dirac_evaluator(p, r_res=1.0):
         return _hedgehog_form(xhat, 1.0 / d), (r_res - 1.0 / d)[..., None] * xhat
 
     return ev
+
+
+def difference_distances(x, points):
+    """|x - p| (..., N) for points x (..., 3) from the (..., N, 3) differences."""
+    x = np.asarray(x, dtype=float)
+    return np.linalg.norm(x[..., None, :] - points, axis=-1)
+
+
+def shell_coulomb_rows(points):
+    """(min separation, sum_q 1/|p-q|, sum_q 1/|p-q|^2 per p) over q != p.
+
+    Taken from the whole (N, N, 3) difference array, its diagonal set to
+    infinity so that 1/d vanishes there.
+    """
+    points = np.asarray(points, dtype=float)
+    diff = points[:, None, :] - points[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    np.fill_diagonal(dist, np.inf)
+    return float(dist.min()), np.sum(1.0 / dist, axis=1), np.sum(1.0 / dist**2, axis=1)
 
 
 def multipole_far_field(x, points):

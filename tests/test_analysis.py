@@ -164,6 +164,7 @@ def test_flux_charge_single_pole():
 def test_degree_of_map_identity_and_antipodal():
     verts, faces = icosphere(3)
     assert len(faces) == 1280
+    assert icosphere(3)[0] is verts and not verts.flags.writeable  # memoised, read-only
     assert degree_of_map(verts, faces) == pytest.approx(1.0, abs=1e-9)
     assert degree_of_map(-verts, faces) == pytest.approx(-1.0, abs=1e-9)
 

@@ -26,6 +26,7 @@ from oracles import (
     alpha_pq,
     alpha_quadrature,
     eta_pq,
+    difference_distances,
     multipole_far_field,
 )
 
@@ -93,6 +94,24 @@ def test_phi_theta_positive_outside_shell(cfg100):
 def test_phi_theta_singular(cfg100):
     with pytest.raises(SingularEvaluationError):
         phi_theta(cfg100.points[3], cfg100)
+    with pytest.raises(SingularEvaluationError):
+        phi_theta(np.stack([np.zeros(3), cfg100.points[3]]), cfg100)
+
+
+@pytest.mark.parametrize("N", [25, 100, 256])
+def test_distance_tables_equal_difference_oracle(N):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = make_shell_config(N, 16.0)
+    rng = np.random.default_rng(N)
+    near = cfg.points[rng.integers(0, N, 300)] + rng.normal(size=(300, 3)) * cfg.L / 3
+    far = rng.normal(size=(300, 3)) * 2.0 * cfg.R
+    X = np.concatenate([near, far])
+    d = difference_distances(X, cfg.points)
+    assert np.array_equal(phi_theta(X, cfg), 1.0 - np.sum(1.0 / d, axis=-1))
+    X = np.concatenate([X, cfg.points[:3]])  # the core value 0 at a shell point
+    assert np.array_equal(higgs_norm(X, cfg),
+                          glued._higgs_from_distances(difference_distances(X, cfg.points), cfg))
 
 
 # --- eta and the gauge primitive -------------------------------------------

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magbag import constants
+from magbag import constants, shell
 from magbag.shell import (
     InvalidConfigurationError,
     InvalidParameterError,
@@ -23,7 +24,7 @@ from magbag.shell import (
     write_points_csv,
 )
 
-from oracles import brute_band_sizes
+from oracles import brute_band_sizes, difference_distances, shell_coulomb_rows
 
 
 def test_band_sizes_k10():
@@ -123,6 +124,49 @@ def test_residues_cluster_goes_negative():
     rng = np.random.default_rng(5)
     pts = rng.uniform(-0.5, 0.5, size=(20, 3))
     assert residues(pts).min() < 0
+
+
+def test_residues_catch_a_twin_in_another_block(monkeypatch):
+    monkeypatch.setattr(shell, "_BLOCK_ELEMENTS", 100 * 10)  # 10-row blocks
+    pts = place_points(100, 100.0)
+    pts[90] = pts[3]
+    with pytest.raises(InvalidConfigurationError, match="coincident"):
+        residues(pts)
+
+
+# (N, block budget): one block, five equal blocks, 25 blocks and a ragged 7-row one
+@pytest.mark.parametrize("N, budget", [(8, 8 * 8), (100, 100 * 20), (257, 257 * 10)])
+def test_blocked_tables_equal_difference_oracle(N, budget, monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        monkeypatch.setattr(shell, "_BLOCK_ELEMENTS", N * N)
+        one_block = make_shell_config(N, 16.0)
+        monkeypatch.setattr(shell, "_BLOCK_ELEMENTS", budget)
+        cfg = make_shell_config(N, 16.0)
+    min_sep, s1, _ = shell_coulomb_rows(cfg.points)
+    assert np.array_equal(cfg.residues, 1.0 - s1)
+    assert np.array_equal(residues(cfg.points), 1.0 - s1)
+    assert cfg.diagnostics["min_separation"] == min_sep
+    assert cfg.diagnostics == one_block.diagnostics
+    assert np.array_equal(pairwise_distances(cfg.points), difference_distances(cfg.points, cfg.points))
+
+    R = float(N)
+    _, t1, t2 = shell_coulomb_rows(place_points(N, R))
+    want = (float(np.abs(t1 - N / R).max()) * R / (math.sqrt(N) * math.log(N)),
+            float(t2.max()) * R * R / (N * math.log(N)))
+    assert coulomb_maxima(N) == want
+
+
+def test_make_shell_config_memory_is_bounded():
+    # the (N, N, 3) difference array alone would take 553 MB at N = 4800
+    tracemalloc.start()
+    try:
+        cfg = make_shell_config(4800, 16.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cfg.diagnostics["Lr_min"] > 16 / 3
+    assert peak <= 64 * 2**20
 
 
 def test_coulomb_sums_singleton():

@@ -54,14 +54,15 @@ class SphereQuadrature:
 def _sphere_fn(field, dirs):
     """The function r -> |Phi|(r * dirs) over unit directions dirs (B, 3).
 
-    Accepts a ShellConfig (glued pair, from one direction table built here),
-    a ScaledMonopole (exact core), or a callable X (B, 3) -> (B,).
+    Accepts a ShellConfig (glued pair), a ScaledMonopole (exact core), both
+    from one direction table built here, or a callable X (B, 3) -> (B,).
     """
     if callable(field):
         return lambda r: field(r * dirs)
     if isinstance(field, ScaledMonopole):
+        table = glued._direction_table(dirs, field.center[None])
         return lambda r: ps_higgs_norm(
-            np.linalg.norm(r * dirs - field.center, axis=-1), field.scale
+            np.sqrt(glued._sphere_squared_distances(table, r)[:, 0]), field.scale
         )
     return glued.sphere_higgs_norm(dirs, field)
 
@@ -119,14 +120,22 @@ def critical_radii(eps, field, quad, r_max=None, n_scan=400, resolution=None):
     R_eps: largest sampled radius where the sphere minimum is still <= eps
     (refined by bisection); r_eps / rhat_eps: largest radius below which the
     sphere maximum / mean stays < eps.  Returns (R_eps, r_eps, rhat_eps).
+    The scan takes an integer n_scan >= 2 radii up to a finite r_max > 0
+    and bisects to a finite resolution > 0.
     """
     if not 0 < eps < 1:
         raise InvalidParameterError("eps must lie in (0, 1)")
-    sphere = _sphere_fn(field, quad.points)
     if r_max is None:
         r_max = 40.0 if isinstance(field, ScaledMonopole) or callable(field) else 4.0 * field.R
     if resolution is None:
         resolution = 1e-3 * max(1.0, r_max / 40.0)
+    if not 0 < r_max < np.inf:
+        raise InvalidParameterError("r_max must be positive and finite")
+    if not (isinstance(n_scan, (int, np.integer)) and n_scan >= 2):
+        raise InvalidParameterError("n_scan must be an integer >= 2")
+    if not 0 < resolution < np.inf:
+        raise InvalidParameterError("resolution must be positive and finite")
+    sphere = _sphere_fn(field, quad.points)
     grid = np.linspace(r_max / n_scan, r_max, n_scan)
     mins = np.empty(n_scan)
     maxs = np.empty(n_scan)

@@ -260,17 +260,24 @@ def _direction_table(dirs, points):
     return pn, _squared_distances(dirs, phat)
 
 
+def _sphere_squared_distances(table, r):
+    """|r u - p|^2 (B, N) = (r - |p|)^2 + r |p| G from a `_direction_table`."""
+    pn, G = table
+    d2 = (r * pn) * G
+    d2 += (r - pn) ** 2
+    return d2
+
+
 def sphere_higgs_norm(dirs, cfg):
     """The function r -> higgs_norm(r * dirs, cfg) for unit directions (B, 3).
 
     The direction table is built once here; each radius then costs a few
     (B, N) passes.
     """
-    pn, G = _direction_table(dirs, cfg.points)
+    table = _direction_table(dirs, cfg.points)
 
     def norm(r):
-        d = (r * pn) * G
-        d += (r - pn) ** 2
+        d = _sphere_squared_distances(table, r)
         return _higgs_from_distances(np.sqrt(d, out=d), cfg)
 
     return norm
@@ -283,11 +290,11 @@ def sphere_flux_density(dirs, cfg):
     outside the shell both parts of (r - |p|) + |p| G / 2 are non-negative,
     so the numerator carries no cancellation.
     """
-    pn, G = _direction_table(dirs, cfg.points)
+    table = _direction_table(dirs, cfg.points)
+    pn, G = table
 
     def density(r):
-        d2 = (r * pn) * G
-        d2 += (r - pn) ** 2
+        d2 = _sphere_squared_distances(table, r)
         if np.any(d2 == 0.0):
             raise SingularEvaluationError("flux density evaluated on a shell point")
         # |r u - p|^3 and the numerator are built in place, so at most
@@ -306,6 +313,55 @@ def sphere_flux_density(dirs, cfg):
 # ---------------------------------------------------------------------------
 # Explicit residual
 
+def _ball_residual(X, p_idx, cfg):
+    """(live, gT, gL, |Phi|) of the glued pair on the ball around point p.
+
+    `live` marks the rows of X (B, 3) on the cutoff transition shell, where
+    chi' != 0 or 0 < chi < 1; gT, gL and |Phi| are returned for those rows
+    only.  Everywhere else g = 0.  |Phi| is the ball-chart coefficient
+    |chi r coth_minus_inv(r d) + (1 - chi)(r_p - 1/d - eta)| with the tail
+    eta summed once for the residual: p is the nearest shell point here
+    (2L < min_sep), so r_p - 1/d - eta = phi_theta and this is `higgs_norm`.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    p = cfg.points[p_idx]
+    r = cfg.residues[p_idx]
+    L = cfg.L
+    w = X - p
+    d = np.linalg.norm(w, axis=1)
+    if np.any(d == 0.0):
+        raise SingularEvaluationError("residual evaluated at a shell point")
+    t = 8.0 * d / L - 1.0
+    c = chi(t)
+    cp = chi_prime(t) * (8.0 / L)  # radial derivative of chi_p
+    live = (cp != 0.0) | ((c > 0.0) & (c < 1.0))
+    if not np.any(live):
+        empty = np.zeros((0, 3, 3))
+        return live, empty, empty, np.zeros(0)
+
+    dl, cl, cpl = d[live], c[live], cp[live]
+    xh = w[live] / dl[:, None]
+    s = r * dl
+    eta_sum, alpha_sum = _eta_alpha_sums(X[live], p_idx, cfg)
+    eta = -eta_sum  # (3.36)-style signed tails
+    alpha = -alpha_sum
+    Q = r * (1.0 / np.tanh(s) - 1.0)
+    Ap = _hedgehog_form(xh, -r / np.sinh(s))
+    dchi = cpl[:, None] * xh  # real 1-form
+    sh_Ap = bracket(xh[:, None, :], Ap)  # [sigma_hat, A_p] per form row
+    ccm = (cl * (cl - 1.0))[:, None, None]
+
+    gT = star_real_wedge(dchi, Ap)
+    gT += ccm * ((Q - eta)[:, None, None] * sh_Ap - star_real_wedge(alpha, sh_Ap))
+
+    gL = ccm * 0.5 * wedge_dual(Ap, Ap)
+    coeff = np.cross(dchi, alpha) + (Q - eta)[:, None] * dchi
+    gL -= coeff[:, :, None] * xh[:, None, :]
+
+    higgs = np.abs(cl * (r * coth_minus_inv(s)) + (1.0 - cl) * (r - 1.0 / dl - eta_sum))
+    return live, gT, gL, higgs
+
+
 def residual_fields(X, p_idx, cfg):
     """(gT, gL) of the glued pair on the ball around point p, batched.
 
@@ -319,43 +375,9 @@ def residual_fields(X, p_idx, cfg):
         gL = chi (chi - 1) *(A_p ^ A_p) - ( *(dchi ^ alpha) + (Q - eta) dchi ) sh
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    p = cfg.points[p_idx]
-    r = cfg.residues[p_idx]
-    L = cfg.L
-    w = X - p
-    d = np.linalg.norm(w, axis=1)
-    if np.any(d == 0.0):
-        raise SingularEvaluationError("residual evaluated at a shell point")
-    xhat = w / d[:, None]
-    t = 8.0 * d / L - 1.0
-    c = chi(t)
-    cp = chi_prime(t) * (8.0 / L)  # radial derivative of chi_p
-    live = (cp != 0.0) | ((c > 0.0) & (c < 1.0))
-
+    live, gT_l, gL_l, _ = _ball_residual(X, p_idx, cfg)
     gT = np.zeros((len(X), 3, 3))
     gL = np.zeros((len(X), 3, 3))
-    if not np.any(live):
-        return gT, gL
-
-    Xl, dl, xh = X[live], d[live], xhat[live]
-    cl, cpl = c[live], cp[live]
-    s = r * dl
-    eta_sum, alpha_sum = _eta_alpha_sums(Xl, p_idx, cfg)
-    eta = -eta_sum  # (3.36)-style signed tails
-    alpha = -alpha_sum
-    Q = r * (1.0 / np.tanh(s) - 1.0)
-    Ap = _hedgehog_form(xh, -r / np.sinh(s))
-    dchi = cpl[:, None] * xh  # real 1-form
-    sh_Ap = bracket(xh[:, None, :], Ap)  # [sigma_hat, A_p] per form row
-    ccm = (cl * (cl - 1.0))[:, None, None]
-
-    gT_l = star_real_wedge(dchi, Ap)
-    gT_l += ccm * ((Q - eta)[:, None, None] * sh_Ap - star_real_wedge(alpha, sh_Ap))
-
-    gL_l = ccm * 0.5 * wedge_dual(Ap, Ap)
-    coeff = np.cross(dchi, alpha) + (Q - eta)[:, None] * dchi
-    gL_l -= coeff[:, :, None] * xh[:, None, :]
-
     gT[live] = gT_l
     gL[live] = gL_l
     return gT, gL
@@ -378,16 +400,19 @@ def annulus_points(cfg, p_idx, n_radial, n_angular):
 def _annulus_residuals(cfg, p_idx, n_radial, n_angular):
     """The support shell of ball p sampled once on `annulus_points`.
 
-    Returns the points, max_m |<sigma_hat, gL_m>| at each (the part the
-    weighted norm divides by |Phi|^2), and the shell's maxima
-    (max |gT|, max |gL|, max |<sigma_hat, gL>|).
+    Returns, on the live samples only (g = 0 on the others), max_m
+    |<sigma_hat, gL_m>| (the part the weighted norm divides by |Phi|^2)
+    and |Phi|, then the shell's maxima (max |gT|, max |gL|,
+    max |<sigma_hat, gL>|) over every sample.
     """
     pts, _, _ = annulus_points(cfg, p_idx, n_radial, n_angular)
-    gT, gL = residual_fields(pts, p_idx, cfg)
-    xh = pts - cfg.points[p_idx]
+    live, gT, gL, higgs = _ball_residual(pts, p_idx, cfg)
+    xh = pts[live] - cfg.points[p_idx]
     xh /= np.linalg.norm(xh, axis=1)[:, None]
     inner = np.abs(np.einsum("bk,bmk->bm", xh, gL)).max(axis=1)
-    return pts, inner, (form_norm(gT).max(), form_norm(gL).max(), inner.max())
+    maxima = (form_norm(gT).max(initial=0.0), form_norm(gL).max(initial=0.0),
+              inner.max(initial=0.0))
+    return inner, higgs, maxima
 
 
 def annulus_maxima(cfg, n_radial, n_angular):
@@ -406,7 +431,9 @@ def _residual_sweep(cfg, n_radial, n_angular, quad_radial, quad_angular):
 
     Returns (`annulus_maxima` on the sampling grid, the sup term of the
     weighted norm on that grid, its integral term on the Gauss-Legendre x
-    Fibonacci quadrature grid).
+    Fibonacci quadrature grid).  Both weights take |Phi| from
+    `_ball_residual`, on the live samples only: elsewhere g = 0 and the
+    sample adds exactly 0 to either term.
     """
     from .analysis import fibonacci_sphere
 
@@ -419,15 +446,15 @@ def _residual_sweep(cfg, n_radial, n_angular, quad_radial, quad_angular):
     sup_term = 0.0
     integral = 0.0
     for p_idx in range(cfg.N):
-        pts, inner, maxima[:, p_idx] = _annulus_residuals(cfg, p_idx, n_radial, n_angular)
+        inner, higgs, maxima[:, p_idx] = _annulus_residuals(cfg, p_idx, n_radial, n_angular)
         with np.errstate(divide="ignore"):
-            sup_term = max(sup_term, float(np.max(inner / higgs_norm(pts, cfg) ** 2)))
+            sup_term = max(sup_term, float(np.max(inner / higgs**2, initial=0.0)))
 
         qpts = cfg.points[p_idx] + q_radii[:, None, None] * q_dirs[None, :, :]
-        qflat = qpts.reshape(-1, 3)
-        gTq, _ = residual_fields(qflat, p_idx, cfg)
+        live, gTq, _, higgs_q = _ball_residual(qpts.reshape(-1, 3), p_idx, cfg)
         # |[sh, gT]| = |gT| for transverse parts in su(2).
-        dens = (form_norm(gTq) / higgs_norm(qflat, cfg)) ** 3
+        dens = np.zeros(quad_radial * quad_angular)
+        dens[live] = (form_norm(gTq) / higgs_q) ** 3
         dens = dens.reshape(quad_radial, quad_angular)
         shell = np.sum(q_w * q_radii**2 * dens.sum(axis=1) * (4.0 * np.pi / quad_angular))
         integral += float(shell)
@@ -440,7 +467,9 @@ def gstar_norm(cfg, n_radial=8, n_angular=128, quad_radial=8, quad_angular=64):
 
     Returns (total, sup_term, integral_term).  The weights blow up if the
     Higgs norm vanishes on the support shell, which happens whenever
-    r_p L is small; the sampled value is then resolution-dependent.
+    r_p L is small; the sampled value is then resolution-dependent.  A
+    sample off the cutoff transition shell has g = 0 and adds 0 to both
+    terms, even where |Phi| = 0 there (no 0/0).
     """
     _, sup_term, int_term = _residual_sweep(cfg, n_radial, n_angular, quad_radial, quad_angular)
     return sup_term + int_term, sup_term, int_term

@@ -56,6 +56,8 @@ _CSCH_SERIES = np.array(
 
 def _odd_series(z, coeffs):
     """z * sum_n coeffs[n] z^(2n), by Horner's rule in z^2."""
+    if z.size == 0:  # no argument in the series branch
+        return z
     return z * np.polynomial.polynomial.polyval(z * z, coeffs)
 
 

@@ -238,8 +238,9 @@ def adjointness_gap(q_pair, q2_pair, bg_pair, box, n_nodes=64, h=1e-4):
     `box` is ((x0, x1), (y0, y1), (z0, z1)); both pairs must be supported
     strictly inside it (this is checked on the boundary shell of nodes).
     The uniform midpoint rule converges super-algebraically on compactly
-    supported smooth integrands.  Returns (gap, scale) with scale the
-    magnitude of the first integral.
+    supported smooth integrands.  Each pairing vanishes off its partner's
+    support, so D q is evaluated on supp q2 and D^dag q2 on supp q.
+    Returns (gap, scale) with scale the magnitude of the first integral.
     """
     axes = []
     vol = 1.0
@@ -261,13 +262,9 @@ def adjointness_gap(q_pair, q2_pair, bg_pair, box, n_nodes=64, h=1e-4):
         on_edge[tuple(idx)] = True
     if np.any((mag1 + mag2).reshape(grid_shape)[on_edge] != 0.0):
         raise ValueError("pair support touches the quadrature box boundary")
-    live = (mag1 > 0) | (mag2 > 0)
-    Dq = apply_D(q_pair, bg_pair, pts[live], h)
-    Ddq2 = apply_D(q2_pair, bg_pair, pts[live], h, sign=-1.0)
-    total1 = vol * float(
-        np.sum(a2[live] * Dq[0]) + np.sum(e2[live] * Dq[1])
-    )
-    total2 = vol * float(
-        np.sum(Ddq2[0] * a1[live]) + np.sum(Ddq2[1] * e1[live])
-    )
+    supp1, supp2 = mag1 > 0, mag2 > 0
+    Dq = apply_D(q_pair, bg_pair, pts[supp2], h)
+    Ddq2 = apply_D(q2_pair, bg_pair, pts[supp1], h, sign=-1.0)
+    total1 = vol * float(np.sum(a2[supp2] * Dq[0]) + np.sum(e2[supp2] * Dq[1]))
+    total2 = vol * float(np.sum(Ddq2[0] * a1[supp1]) + np.sum(Ddq2[1] * e1[supp1]))
     return abs(total1 - total2), abs(total1)

@@ -5,12 +5,18 @@ implementation: explicit 2x2 complex matrices for the algebra, the textbook
 antiderivative and Gauss-Legendre quadrature for the gauge primitive, one
 source at a time for the glued tail sums, the singular abelian pair,
 multipole expansions for the far field, plain enumeration for the shell
-combinatorics, and full (..., N, 3) difference arrays for distance tables.
+combinatorics, full (..., N, 3) difference arrays for distance tables, the
+weighted residual norm with `higgs_norm` weights on every sample, and the
+adjointness pairings over the union of both supports.
 """
 
 import numpy as np
 
+from magbag.analysis import fibonacci_sphere
+from magbag.glued import annulus_points, higgs_norm, residual_fields
 from magbag.monopole import SingularEvaluationError, _hedgehog_form
+from magbag.operators import apply_D
+from magbag.su2 import form_norm
 
 TAU = np.array(
     [
@@ -166,3 +172,51 @@ def brute_band_sizes(K):
             n -= 1  # exact integer: strictly-below drops to the one beneath
         out.append(n)
     return out
+
+
+def higgs_norm_residual_sweep(cfg, n_radial, n_angular, quad_radial, quad_angular):
+    """(annulus maxima (3, N), sup term, integral term) of the weighted norm.
+
+    Every support-shell sample is weighted by `higgs_norm`, a fresh
+    distance table to all N shell points, whether g vanishes there or not.
+    """
+    nodes, wts = np.polynomial.legendre.leggauss(quad_radial)
+    lo, hi = cfg.L / 8, cfg.L / 4
+    q_radii = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+    q_w = 0.5 * (hi - lo) * wts
+    q_dirs = fibonacci_sphere(quad_angular)
+    maxima = np.empty((3, cfg.N))
+    sup_term = 0.0
+    integral = 0.0
+    for p_idx in range(cfg.N):
+        pts, _, _ = annulus_points(cfg, p_idx, n_radial, n_angular)
+        gT, gL = residual_fields(pts, p_idx, cfg)
+        xh = pts - cfg.points[p_idx]
+        xh /= np.linalg.norm(xh, axis=1)[:, None]
+        inner = np.abs(np.einsum("bk,bmk->bm", xh, gL)).max(axis=1)
+        maxima[:, p_idx] = form_norm(gT).max(), form_norm(gL).max(), inner.max()
+        with np.errstate(divide="ignore"):
+            sup_term = max(sup_term, float(np.max(inner / higgs_norm(pts, cfg) ** 2)))
+
+        qflat = (cfg.points[p_idx] + q_radii[:, None, None] * q_dirs[None, :, :]).reshape(-1, 3)
+        gTq, _ = residual_fields(qflat, p_idx, cfg)
+        dens = ((form_norm(gTq) / higgs_norm(qflat, cfg)) ** 3).reshape(quad_radial, quad_angular)
+        integral += float(np.sum(q_w * q_radii**2 * dens.sum(axis=1) * (4.0 * np.pi / quad_angular)))
+    return maxima, sup_term, integral ** (1.0 / 3.0)
+
+
+def union_support_pairings(q_pair, q2_pair, bg_pair, pts, vol, h=1e-4):
+    """(int <q2, D q>, int <D^dag q2, q>) by the midpoint rule on nodes pts.
+
+    Both operators are evaluated on every node where q or q2 is nonzero.
+    """
+    a1, e1 = q_pair(pts)
+    a2, e2 = q2_pair(pts)
+    live = (np.sum(a1 * a1, axis=(1, 2)) + np.sum(e1 * e1, axis=1) > 0) | (
+        np.sum(a2 * a2, axis=(1, 2)) + np.sum(e2 * e2, axis=1) > 0
+    )
+    Dq = apply_D(q_pair, bg_pair, pts[live], h)
+    Ddq2 = apply_D(q2_pair, bg_pair, pts[live], h, sign=-1.0)
+    total1 = vol * float(np.sum(a2[live] * Dq[0]) + np.sum(e2[live] * Dq[1]))
+    total2 = vol * float(np.sum(Ddq2[0] * a1[live]) + np.sum(Ddq2[1] * e1[live]))
+    return total1, total2

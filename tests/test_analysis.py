@@ -20,7 +20,7 @@ from magbag.analysis import (
     write_profile_csv,
 )
 from magbag.glued import higgs_norm
-from magbag.monopole import ScaledMonopole, ps_evaluator
+from magbag.monopole import ScaledMonopole, ps_evaluator, ps_higgs_norm
 from magbag.shell import InvalidParameterError
 
 from oracles import dirac_evaluator
@@ -138,6 +138,34 @@ def test_critical_radii_small_eps_shrinks():
 def test_critical_radii_rejects_bad_eps():
     with pytest.raises(InvalidParameterError):
         critical_radii(1.5, PS, SphereQuadrature(256))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"resolution": 0.0},  # would bisect forever
+        {"resolution": math.nan},
+        {"r_max": -5.0},
+        {"r_max": math.inf, "resolution": 1e-3},
+        {"r_max": math.nan},
+        {"n_scan": 0},
+        {"n_scan": 1},
+        {"n_scan": 2.5},
+    ],
+)
+def test_critical_radii_rejects_bad_scan(kwargs):
+    with pytest.raises(InvalidParameterError):
+        critical_radii(0.5, PS, SphereQuadrature(64), **kwargs)
+
+
+def test_core_sphere_off_centre_matches_pointwise():
+    # the off-centre core sphere comes from the direction table identity
+    mono = ScaledMonopole(center=np.array([0.3, -1.2, 0.7]), scale=1.7)
+    quad = SphereQuadrature(512)
+    for r, (_, lo, mean, hi) in zip((0.4, 1.0, 1.5, 6.0), radial_profile([0.4, 1.0, 1.5, 6.0], mono, quad)):
+        vals = ps_higgs_norm(np.linalg.norm(r * quad.points - mono.center, axis=1), mono.scale)
+        np.testing.assert_allclose([lo, mean, hi], [vals.min(), vals.mean(), vals.max()],
+                                   rtol=2e-15, atol=0)
 
 
 # --- flux and degree ----------------------------------------------------------

@@ -27,6 +27,7 @@ from oracles import (
     alpha_quadrature,
     eta_pq,
     difference_distances,
+    higgs_norm_residual_sweep,
     multipole_far_field,
 )
 
@@ -471,10 +472,12 @@ def test_gstar_unstable_under_refinement(cfg100):
 
 def test_residual_report_keys(cfg25, monkeypatch):
     # one residual evaluation per support shell on the sampling grid, shared
-    # by the maxima and the sup term, and one on the quadrature grid
+    # by the maxima and the sup term, and one on the quadrature grid; the
+    # weights reuse its |Phi|, so higgs_norm is never called
     calls = []
-    original = glued.residual_fields
-    monkeypatch.setattr(glued, "residual_fields", lambda *args: calls.append(args) or original(*args))
+    original = glued._ball_residual
+    monkeypatch.setattr(glued, "_ball_residual", lambda *args: calls.append(args) or original(*args))
+    monkeypatch.setattr(glued, "higgs_norm", None)
     rep = glued.residual_report(cfg25, n_radial=4, n_angular=32)
     assert len(calls) == 2 * cfg25.N
     monkeypatch.undo()
@@ -488,3 +491,48 @@ def test_residual_report_keys(cfg25, monkeypatch):
     assert [rep[k] for k in keys] == maxima.max(axis=1).tolist()
     gstar = (rep["gstar"], rep["gstar_sup_term"], rep["gstar_integral_term"])
     assert gstar == glued.gstar_norm(cfg25, 4, 32)
+
+
+def _shell(N):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return make_shell_config(N, 16.0)
+
+
+@pytest.mark.parametrize("N", [25, 64, 256])
+def test_ball_residual_higgs_matches_higgs_norm(N):
+    # |Phi| from the residual's own tail sum is higgs_norm on every live sample
+    cfg = _shell(N)
+    worst = 0.0
+    n_live = 0
+    for p_idx in range(0, N, max(1, N // 32)):
+        pts, _, _ = glued.annulus_points(cfg, p_idx, 8, 64)
+        live, gT, gL, higgs = glued._ball_residual(pts, p_idx, cfg)
+        want = higgs_norm(pts[live], cfg)
+        worst = max(worst, float(np.max(np.abs(higgs - want) / np.maximum(1.0, want))))
+        n_live += int(live.sum())
+        assert len(gT) == len(gL) == len(higgs) == live.sum()
+    assert n_live > 0
+    assert worst <= 2e-15
+
+
+def test_ball_residual_singular_on_any_point(cfg25):
+    # d = 0 raises although the shell point itself is a dead sample (chi = 1)
+    p = cfg25.points[3]
+    X = np.stack([p + np.array([0.17 * cfg25.L, 0.0, 0.0]), p])
+    with pytest.raises(SingularEvaluationError):
+        glued._ball_residual(X, 3, cfg25)
+    with pytest.raises(SingularEvaluationError):
+        residual_fields(X, 3, cfg25)
+
+
+@pytest.mark.parametrize("N", [25, 64])
+def test_weighted_norm_matches_higgs_norm_sweep(N):
+    cfg = _shell(N)
+    res = (4, 32, 4, 16)
+    maxima, sup_o, int_o = higgs_norm_residual_sweep(cfg, *res)
+    _, sup2_o, int2_o = higgs_norm_residual_sweep(cfg, *(2 * k for k in res))
+    want = [(sup_o + int_o, sup_o, int_o), (sup2_o + int2_o, sup2_o, int2_o)]
+    np.testing.assert_allclose(glued.gstar_norm(cfg, *res), want[0], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(glued.gstar_doubling(cfg, *res), want, rtol=1e-12, atol=0)
+    assert np.array_equal(glued.annulus_maxima(cfg, 4, 32), maxima)

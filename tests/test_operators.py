@@ -17,7 +17,7 @@ from magbag.operators import (
 )
 from magbag.su2 import bracket, form_norm, wedge_dual
 
-from oracles import dirac_evaluator
+from oracles import dirac_evaluator, union_support_pairings
 
 ORIGIN = ScaledMonopole(center=np.zeros(3), scale=1.0)
 
@@ -242,6 +242,19 @@ def test_adjointness_gap_flat():
 
     gap2, _ = adjointness_gap(neg(q1), neg(q2), flat_bg(), ((-2, 2), (-2, 2), (-2, 2)), n_nodes=20)
     assert abs(gap - gap2) < 1e-12 * max(1.0, scale)
+
+
+def test_adjointness_gap_matches_union_support():
+    # each pairing is integrated over its partner's support only
+    q1 = bump_pair([0.4, 0.1, -0.2], 0.9, 21)
+    q2 = bump_pair([-0.3, -0.2, 0.1], 0.8, 22)
+    box, n = ((-2, 2), (-2, 2), (-2, 2)), 24
+    gap, scale = adjointness_gap(q1, q2, flat_bg(), box, n_nodes=n)
+    axis = -2.0 + (4.0 / n) * (np.arange(n) + 0.5)
+    pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    total1, total2 = union_support_pairings(q1, q2, flat_bg(), pts, (4.0 / n) ** 3)
+    assert scale == pytest.approx(abs(total1), rel=1e-14)
+    assert abs(gap - abs(total1 - total2)) <= 1e-14 * scale
 
 
 def test_adjointness_gap_zero_pair():

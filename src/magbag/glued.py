@@ -113,10 +113,14 @@ def _alpha_weight(s, Dn, Dxq):
     (x = q included), where the primitive is singular; evaluation there
     raises.
     """
-    t = Dn * s + Dxq
-    if np.any(t <= _STRING_TOL * Dn * s):
+    Dns = Dn * s
+    t = np.asarray(Dns + Dxq)
+    # _STRING_TOL is a power of two, so scaling the product is exact
+    Dns *= _STRING_TOL
+    if np.any(t <= Dns):
         raise SingularEvaluationError("alpha_pq evaluated on its string behind q")
-    return 1.0 / (s * t)
+    t *= s
+    return np.reciprocal(t, out=t)
 
 
 def _others(cfg, p_idx):

@@ -101,25 +101,30 @@ def place_points(N, R):
 
 
 # Row blocks of the pairwise table hold about this many float64 entries
-# (2 MB), so the shell assembly needs O(N) memory plus a few blocks at any N.
-_BLOCK_ELEMENTS = 1 << 18
+# (512 kB).  A block and its work array then stay in a core's 2 MB L2 cache
+# through every pass over them, and the shell assembly needs O(N) memory plus
+# those two arrays at any N (tracemalloc peak 1.3 MB at N = 4800).
+_BLOCK_ELEMENTS = 1 << 16
 
 
-def _squared_distances(x, points):
+def _squared_distances(x, points, out=None, work=None):
     """|x - p|^2 for points x (..., 3) and sources p (N, 3), shape (..., N).
 
     Summed coordinate by coordinate, ((dx^2 + dy^2) + dz^2): the order in
     which np.linalg.norm reduces a last axis of length 3, without its
-    (..., N, 3) difference array.
+    (..., N, 3) difference array.  `out` receives the table and `work` holds
+    one coordinate's differences; either, if given, is a float array of the
+    result's shape.  Columns `points[:, k]` are read at unit stride when
+    `points` is in Fortran order.
     """
     x = np.asarray(x, dtype=float)
     points = np.asarray(points, dtype=float)
-    d2 = np.subtract.outer(x[..., 0], points[:, 0])
+    d2 = np.subtract.outer(x[..., 0], points[:, 0], out=out)
     d2 *= d2
     for k in (1, 2):
-        diff = np.subtract.outer(x[..., k], points[:, k])
-        diff *= diff
-        d2 += diff
+        work = np.subtract.outer(x[..., k], points[:, k], out=work)
+        work *= work
+        d2 += work
     return d2
 
 
@@ -130,32 +135,43 @@ def pairwise_distances(points):
 
 
 def _distance_blocks(points):
-    """Row blocks (rows, d) of `pairwise_distances` with an infinite
-    diagonal, so that 1/d vanishes there and the minimum is the smallest
-    separation.  `rows` is the slice of points the block covers, taken
-    `_BLOCK_ELEMENTS // N` at a time; coincident points raise.
+    """Row blocks (rows, d, d_min, spare) of `pairwise_distances`.
+
+    `rows` is the slice of points the block covers, taken
+    `_BLOCK_ELEMENTS // N` at a time, and d its distances with an infinite
+    diagonal, so that 1/d vanishes there and d_min = d.min() is the
+    smallest separation.  d and `spare`, an array of d's shape the caller
+    may overwrite, are views of two buffers allocated once and reused by
+    every block: each block is valid only until the next is drawn.
+    Non-finite and coincident points raise.
     """
     points = np.asarray(points, dtype=float)
+    if not np.isfinite(points).all():
+        raise InvalidConfigurationError("non-finite point coordinates")
     n = len(points)
     step = max(1, _BLOCK_ELEMENTS // max(n, 1))
+    cols = np.asfortranarray(points)
+    buf = np.empty((min(step, n), n))
+    work = np.empty_like(buf)
     for lo in range(0, n, step):
         rows = slice(lo, min(lo + step, n))
-        d = _squared_distances(points[rows], points)
-        np.sqrt(d, out=d)
-        i = np.arange(len(d))
+        k = rows.stop - lo
+        d = _squared_distances(cols[rows], cols, out=buf[:k], work=work[:k])
+        i = np.arange(k)
         d[i, lo + i] = np.inf
-        if np.any(d == 0.0):
+        d_min = float(d.min())
+        if d_min == 0.0:
             raise InvalidConfigurationError("coincident points in the configuration")
-        yield rows, d
+        yield rows, np.sqrt(d, out=d), math.sqrt(d_min), work[:k]
 
 
 def _residues_and_separation(points):
     """(r_p, smallest separation) of the points, one pass over `_distance_blocks`."""
     r_p = np.empty(len(points))
     min_sep = math.inf
-    for rows, d in _distance_blocks(points):
-        min_sep = min(min_sep, float(d.min()))
-        r_p[rows] = 1.0 - np.sum(1.0 / d, axis=1)
+    for rows, d, d_min, _ in _distance_blocks(points):
+        min_sep = min(min_sep, d_min)
+        r_p[rows] = 1.0 - np.sum(np.reciprocal(d, out=d), axis=1)
     return r_p, min_sep
 
 
@@ -194,9 +210,11 @@ def coulomb_maxima(N):
     """
     R = float(N)
     dev1 = max2 = 0.0
-    for _, d in _distance_blocks(place_points(N, R)):
-        dev1 = max(dev1, float(np.abs(np.sum(1.0 / d, axis=1) - N / R).max()))
-        max2 = max(max2, float(np.sum(1.0 / d**2, axis=1).max()))
+    for _, d, _, inv in _distance_blocks(place_points(N, R)):
+        s1 = np.sum(np.reciprocal(d, out=inv), axis=1)
+        dev1 = max(dev1, float(np.abs(s1 - N / R).max()))
+        d *= d
+        max2 = max(max2, float(np.sum(np.reciprocal(d, out=d), axis=1).max()))
     return dev1 * R / (math.sqrt(N) * math.log(N)), max2 * R * R / (N * math.log(N))
 
 

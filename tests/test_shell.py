@@ -126,6 +126,51 @@ def test_residues_cluster_goes_negative():
     assert residues(pts).min() < 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_residues_reject_non_finite_points(bad):
+    # NaN used to give all-NaN residues, inf a finite r_p = 1 at that point
+    pts = place_points(20, 20.0)
+    pts[7, 1] = bad
+    with pytest.raises(InvalidConfigurationError, match="non-finite"):
+        residues(pts)
+
+
+def test_squared_distances_into_buffers_equal_allocating_call():
+    rng = np.random.default_rng(11)
+    pts = rng.normal(size=(37, 3))
+    x = rng.normal(size=(4, 5, 3))
+    want = shell._squared_distances(x, pts)
+    out, work = np.empty((2, 4, 5, 37))
+    got = shell._squared_distances(x, np.asfortranarray(pts), out=out, work=work)
+    assert got is out and np.array_equal(got, want)
+    # ragged last block: views of a larger buffer, as `_distance_blocks` passes them
+    buf, work = np.empty((2, 10, 37))
+    want = shell._squared_distances(pts[30:], pts)
+    got = shell._squared_distances(pts[30:], pts, out=buf[:7], work=work[:7])
+    assert np.shares_memory(got, buf) and np.array_equal(got, want)
+
+
+def test_distance_blocks_reuse_one_buffer(monkeypatch):
+    monkeypatch.setattr(shell, "_BLOCK_ELEMENTS", 100 * 30)  # rows 30, 30, 30, 10
+    pts = place_points(100, 100.0)
+    blocks = list(shell._distance_blocks(pts))
+    assert [rows.stop - rows.start for rows, *_ in blocks] == [30, 30, 30, 10]
+    first, spare = blocks[0][1], blocks[0][3]
+    assert not np.shares_memory(first, spare)
+    for _, d, _, work in blocks[1:]:
+        assert np.shares_memory(d, first) and np.shares_memory(work, spare)
+    # residues and Lemma 3.1 maxima through the reused buffer, against the
+    # whole-table oracle
+    min_sep, s1, _ = shell_coulomb_rows(pts)
+    assert np.array_equal(residues(pts), 1.0 - s1)
+    assert shell._residues_and_separation(pts)[1] == min_sep
+    N = R = 100
+    _, t1, t2 = shell_coulomb_rows(place_points(N, float(R)))
+    want = (float(np.abs(t1 - N / R).max()) * R / (math.sqrt(N) * math.log(N)),
+            float(t2.max()) * R * R / (N * math.log(N)))
+    assert coulomb_maxima(N) == want
+
+
 def test_residues_catch_a_twin_in_another_block(monkeypatch):
     monkeypatch.setattr(shell, "_BLOCK_ELEMENTS", 100 * 10)  # 10-row blocks
     pts = place_points(100, 100.0)
@@ -158,7 +203,8 @@ def test_blocked_tables_equal_difference_oracle(N, budget, monkeypatch):
 
 
 def test_make_shell_config_memory_is_bounded():
-    # the (N, N, 3) difference array alone would take 553 MB at N = 4800
+    # the (N, N, 3) difference array alone would take 553 MB at N = 4800;
+    # the row blocks need two buffers of _BLOCK_ELEMENTS floats (1 MB)
     tracemalloc.start()
     try:
         cfg = make_shell_config(4800, 16.0)
@@ -166,7 +212,7 @@ def test_make_shell_config_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert cfg.diagnostics["Lr_min"] > 16 / 3
-    assert peak <= 64 * 2**20
+    assert peak <= 4 * 2**20
 
 
 def test_coulomb_sums_singleton():

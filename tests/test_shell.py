@@ -159,16 +159,6 @@ def test_distance_blocks_reuse_one_buffer(monkeypatch):
     assert not np.shares_memory(first, spare)
     for _, d, _, work in blocks[1:]:
         assert np.shares_memory(d, first) and np.shares_memory(work, spare)
-    # residues and Lemma 3.1 maxima through the reused buffer, against the
-    # whole-table oracle
-    min_sep, s1, _ = shell_coulomb_rows(pts)
-    assert np.array_equal(residues(pts), 1.0 - s1)
-    assert shell._residues_and_separation(pts)[1] == min_sep
-    N = R = 100
-    _, t1, t2 = shell_coulomb_rows(place_points(N, float(R)))
-    want = (float(np.abs(t1 - N / R).max()) * R / (math.sqrt(N) * math.log(N)),
-            float(t2.max()) * R * R / (N * math.log(N)))
-    assert coulomb_maxima(N) == want
 
 
 def test_residues_catch_a_twin_in_another_block(monkeypatch):
@@ -179,7 +169,8 @@ def test_residues_catch_a_twin_in_another_block(monkeypatch):
         residues(pts)
 
 
-# (N, block budget): one block, five equal blocks, 25 blocks and a ragged 7-row one
+# (N, block budget): one block, five equal blocks, 25 blocks and a ragged 7-row
+# one; the blocked runs reuse one buffer across every block
 @pytest.mark.parametrize("N, budget", [(8, 8 * 8), (100, 100 * 20), (257, 257 * 10)])
 def test_blocked_tables_equal_difference_oracle(N, budget, monkeypatch):
     with warnings.catch_warnings():

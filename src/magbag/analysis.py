@@ -54,11 +54,9 @@ class SphereQuadrature:
 def _sphere_fn(field, dirs):
     """The function r -> |Phi|(r * dirs) over unit directions dirs (B, 3).
 
-    Accepts a ShellConfig (glued pair), a ScaledMonopole (exact core), both
-    from one direction table built here, or a callable X (B, 3) -> (B,).
+    Accepts a ShellConfig (glued pair) or a ScaledMonopole (exact core);
+    either is evaluated from one direction table built here.
     """
-    if callable(field):
-        return lambda r: field(r * dirs)
     if isinstance(field, ScaledMonopole):
         table = glued._direction_table(dirs, field.center[None])
         return lambda r: ps_higgs_norm(
@@ -126,7 +124,7 @@ def critical_radii(eps, field, quad, r_max=None, n_scan=400, resolution=None):
     if not 0 < eps < 1:
         raise InvalidParameterError("eps must lie in (0, 1)")
     if r_max is None:
-        r_max = 40.0 if isinstance(field, ScaledMonopole) or callable(field) else 4.0 * field.R
+        r_max = 40.0 if isinstance(field, ScaledMonopole) else 4.0 * field.R
     if resolution is None:
         resolution = 1e-3 * max(1.0, r_max / 40.0)
     if not 0 < r_max < np.inf:

@@ -23,7 +23,6 @@ class RunConfig:
     n: int = 100
     m: float = 16.0
     quad: int = 4096
-    h: float = 1e-4
     r_min: float = 0.5
     r_max: float = 4.0
     steps: int = 32
@@ -36,7 +35,7 @@ class RunConfig:
             val = getattr(self, name)
             if isinstance(val, bool) or not isinstance(val, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {val!r}")
-        for name in ("m", "h", "r_min", "r_max"):
+        for name in ("m", "r_min", "r_max"):
             val = getattr(self, name)
             if isinstance(val, bool) or not isinstance(val, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {val!r}")
@@ -52,8 +51,6 @@ class RunConfig:
             raise ValueError(f"thickness parameter must be a finite m > 1, got m={self.m}")
         if self.quad < 256:
             raise ValueError(f"need at least 256 quadrature points, got {self.quad}")
-        if not 1e-8 < self.h < 1e-2:
-            raise ValueError(f"fd step must lie in (1e-8, 1e-2), got {self.h}")
         if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
             raise ValueError(f"r-min and r-max must be finite, got {self.r_min}, {self.r_max}")
         if not 0 < self.r_min < self.r_max:
@@ -73,11 +70,12 @@ def _build_parser():
         ("profile", "write a radial |Phi| profile as CSV"),
         ("verify", "run a verification suite, emit a JSON report"),
     ):
-        p = sub.add_parser(name, help=docs)
+        # No prefix matching: a flag that is not spelled out in full (or that
+        # no longer exists, such as --h) is an error, not --help.
+        p = sub.add_parser(name, help=docs, allow_abbrev=False)
         p.add_argument("--n", type=int, help="topological charge")
         p.add_argument("--m", type=float, help="shell thickness parameter")
         p.add_argument("--quad", type=int, help="spherical quadrature points")
-        p.add_argument("--h", type=float, help="finite-difference step")
         p.add_argument("--r-min", dest="r_min", type=float, help="profile start (units of R)")
         p.add_argument("--r-max", dest="r_max", type=float, help="profile end (units of R)")
         p.add_argument("--steps", type=int, help="profile row count")

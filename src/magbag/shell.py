@@ -49,38 +49,23 @@ def _layout(N, R):
     """Band index, longitude and coordinates for each of the N points."""
     K = choose_band_count(N)
     sizes = band_sizes(K)
-    # Surviving longitude indices per band, j in 0..n_k-1 at 2 pi j / n_k.
-    survivors = [list(range(n)) for n in sizes]
-    excess = int(sizes.sum()) - N
+    # Band k keeps the longitude indices j < keep[k], at 2 pi j / n_k.
+    keep = sizes.tolist()
+    excess = sum(keep) - N
     b = 0
     while excess > 0:
-        if survivors[b]:
-            survivors[b].pop()  # largest surviving longitude goes first
+        if keep[b]:
+            keep[b] -= 1  # largest surviving longitude goes first
             excess -= 1
         b = (b + 1) % (K - 1)
-    bands = []
-    longitudes = []
-    points = []
-    for i, js in enumerate(survivors):
-        kband = i + 1
-        theta = kband * np.pi / K
-        for j in js:
-            phi = 2.0 * np.pi * j / sizes[i]
-            bands.append(kband)
-            longitudes.append(phi)
-            points.append(
-                [
-                    R * np.sin(theta) * np.cos(phi),
-                    R * np.sin(theta) * np.sin(phi),
-                    R * np.cos(theta),
-                ]
-            )
-    return (
-        K,
-        np.asarray(bands, dtype=int),
-        np.asarray(longitudes, dtype=float),
-        np.asarray(points, dtype=float),
+    band = np.repeat(np.arange(K - 1), keep)
+    j = np.arange(N) - np.repeat(np.cumsum(keep) - keep, keep)
+    theta = (band + 1) * np.pi / K
+    phi = 2.0 * np.pi * j / sizes[band]
+    points = np.column_stack(
+        [R * np.sin(theta) * np.cos(phi), R * np.sin(theta) * np.sin(phi), R * np.cos(theta)]
     )
+    return K, band + 1, phi, points
 
 
 def _check_charge(N):

@@ -4,7 +4,8 @@ Each suite returns a list of {check, value, bound, pass} dicts; the CLI
 serializes them.  A suite holds only bound checks: the sweeps it bounds
 (`shell.coulomb_maxima`, `glued.annulus_maxima`, ...) live next to the code
 they measure and are shared with the acceptance tests and the calibration
-script.  Bounds come either from exact statements (checked at numerical
+script; an acceptance criterion that repeats a suite's measurement reads the
+suite value.  Bounds come either from exact statements (checked at numerical
 tolerance) or from the frozen calibration constants.
 """
 
@@ -86,6 +87,11 @@ def ps_suite(h=1e-4, seed=0, n_points=1000):
     ev = ps_evaluator(mono)
     X = rng.uniform(-8, 8, size=(3 * n_points, 3))
     X = X[np.linalg.norm(X, axis=1) <= 8.0][:n_points]
+    if len(X) < n_points:
+        raise ValueError(
+            f"only {len(X)} of {3 * n_points} draws fall in the radius-8 ball, "
+            f"need n_points={n_points}"
+        )
     cur = fd_curvature(ev, X, h=h)
     rel = form_norm(cur.g) / (1.0 + form_norm(cur.d_phi))
     out = [_check("bogomolny_rel_defect", rel.max(), 1e-6)]

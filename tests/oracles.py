@@ -5,9 +5,10 @@ implementation: explicit 2x2 complex matrices for the algebra, the textbook
 antiderivative and Gauss-Legendre quadrature for the gauge primitive, one
 source at a time for the glued tail sums, the singular abelian pair,
 multipole expansions for the far field, plain enumeration for the shell
-combinatorics, full (..., N, 3) difference arrays for distance tables, the
-weighted residual norm with `higgs_norm` weights on every sample, and the
-adjointness pairings over the union of both supports.
+combinatorics, one point at a time for the shell layout, full (..., N, 3)
+difference arrays for distance tables, the weighted residual norm with
+`higgs_norm` weights on every sample, and the adjointness pairings over the
+union of both supports.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from magbag.analysis import fibonacci_sphere
 from magbag.glued import annulus_points, higgs_norm, residual_fields
 from magbag.monopole import SingularEvaluationError, _hedgehog_form
 from magbag.operators import apply_D
+from magbag.shell import band_sizes, choose_band_count
 from magbag.su2 import form_norm
 
 TAU = np.array(
@@ -153,6 +155,40 @@ def shell_coulomb_rows(points):
 def multipole_far_field(x, points):
     """1 - N/|x| monopole truncation of the exterior potential."""
     return 1.0 - len(points) / np.linalg.norm(x)
+
+
+def layout_loop(N, R):
+    """(bands, longitudes, points) of the shell layout, built point by point.
+
+    The excess over N is popped from per-band lists of longitude indices,
+    round-robin over the bands, and each point's coordinates are taken from
+    scalar sines and cosines.
+    """
+    K = choose_band_count(N)
+    sizes = band_sizes(K)
+    survivors = [list(range(n)) for n in sizes]
+    excess = int(sizes.sum()) - N
+    b = 0
+    while excess > 0:
+        if survivors[b]:
+            survivors[b].pop()
+            excess -= 1
+        b = (b + 1) % (K - 1)
+    bands, longitudes, points = [], [], []
+    for i, js in enumerate(survivors):
+        theta = (i + 1) * np.pi / K
+        for j in js:
+            phi = 2.0 * np.pi * j / sizes[i]
+            bands.append(i + 1)
+            longitudes.append(phi)
+            points.append(
+                [
+                    R * np.sin(theta) * np.cos(phi),
+                    R * np.sin(theta) * np.sin(phi),
+                    R * np.cos(theta),
+                ]
+            )
+    return np.asarray(bands), np.asarray(longitudes), np.asarray(points)
 
 
 def brute_band_sizes(K):

@@ -115,7 +115,7 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 def test_invalid_flags():
     assert run_cli(["profile", "--n", "1", "--quad", "64"]) == 2  # quad too small
-    assert run_cli(["profile", "--n", "1", "--h", "1.0"]) == 2
+    assert run_cli(["profile", "--n", "1", "--h", "1.0"]) == 2  # unrecognised flag
     assert run_cli(["verify", "--n", "3"]) == 2
 
 
@@ -130,7 +130,7 @@ def test_config_rejects_bad_shell_parameters(tmp_path, capsys, data):
 
 
 @pytest.mark.parametrize("data", [
-    {"r_max": "4"}, {"r_min": None}, {"h": [1e-4]}, {"m": True},
+    {"r_max": "4"}, {"r_min": None}, {"m": True},
     {"quad": 300.5}, {"steps": 3.0}, {"n": True}, {"n": "64"},
     {"suite": 3}, {"out": 5},
 ])

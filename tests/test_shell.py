@@ -24,7 +24,7 @@ from magbag.shell import (
     write_points_csv,
 )
 
-from oracles import brute_band_sizes, difference_distances, shell_coulomb_rows
+from oracles import brute_band_sizes, difference_distances, layout_loop, shell_coulomb_rows
 
 
 def test_band_sizes_k10():
@@ -87,6 +87,19 @@ def test_place_points_removal_pattern():
     counts = np.bincount(bands, minlength=10)[1:]
     removed = band_sizes(10) - counts
     assert removed.tolist() == [3, 3, 3, 3, 3, 2, 2, 2, 2]
+
+
+@pytest.mark.parametrize("N", [8, 25, 64, 100, 256, 1600, 4800, 9600, 12800])
+@pytest.mark.parametrize("radius", ["shell", "charge"])
+def test_layout_matches_point_by_point_oracle(N, radius):
+    from magbag.shell import _layout
+
+    R = shell_radius(N, 16.0) if radius == "shell" else N
+    _, bands, lons, pts = _layout(N, R)
+    want_bands, want_lons, want_pts = layout_loop(N, R)
+    assert np.array_equal(bands, want_bands)
+    assert np.array_equal(lons, want_lons)
+    assert np.array_equal(pts, want_pts)
 
 
 @pytest.mark.parametrize("N, R", [(100.5, 10.0), (True, 10.0), (100, math.inf),

@@ -15,6 +15,7 @@ from magbag.analysis import SphereQuadrature, fibonacci_sphere, sphere_stats
 from magbag.monopole import ScaledMonopole, ps_evaluator
 from magbag.operators import fd_curvature
 from magbag.shell import (
+    _squared_distances,
     band_sizes,
     choose_band_count,
     coulomb_maxima,
@@ -129,9 +130,7 @@ def higgs_floor():
         [cfg.R + cfg.L * np.array([1.0, 1.2, 1.5, 2, 3, 5]), cfg.R - cfg.L * np.array([1.0, 1.5, 2])]
     ):
         pts = rad * dirs
-        d = np.min(
-            np.linalg.norm(pts[:, None, :] - cfg.points[None], axis=-1), axis=1
-        )
+        d = np.min(np.sqrt(_squared_distances(pts, cfg.points)), axis=1)
         ok = d >= cfg.L
         if ok.any():
             worst = min(worst, float(glued.higgs_norm(pts[ok], cfg).min()))

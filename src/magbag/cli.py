@@ -1,7 +1,13 @@
 """Command-line front end.
 
-Subcommands: `place` writes the point table, `profile` writes a radial
-|Phi| profile, `verify` runs a named check suite and emits a JSON report.
+Each subcommand takes only the options it reads, as flags or as the keys of
+a flat JSON object given with `--config` (flags override the file):
+
+- `place` writes the shell point table: n, m, out;
+- `profile` writes a radial |Phi| profile: n, m, quad, r-min, r-max, steps,
+  out (config keys r_min, r_max);
+- `verify` runs a named check suite and emits a JSON report: suite, out.
+
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 invalid
 invocation.
 """
@@ -13,50 +19,32 @@ import math
 import numbers
 import sys
 import warnings
-from dataclasses import dataclass, fields
 
 import numpy as np
 
+# name -> (type, default, help).  argparse types the flags; a --config value
+# must already have the type (out may also be null).
+OPTIONS = {
+    "n": (int, 100, "topological charge"),
+    "m": (float, 16.0, "shell thickness parameter"),
+    "quad": (int, 4096, "spherical quadrature points"),
+    "r_min": (float, 0.5, "profile start (units of R)"),
+    "r_max": (float, 4.0, "profile end (units of R)"),
+    "steps": (int, 32, "profile row count"),
+    "suite": (str, "all", "suite name or 'all'"),
+    "out": (str, None, "output path (default stdout)"),
+}
 
-@dataclass
-class RunConfig:
-    n: int = 100
-    m: float = 16.0
-    quad: int = 4096
-    r_min: float = 0.5
-    r_max: float = 4.0
-    steps: int = 32
-    suite: str = "all"
-    out: str | None = None
+_FILE_TYPES = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number"),
+               str: (str, "a string")}
 
-    def validate(self, need_shell=True):
-        # Values from a --config file bypass argparse's typing.
-        for name in ("n", "quad", "steps"):
-            val = getattr(self, name)
-            if isinstance(val, bool) or not isinstance(val, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {val!r}")
-        for name in ("m", "r_min", "r_max"):
-            val = getattr(self, name)
-            if isinstance(val, bool) or not isinstance(val, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {val!r}")
-        if not isinstance(self.suite, str):
-            raise ValueError(f"suite must be a string, got {self.suite!r}")
-        if self.out is not None and not isinstance(self.out, str):
-            raise ValueError(f"out must be a string or null, got {self.out!r}")
-        if need_shell and self.n < 8:
-            raise ValueError(f"charge must be at least 8, got n={self.n}")
-        if not need_shell and self.n != 1 and self.n < 8:
-            raise ValueError(f"charge must be 1 (exact core) or >= 8, got n={self.n}")
-        if not (math.isfinite(self.m) and self.m > 1):
-            raise ValueError(f"thickness parameter must be a finite m > 1, got m={self.m}")
-        if self.quad < 256:
-            raise ValueError(f"need at least 256 quadrature points, got {self.quad}")
-        if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
-            raise ValueError(f"r-min and r-max must be finite, got {self.r_min}, {self.r_max}")
-        if not 0 < self.r_min < self.r_max:
-            raise ValueError("need 0 < r-min < r-max")
-        if self.steps < 2:
-            raise ValueError("need at least 2 radial steps")
+# subcommand -> (help, the options it reads)
+COMMANDS = {
+    "place": ("write the shell point table as CSV", ("n", "m", "out")),
+    "profile": ("write a radial |Phi| profile as CSV",
+                ("n", "m", "quad", "r_min", "r_max", "steps", "out")),
+    "verify": ("run a verification suite, emit a JSON report", ("suite", "out")),
+}
 
 
 def _build_parser():
@@ -65,42 +53,47 @@ def _build_parser():
         description="Shell monopole configurations and verification suites",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, docs in (
-        ("place", "write the shell point table as CSV"),
-        ("profile", "write a radial |Phi| profile as CSV"),
-        ("verify", "run a verification suite, emit a JSON report"),
-    ):
-        # No prefix matching: a flag that is not spelled out in full (or that
-        # no longer exists, such as --h) is an error, not --help.
-        p = sub.add_parser(name, help=docs, allow_abbrev=False)
-        p.add_argument("--n", type=int, help="topological charge")
-        p.add_argument("--m", type=float, help="shell thickness parameter")
-        p.add_argument("--quad", type=int, help="spherical quadrature points")
-        p.add_argument("--r-min", dest="r_min", type=float, help="profile start (units of R)")
-        p.add_argument("--r-max", dest="r_max", type=float, help="profile end (units of R)")
-        p.add_argument("--steps", type=int, help="profile row count")
-        p.add_argument("--suite", type=str, help="verify: suite name or 'all'")
-        p.add_argument("--out", type=str, help="output path (default stdout)")
-        p.add_argument("--config", type=str, help="JSON file with RunConfig keys")
+    for command, (docs, names) in COMMANDS.items():
+        # A flag not spelled out in full, or not read by the subcommand, is an
+        # error.  A flag not given sets no attribute, so the file shows through.
+        p = sub.add_parser(command, help=docs, allow_abbrev=False,
+                           argument_default=argparse.SUPPRESS)
+        for name in names:
+            kind, _, text = OPTIONS[name]
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, help=text)
+        p.add_argument("--config", help="JSON object keyed by this subcommand's options")
     return parser
 
 
 def _merge_config(args):
-    cfg = RunConfig()
-    if args.config:
+    """Defaults, then the --config file, then the flags given."""
+    names = COMMANDS[args.command][1]
+    cfg = {name: OPTIONS[name][1] for name in names}
+    if getattr(args, "config", None):
         with open(args.config) as fh:
             data = json.load(fh)
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        _require(isinstance(data, dict), "the config file must hold a JSON object")
+        unknown = sorted(set(data) - set(names))
+        _require(not unknown, f"unknown config keys for {args.command}: {unknown}")
         for key, val in data.items():
-            setattr(cfg, key, val)
-    for f in fields(RunConfig):
-        val = getattr(args, f.name, None)
-        if val is not None:
-            setattr(cfg, f.name, val)
-    return cfg
+            kind, default, _ = OPTIONS[key]
+            base, noun = _FILE_TYPES[kind]
+            if default is None:  # out: a path or null
+                base, noun = (base, type(None)), noun + " or null"
+            ok = isinstance(val, base) and not isinstance(val, bool)
+            _require(ok, f"{key} must be {noun}, got {val!r}")
+        cfg.update(data)
+    cfg.update((name, getattr(args, name)) for name in names if hasattr(args, name))
+    return argparse.Namespace(**cfg)
+
+
+def _require(ok, message):
+    if not ok:
+        raise ValueError(message)
+
+
+def _check_m(m):
+    _require(math.isfinite(m) and m > 1, f"thickness parameter must be a finite m > 1, got m={m}")
 
 
 @contextlib.contextmanager
@@ -116,7 +109,8 @@ def _output(out):
 def cmd_place(cfg):
     from .shell import make_shell_config, write_points_csv
 
-    cfg.validate(need_shell=True)
+    _require(cfg.n >= 8, f"charge must be at least 8, got n={cfg.n}")
+    _check_m(cfg.m)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         shell = make_shell_config(cfg.n, cfg.m)
@@ -130,16 +124,22 @@ def cmd_profile(cfg):
     from .monopole import ScaledMonopole
     from .shell import make_shell_config
 
-    cfg.validate(need_shell=False)
+    _require(cfg.n == 1 or cfg.n >= 8, f"charge must be 1 (exact core) or >= 8, got n={cfg.n}")
+    _check_m(cfg.m)
+    _require(cfg.quad >= 256, f"need at least 256 quadrature points, got {cfg.quad}")
+    _require(math.isfinite(cfg.r_min) and math.isfinite(cfg.r_max),
+             f"r-min and r-max must be finite, got {cfg.r_min}, {cfg.r_max}")
+    _require(0 < cfg.r_min < cfg.r_max, "need 0 < r-min < r-max")
+    _require(cfg.steps >= 2, "need at least 2 radial steps")
     quad = SphereQuadrature(cfg.quad)
+    radii = np.linspace(cfg.r_min, cfg.r_max, cfg.steps)
     if cfg.n == 1:
         field = ScaledMonopole(center=np.zeros(3), scale=1.0)
-        radii = np.linspace(cfg.r_min, cfg.r_max, cfg.steps)
     else:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             field = make_shell_config(cfg.n, cfg.m)
-        radii = field.R * np.linspace(cfg.r_min, cfg.r_max, cfg.steps)
+        radii = field.R * radii
     rows = radial_profile(radii, field, quad)
     with _output(cfg.out) as fh:
         write_profile_csv(rows, fh)
@@ -147,11 +147,10 @@ def cmd_profile(cfg):
 
 
 def cmd_verify(cfg):
-    from .suites import SUITE_NAMES, run_suite
+    from .suites import SUITES, run_suite
 
-    cfg.validate(need_shell=False)
-    if cfg.suite != "all" and cfg.suite not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {cfg.suite!r}; choose from {SUITE_NAMES} or 'all'")
+    _require(cfg.suite == "all" or cfg.suite in SUITES,
+             f"unknown suite {cfg.suite!r}; choose from {tuple(SUITES)} or 'all'")
     results = run_suite(cfg.suite)
     with _output(cfg.out) as fh:
         fh.write(json.dumps(results, indent=2) + "\n")
@@ -164,13 +163,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    handler = {"place": cmd_place, "profile": cmd_profile, "verify": cmd_verify}[args.command]
     try:
-        cfg = _merge_config(args)
-        handler = {"place": cmd_place, "profile": cmd_profile, "verify": cmd_verify}[
-            args.command
-        ]
-        return handler(cfg)
-    except (ValueError, OSError, KeyError) as exc:
+        return handler(_merge_config(args))
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -129,7 +129,10 @@ def _others(cfg, p_idx):
     return cfg.points[mask]
 
 
-def _eta_alpha_sums(X, p_idx, cfg, chunk=512):
+_CHUNK = 512  # sample rows per block of `_eta_alpha_sums`
+
+
+def _eta_alpha_sums(X, p_idx, cfg):
     """(sum_q eta_pq, sum_q alpha_pq) at points X (B, 3) of the ball around p.
 
     With w = x-p and D = p-q, both sums come from the dot products w.D
@@ -137,8 +140,8 @@ def _eta_alpha_sums(X, p_idx, cfg, chunk=512):
     |x-q|^2 = |D|^2 + 2 w.D + |w|^2, D.(x-q) = |D|^2 + w.D, and
     eta_pq = -(2 w.D + |w|^2) / (|x-q| |D| (|D| + |x-q|)), the difference
     1/|x-q| - 1/|D| without its cancellation.  Since w x D is linear in D,
-    sum_q alpha_pq = w x sum_q weight_q D.  Rows are taken `chunk` at a
-    time, so memory stays O(chunk N).
+    sum_q alpha_pq = w x sum_q weight_q D.  Rows are taken `_CHUNK` at a
+    time, so memory stays O(_CHUNK N).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     p = cfg.points[p_idx]
@@ -147,13 +150,13 @@ def _eta_alpha_sums(X, p_idx, cfg, chunk=512):
     Dn = np.sqrt(DD)
     eta = np.empty(len(X))
     alpha = np.empty((len(X), 3))
-    for lo in range(0, len(X), chunk):
-        w = X[lo : lo + chunk] - p  # (b, 3)
+    for lo in range(0, len(X), _CHUNK):
+        w = X[lo : lo + _CHUNK] - p  # (b, 3)
         wD = w @ D.T  # (b, Nq)
         shift = 2.0 * wD + np.einsum("bk,bk->b", w, w)[:, None]  # |x-q|^2 - |D|^2
         s = np.sqrt(DD + shift)
-        eta[lo : lo + chunk] = -np.sum(shift / (s * Dn * (Dn + s)), axis=1)
-        alpha[lo : lo + chunk] = np.cross(w, _alpha_weight(s, Dn, DD + wD) @ D)
+        eta[lo : lo + _CHUNK] = -np.sum(shift / (s * Dn * (Dn + s)), axis=1)
+        alpha[lo : lo + _CHUNK] = np.cross(w, _alpha_weight(s, Dn, DD + wD) @ D)
     return eta, alpha
 
 
@@ -398,7 +401,7 @@ def annulus_points(cfg, p_idx, n_radial, n_angular):
     radii = np.linspace(L / 8, L / 4, n_radial)
     dirs = fibonacci_sphere(n_angular)
     pts = cfg.points[p_idx] + radii[:, None, None] * dirs[None, :, :]
-    return pts.reshape(-1, 3), radii, dirs
+    return pts.reshape(-1, 3)
 
 
 def _annulus_residuals(cfg, p_idx, n_radial, n_angular):
@@ -409,7 +412,7 @@ def _annulus_residuals(cfg, p_idx, n_radial, n_angular):
     and |Phi|, then the shell's maxima (max |gT|, max |gL|,
     max |<sigma_hat, gL>|) over every sample.
     """
-    pts, _, _ = annulus_points(cfg, p_idx, n_radial, n_angular)
+    pts = annulus_points(cfg, p_idx, n_radial, n_angular)
     live, gT, gL, higgs = _ball_residual(pts, p_idx, cfg)
     xh = pts[live] - cfg.points[p_idx]
     xh /= np.linalg.norm(xh, axis=1)[:, None]

@@ -36,8 +36,6 @@ from .operators import (
 from .shell import coulomb_maxima, coulomb_sums, make_shell_config, place_points
 from .su2 import alg_norm, bracket, form_norm, inner, wedge_dual
 
-SUITE_NAMES = ("algebra", "ps", "lemma31", "lemma32", "theorems", "operator")
-
 
 def _check(name, value, bound, ok=None):
     if ok is None:
@@ -176,7 +174,7 @@ def lemma32_suite(N=100, m=16.0, seed=0):
     out.append(_check("residual_zero_outside", form_norm(gT + gL).max(), 0.0))
 
     # Transverse/longitudinal split at support samples.
-    pts, _, _ = glued.annulus_points(cfg, p_idx, 8, 64)
+    pts = glued.annulus_points(cfg, p_idx, 8, 64)
     gT, gL = glued.residual_fields(pts, p_idx, cfg)
     xh = pts - cfg.points[p_idx]
     xh /= np.linalg.norm(xh, axis=1)[:, None]
@@ -222,7 +220,7 @@ def theorems_suite(N=100, m=16.0):
         out.append(_check(f"flux_charge_N{Nf}", abs(val - Nf), 1e-3))
     vals = [flux_charge(s * cfg.R, cfg, quad) for s in (1.5, 2.0, 4.0)]
     out.append(_check("flux_r_independence", max(vals) - min(vals), 1e-3))
-    report = theorem_report(cfg)
+    report = theorem_report(cfg, eps_list=())
     out.extend(report["items"])
     return out
 
@@ -287,11 +285,6 @@ SUITES = {
 
 
 def run_suite(name):
-    if name == "all":
-        results = []
-        for key in SUITE_NAMES:
-            results.extend(SUITES[key]())
-        return results
-    if name not in SUITES:
-        raise KeyError(name)
-    return SUITES[name]()
+    """The entries of suite `name`, or of every suite in order for 'all'."""
+    names = SUITES if name == "all" else (name,)
+    return [entry for key in names for entry in SUITES[key]()]

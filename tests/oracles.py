@@ -225,7 +225,7 @@ def higgs_norm_residual_sweep(cfg, n_radial, n_angular, quad_radial, quad_angula
     sup_term = 0.0
     integral = 0.0
     for p_idx in range(cfg.N):
-        pts, _, _ = annulus_points(cfg, p_idx, n_radial, n_angular)
+        pts = annulus_points(cfg, p_idx, n_radial, n_angular)
         gT, gL = residual_fields(pts, p_idx, cfg)
         xh = pts - cfg.points[p_idx]
         xh /= np.linalg.norm(xh, axis=1)[:, None]

@@ -29,7 +29,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from magbag import constants, glued, suites
+from magbag import constants, glued, shell, suites
 from magbag.analysis import (
     SphereQuadrature,
     fibonacci_sphere,
@@ -278,9 +278,7 @@ def test_criterion_10_bag_geometry(shells, theorem_checks):
     for fac in (1.0, 1.05, 1.2, 1.5, 2.0):
         for i in range(cfg.N):
             pts = cfg.points[i] + fac * cfg.L * dirs
-            d = np.min(
-                np.linalg.norm(pts[:, None, :] - cfg.points[None], axis=-1), axis=1
-            )
+            d = np.min(np.sqrt(shell._squared_distances(pts, cfg.points)), axis=1)
             keep = d >= cfg.L * (1 - 1e-12)
             if keep.any():
                 floor = min(floor, float(glued.higgs_norm(pts[keep], cfg).min()))

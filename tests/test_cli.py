@@ -95,7 +95,7 @@ def test_verify_unknown_suite():
 
 def test_config_file_and_override(tmp_path):
     cfgfile = tmp_path / "run.json"
-    cfgfile.write_text(json.dumps({"n": 64, "m": 16.0, "quad": 512}))
+    cfgfile.write_text(json.dumps({"n": 64, "m": 16.0}))
     out = tmp_path / "theta.csv"
     code = run_cli(["place", "--config", str(cfgfile), "--out", str(out)])
     assert code == 0
@@ -135,9 +135,12 @@ def test_config_rejects_bad_shell_parameters(tmp_path, capsys, data):
     {"suite": 3}, {"out": 5},
 ])
 def test_config_rejects_mistyped_values(tmp_path, capsys, data):
+    # suite is read by verify only, the other keys by profile
+    command = "verify" if "suite" in data else "profile"
+    base = {} if command == "verify" else {"n": 16, "quad": 256, "steps": 3}
     cfgfile = tmp_path / "bad.json"
-    cfgfile.write_text(json.dumps({"n": 16, "quad": 256, "steps": 3, **data}))
-    assert run_cli(["profile", "--config", str(cfgfile)]) == 2
+    cfgfile.write_text(json.dumps({**base, **data}))
+    assert run_cli([command, "--config", str(cfgfile)]) == 2
     captured = capsys.readouterr()
     (key,) = data
     assert f"{key} must be" in captured.err
@@ -151,3 +154,57 @@ def test_profile_rejects_non_finite_radii(capsys, flag, value):
     captured = capsys.readouterr()
     assert "r-min and r-max must be finite" in captured.err
     assert captured.out == ""
+
+
+# The options each subcommand reads; every other option is an invalid invocation.
+READS = {
+    "place": {"n", "m", "out"},
+    "profile": {"n", "m", "quad", "r_min", "r_max", "steps", "out"},
+    "verify": {"suite", "out"},
+}
+VALUES = {"n": 16, "m": 16.0, "quad": 512, "r_min": 0.5, "r_max": 2.0, "steps": 3,
+          "suite": "algebra"}
+FOREIGN = [(command, name) for command, names in READS.items()
+           for name in sorted(set(VALUES) - names)]
+
+
+@pytest.mark.parametrize("command,name", FOREIGN)
+def test_foreign_flag_exits_2(capsys, command, name):
+    flag = "--" + name.replace("_", "-")
+    assert run_cli([command, flag, str(VALUES[name])]) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command,name", FOREIGN)
+def test_foreign_config_key_exits_2(tmp_path, capsys, command, name):
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({name: VALUES[name]}))
+    assert run_cli([command, "--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert "unknown config keys" in captured.err and repr(name) in captured.err
+    assert captured.out == ""
+
+
+def test_verify_rejects_shell_options(capsys):
+    # verify runs its suites at their own fixed N and m; --n and --m are not its options
+    assert run_cli(["verify", "--suite", "algebra", "--n", "1600", "--m", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "--n" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text", ["[]", "16"])
+def test_config_must_be_an_object(tmp_path, capsys, text):
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(text)
+    assert run_cli(["place", "--config", str(cfgfile)]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_config_out_may_be_null(tmp_path, capsys):
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({"n": 64, "out": None}))
+    assert run_cli(["place", "--config", str(cfgfile)]) == 0
+    assert len(capsys.readouterr().out.strip().split("\n")) == 65

@@ -419,7 +419,7 @@ def test_residual_support(cfg100):
 
 def test_residual_split_properties(cfg100):
     i = 2
-    pts, _, _ = glued.annulus_points(cfg100, i, 8, 64)
+    pts = glued.annulus_points(cfg100, i, 8, 64)
     gT, gL = residual_fields(pts, i, cfg100)
     xh = pts - cfg100.points[i]
     xh /= np.linalg.norm(xh, axis=1)[:, None]
@@ -506,7 +506,7 @@ def test_ball_residual_higgs_matches_higgs_norm(N):
     worst = 0.0
     n_live = 0
     for p_idx in range(0, N, max(1, N // 32)):
-        pts, _, _ = glued.annulus_points(cfg, p_idx, 8, 64)
+        pts = glued.annulus_points(cfg, p_idx, 8, 64)
         live, gT, gL, higgs = glued._ball_residual(pts, p_idx, cfg)
         want = higgs_norm(pts[live], cfg)
         worst = max(worst, float(np.max(np.abs(higgs - want) / np.maximum(1.0, want))))

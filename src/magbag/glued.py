@@ -27,7 +27,7 @@ from .monopole import (
     coth_minus_inv,
     inv_minus_csch,
 )
-from .shell import _squared_distances
+from .shell import _check_count, _squared_distances
 from .su2 import bracket, form_norm, star_real_wedge, wedge_dual
 
 
@@ -397,6 +397,7 @@ def annulus_points(cfg, p_idx, n_radial, n_angular):
     """Deterministic product sampling of the residual support shell."""
     from .analysis import fibonacci_sphere
 
+    _check_count(n_radial=n_radial, n_angular=n_angular)
     L = cfg.L
     radii = np.linspace(L / 8, L / 4, n_radial)
     dirs = fibonacci_sphere(n_angular)
@@ -444,6 +445,7 @@ def _residual_sweep(cfg, n_radial, n_angular, quad_radial, quad_angular):
     """
     from .analysis import fibonacci_sphere
 
+    _check_count(quad_radial=quad_radial, quad_angular=quad_angular)
     nodes, wts = np.polynomial.legendre.leggauss(quad_radial)
     lo, hi = cfg.L / 8, cfg.L / 4
     q_radii = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)

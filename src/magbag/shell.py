@@ -77,6 +77,13 @@ def _check_charge(N):
     return int(N)
 
 
+def _check_count(**counts):
+    """Raises unless every value is an integer (bools excluded) >= 1."""
+    for name, n in counts.items():
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise InvalidParameterError(f"{name} must be an integer >= 1, got {n!r}")
+
+
 def place_points(N, R):
     """The N shell points, ordered by (band, longitude)."""
     N = _check_charge(N)

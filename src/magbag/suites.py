@@ -2,10 +2,10 @@
 
 Each suite returns a list of {check, value, bound, pass} dicts; the CLI
 serializes them.  A suite holds only bound checks: the sweeps it bounds
-(`shell.coulomb_maxima`, `glued.annulus_maxima`, ...) live next to the code
-they measure and are shared with the acceptance tests and the calibration
-script; an acceptance criterion that repeats a suite's measurement reads the
-suite value.  Bounds come either from exact statements (checked at numerical
+(`shell.coulomb_maxima`, `glued.annulus_maxima`, `analysis.theorem_report`,
+...) live next to the code they measure and are shared with the acceptance
+tests and the calibration script; an acceptance criterion that repeats a
+suite's measurement reads the suite value.  Bounds come either from exact statements (checked at numerical
 tolerance) or from the frozen calibration constants.
 """
 
@@ -220,8 +220,15 @@ def theorems_suite(N=100, m=16.0):
         out.append(_check(f"flux_charge_N{Nf}", abs(val - Nf), 1e-3))
     vals = [flux_charge(s * cfg.R, cfg, quad) for s in (1.5, 2.0, 4.0)]
     out.append(_check("flux_r_independence", max(vals) - min(vals), 1e-3))
-    report = theorem_report(cfg, eps_list=())
-    out.extend(report["items"])
+    geometry = theorem_report(cfg)
+    scale = cfg.m * math.log(cfg.N) / math.sqrt(cfg.N)
+    for name, bound in (
+        ("shell_sphere_mean", constants.C_MEAN_AT_R * scale),
+        ("interior_max_half_radius", constants.C_INTERIOR * scale),
+        ("zeros_on_shell_sphere", 1e-9 * cfg.R),
+        ("outer_small_higgs_radius", cfg.R + 2 * cfg.L),
+    ):
+        out.append(_check(name, geometry[name], bound))
     return out
 
 

@@ -8,6 +8,7 @@ stated bounds: 01 and 11 read `ps_suite(seed=11)`, 03 and 10 (b, c)
 Two keep their own measurement: 02 prints the raw energy E_d, which
 `ps_suite` reports only as a relative error, and 04 samples 4 balls x 50
 points at seed 12, where `lemma32_suite` samples one ball x 200 at seed 0.
+10 (a) bounds `analysis.higgs_floor`, which no suite bounds.
 
 Nine criteria pass at their stated tolerances.  Three (08, 09 and 10) probe
 asymptotic bounds that measurably fail at this charge scale (the gluing
@@ -29,11 +30,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from magbag import constants, glued, shell, suites
+from magbag import constants, glued, suites
 from magbag.analysis import (
     SphereQuadrature,
-    fibonacci_sphere,
     flux_charge,
+    higgs_floor,
     ps_energy,
     sphere_stats,
 )
@@ -271,19 +272,8 @@ def test_criterion_10_bag_geometry(shells, theorem_checks):
     cfg = shells[(100, 16)]
     scale = cfg.m * math.log(cfg.N) / math.sqrt(cfg.N)
 
-    # (a) Higgs floor over points at distance >= L from the shell set,
-    # sampled where the minimum actually lives: spheres around each point.
-    dirs = fibonacci_sphere(256)
-    floor = np.inf
-    for fac in (1.0, 1.05, 1.2, 1.5, 2.0):
-        for i in range(cfg.N):
-            pts = cfg.points[i] + fac * cfg.L * dirs
-            d = np.min(np.sqrt(shell._squared_distances(pts, cfg.points)), axis=1)
-            keep = d >= cfg.L * (1 - 1e-12)
-            if keep.any():
-                floor = min(floor, float(glued.higgs_norm(pts[keep], cfg).min()))
-    for rad in (0.5 * cfg.R, cfg.R + 2 * cfg.L, 2 * cfg.R):
-        floor = min(floor, float(glued.higgs_norm(rad * fibonacci_sphere(1024), cfg).min()))
+    # (a) Higgs floor over points at distance >= L from the shell set
+    floor = higgs_floor(cfg)
     floor_bound = 0.25 * scale / 2.0
     floor_ok = floor >= floor_bound
 

@@ -10,6 +10,7 @@ from magbag.analysis import (
     degree_of_map,
     fibonacci_sphere,
     flux_charge,
+    higgs_floor,
     icosphere,
     laplacian_identity,
     local_degree,
@@ -38,6 +39,16 @@ def test_fibonacci_weights_and_moments():
         # constant integrates exactly; odd zonal moment cancels by symmetry
         assert w * M == pytest.approx(4 * np.pi, rel=1e-15)
         assert abs(w * pts[:, 2].sum()) < 1e-10 * 4 * np.pi
+
+
+@pytest.mark.parametrize("M", [0, -3, 2.5, True])
+def test_quadrature_size_must_be_a_positive_integer(M):
+    with pytest.raises(InvalidParameterError, match="integer >= 1"):
+        SphereQuadrature(M)
+
+
+def test_quadrature_accepts_numpy_integers():
+    assert SphereQuadrature(np.int64(64)).points.shape == (64, 3)
 
 
 def test_quadrature_dipole_on_sphere():
@@ -180,6 +191,12 @@ def test_flux_charge_values(cfg100, cfg25):
         flux_charge(0.5 * cfg100.R, cfg100, quad)
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf])
+def test_flux_charge_rejects_non_finite_radius(cfg25, r):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        flux_charge(r, cfg25, SphereQuadrature(64))
+
+
 def test_flux_charge_single_pole():
     # one unit pole: the exterior potential of a singleton configuration
     from types import SimpleNamespace
@@ -212,6 +229,12 @@ def test_ps_energy():
     assert abs(E_F - E_d) / four_pi < 5e-3
     with pytest.raises(InvalidParameterError):
         ps_energy(r_max=10.0)
+
+
+@pytest.mark.parametrize("r_max", [math.nan, math.inf])
+def test_ps_energy_rejects_non_finite_r_max(r_max):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        ps_energy(r_max=r_max)
 
 
 def test_ps_energy_tail_bound():
@@ -251,17 +274,23 @@ def test_bag_profile_shape(cfg100):
 
 
 def test_theorem_report(cfg100):
-    rep = theorem_report(cfg100, quad=SphereQuadrature(2048))
-    names = {item["check"] for item in rep["items"]}
-    assert names == {
+    rep = theorem_report(cfg100)
+    assert set(rep) == {
         "shell_sphere_mean",
         "interior_max_half_radius",
         "zeros_on_shell_sphere",
         "outer_small_higgs_radius",
     }
-    by_name = {item["check"]: item for item in rep["items"]}
-    assert by_name["zeros_on_shell_sphere"]["pass"]
-    assert by_name["shell_sphere_mean"]["pass"]
-    assert by_name["interior_max_half_radius"]["pass"]
-    assert by_name["outer_small_higgs_radius"]["pass"]
-    assert len(rep["informational_radii"]) == 3
+    # one 4096-direction evaluator gives bitwise the per-sphere statistics
+    quad = SphereQuadrature(4096)
+    assert rep["shell_sphere_mean"] == sphere_stats(cfg100.R, cfg100, quad)[1]
+    assert rep["interior_max_half_radius"] == max(
+        sphere_stats(f * cfg100.R, cfg100, quad)[2] for f in (0.1, 0.25, 0.5)
+    )
+    assert rep["zeros_on_shell_sphere"] <= 1e-9 * cfg100.R
+    # no sampled sphere minimum dips below half the floor at this charge
+    assert rep["outer_small_higgs_radius"] == 0.0
+
+
+def test_higgs_floor_value(cfg100):
+    assert higgs_floor(cfg100) == 0.08250524421097039

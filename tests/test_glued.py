@@ -18,7 +18,7 @@ from magbag.glued import (
 )
 from magbag.monopole import ScaledMonopole, SingularEvaluationError, ps_evaluator
 from magbag.operators import fd_curvature
-from magbag.shell import make_shell_config
+from magbag.shell import InvalidParameterError, make_shell_config
 from magbag.su2 import EPS, bracket, form_norm
 
 from oracles import (
@@ -468,6 +468,22 @@ def test_gstar_unstable_under_refinement(cfg100):
     # orders of magnitude with the grid instead of converging
     (total1, _, _), (total2, _, _) = glued.gstar_doubling(cfg100, 4, 32, 4, 16)
     assert abs(total2 - total1) > 0.5 * min(total1, total2)
+
+
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize("bad", [0, -2, 2.5, True])
+def test_gstar_resolution_must_be_a_positive_integer(cfg25, position, bad):
+    # an empty or fractional grid used to read as zero residual or fail in numpy
+    sizes = [4, 32, 4, 16]
+    sizes[position] = bad
+    with pytest.raises(InvalidParameterError, match="integer >= 1"):
+        glued.gstar_norm(cfg25, *sizes)
+
+
+@pytest.mark.parametrize("sizes", [(0, 32), (4, 0), (4.0, 32)])
+def test_annulus_maxima_rejects_empty_grid(cfg25, sizes):
+    with pytest.raises(InvalidParameterError, match="integer >= 1"):
+        glued.annulus_maxima(cfg25, *sizes)
 
 
 def test_residual_report_keys(cfg25, monkeypatch):

@@ -37,6 +37,15 @@ def test_script_names_existing_api(name):
     assert [f"{mod.__name__}.{attr}" for mod, attr in lookups if not hasattr(mod, attr)] == []
 
 
+def test_calibration_prints_every_lemma_suite_check(capsys):
+    from magbag.suites import lemma31_suite, lemma32_suite
+
+    _load("calibrate_constants").suite_values()
+    printed = {line.split(":")[0].strip() for line in capsys.readouterr().out.splitlines()
+               if line.startswith("  ")}
+    assert printed == {c["check"] for c in lemma31_suite() + lemma32_suite()}
+
+
 def _perfbench_lookups():
     """(module, attribute) pairs the benchmark looks up in magbag: every
     `spans.TARGETS` entry, and every `<module>.<attr>` in `workloads.py`

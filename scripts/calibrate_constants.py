@@ -62,18 +62,12 @@ def glued_scalings():
 
 def gt_slope():
     print("[residual] transverse peak vs core decay scale (N = 100):")
-    rows = []
-    for m in (16.0, 81.0, 256.0):
-        cfg = make_shell_config(100, m)
-        rbar = float(cfg.residues.min())
-        max_gT, _, _ = glued.annulus_maxima(cfg, 8, 64)
-        rows.append((rbar * cfg.L, math.log(max_gT.max())))
-        print(f"  m={m}: rbar*L={rows[-1][0]:.4f}  ln max|gT|={rows[-1][1]:.4f}")
-    x = np.array([r[0] for r in rows])
-    y = np.array([r[1] for r in rows])
-    slope = np.polyfit(x, y, 1)[0]
-    resid = y - np.polyval(np.polyfit(x, y, 1), x)
-    print(f"  affine fit slope = {slope:.4f}, max residual = {np.abs(resid).max():.4f}")
+    ms = (16.0, 81.0, 256.0)
+    x, y, fit = glued.transverse_decay([make_shell_config(100, m) for m in ms])
+    for m, xi, yi in zip(ms, x, y):
+        print(f"  m={m}: rbar*L={xi:.4f}  ln max|gT|={yi:.4f}")
+    resid = y - np.polyval(fit, x)
+    print(f"  affine fit slope = {fit[0]:.4f}, max residual = {np.abs(resid).max():.4f}")
 
 
 def gstar_values():

@@ -103,25 +103,72 @@ def write_profile_csv(rows, fh):
 # ---------------------------------------------------------------------------
 # Critical radii
 
+# Relative slack of `_sphere_floor`: it covers the rounding of the distances
+# and of the N-term Coulomb sum, so the computed sphere minimum never falls
+# below the floor (checked in the tests).
+_FLOOR_SLACK = 1e-9
+
+
+def _sphere_floor(field):
+    """A certified lower bound r -> floor on the sampled min |Phi| over the radius-r sphere.
+
+    Every sample x of the sphere has |x - p| >= |r - |p|| for each source p.
+    The core's |Phi| grows with the distance to its centre c, so it is at
+    least ps_higgs_norm(|r - |c||).  For the glued pair let delta =
+    min_p |r - |p||: if delta >= L no sample lies in a ball, and
+    |Phi| = |1 - sum_p 1/|x - p|| >= 1 - N / delta; otherwise the floor is
+    -inf.
+    """
+    # |p| rounded as the direction table rounds it
+    if isinstance(field, ScaledMonopole):
+        cn = np.linalg.norm(field.center[None], axis=1)[0]
+        return lambda r: ps_higgs_norm(abs(r - cn), field.scale) * (1.0 - _FLOOR_SLACK)
+    pn = np.linalg.norm(field.points, axis=1)
+
+    def floor(r):
+        delta = float(np.min(np.abs(r - pn)))
+        if delta < field.L:
+            return -np.inf
+        return 1.0 - field.N / delta * (1.0 + _FLOOR_SLACK)
+
+    return floor
+
+
 def _bisect(fn, lo, hi, resolution):
-    """Root of the sign change of fn on [lo, hi] to within `resolution`."""
-    flo = fn(lo)
+    """The sign change of fn on [lo, hi] to within `resolution`.
+
+    fn(lo) <= 0 is known from the scan that chose the bracket, so fn is
+    evaluated only at midpoints.
+    """
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
-        else:
+        if fn(mid) > 0:
             hi = mid
+        else:
+            lo = mid
     return 0.5 * (lo + hi)
 
 
 def critical_radii(eps, field, quad, r_max=None, n_scan=400, resolution=None):
     """Sampled estimates of the three threshold radii of |Phi|.
 
-    R_eps: largest sampled radius where the sphere minimum is still <= eps
-    (refined by bisection); r_eps / rhat_eps: largest radius below which the
-    sphere maximum / mean stays < eps.  Returns (R_eps, r_eps, rhat_eps).
+    The spheres of an even grid of n_scan radii up to r_max are scanned,
+    and the grid cell where a threshold is crossed is bisected to
+    `resolution`.  Returns (R_eps, r_eps, rhat_eps):
+
+    - r_eps / rhat_eps: where the sphere maximum / mean first reaches eps,
+      going outward; the first grid radius if it already does there, r_max
+      if it never does.  The scan walks outward and stops once both are
+      found.
+    - R_eps: where the sphere minimum last dips to eps (<= eps); r_max if it
+      does on the outermost sphere.  R_eps = 0.0 means that no sampled
+      sphere minimum reached eps, which bounds nothing: a zero of |Phi|
+      missed by every sampled direction (the shell points of a glued pair)
+      goes unseen.  The scan walks inward, starts from the spheres already
+      evaluated, and skips every radius where `_sphere_floor` certifies a
+      minimum above eps, so the result equals that of a scan of every
+      sphere.
+
     The scan takes an integer n_scan >= 2 radii up to a finite r_max > 0
     and bisects to a finite resolution > 0.
     """
@@ -139,39 +186,49 @@ def critical_radii(eps, field, quad, r_max=None, n_scan=400, resolution=None):
         raise InvalidParameterError("resolution must be positive and finite")
     sphere = _sphere_fn(field, quad.points)
     grid = np.linspace(r_max / n_scan, r_max, n_scan)
-    mins = np.empty(n_scan)
-    maxs = np.empty(n_scan)
-    means = np.empty(n_scan)
-    for i, r in enumerate(grid):
-        vals = sphere(r)
-        mins[i], means[i], maxs[i] = vals.min(), vals.mean(), vals.max()
+    stats = {}  # grid index -> (min, mean, max), each sphere evaluated once
+
+    def grid_stats(i):
+        if i not in stats:
+            vals = sphere(grid[i])
+            stats[i] = vals.min(), vals.mean(), vals.max()
+        return stats[i]
 
     def stat_fn(stat):
         return lambda r: stat(sphere(r)) - eps
 
-    # Largest radius where the sphere minimum still dips to eps.
-    below = np.nonzero(mins <= eps)[0]
-    if len(below) == 0:
-        R_eps = 0.0
-    elif below[-1] == n_scan - 1:
-        R_eps = float(grid[-1])  # threshold beyond the scan window
-    else:
-        i = below[-1]
-        R_eps = float(_bisect(stat_fn(np.min), grid[i], grid[i + 1], resolution))
+    # First grid radius going outward where the max (resp. mean) reaches eps.
+    i_max = i_mean = None
+    for i in range(n_scan):
+        _, mean, hi = grid_stats(i)
+        if i_max is None and hi >= eps:
+            i_max = i
+        if i_mean is None and mean >= eps:
+            i_mean = i
+        if i_max is not None and i_mean is not None:
+            break
 
-    # First radius going outward where the max (resp. mean) reaches eps.
-    def first_reach(vals_arr, stat):
-        above = np.nonzero(vals_arr >= eps)[0]
-        if len(above) == 0:
+    def first_reach(i, stat):
+        if i is None:
             return float(grid[-1])
-        i = above[0]
         if i == 0:
             return float(grid[0])
         return float(_bisect(stat_fn(stat), grid[i - 1], grid[i], resolution))
 
-    r_eps = first_reach(maxs, np.max)
-    rhat_eps = first_reach(means, np.mean)
-    return R_eps, r_eps, rhat_eps
+    # Largest radius where the sphere minimum still dips to eps.
+    floor = _sphere_floor(field)
+    R_eps = 0.0
+    for i in range(n_scan - 1, -1, -1):
+        if i not in stats and floor(grid[i]) > eps:
+            continue
+        if grid_stats(i)[0] <= eps:
+            if i == n_scan - 1:
+                R_eps = float(grid[-1])  # threshold beyond the scan window
+            else:
+                R_eps = float(_bisect(stat_fn(np.min), grid[i], grid[i + 1], resolution))
+            break
+
+    return R_eps, first_reach(i_max, np.max), first_reach(i_mean, np.mean)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,13 @@ BOGOMOLNY_H2 = 0.05
 KAPPA_S1 = 0.5
 # max_p S2 * R^2 / (N ln N); measured 0.255..0.277.
 KAPPA_S2 = 0.35
-# Shifted sums at origin and on-shell probes (L = 1):
+# Shifted sums at a probe x (R = N, L = 1):
 #   S3 <= N/R + KAPPA_S34 * (1/L + sqrt(N) ln N / R)
 #   S4 <= KAPPA_S34 * (1/L^2 + ln N / N)
-# measured on-shell requires 0.65 (S3) and 0.99 (S4).
+# Only the origin sums are measured: lemma31_suite's S3_origin/S4_origin at
+# N = 512 need -0.0015 (S3) and 0.0019 (S4).  tests/test_shell.py bounds the
+# sums at shell point 0 for N = 256 without printing them; there they need
+# 0.65 (S3) and 0.98 (S4).
 KAPPA_S34 = 1.2
 # band-sum overshoot: sum n_k <= N + BAND_SUM_C * sqrt(N); measured 2.563.
 BAND_SUM_C = 3.0

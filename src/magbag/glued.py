@@ -19,6 +19,8 @@ D = p-q, s = |x-q|.  Both are evaluated from the dot products w.D, |w|^2
 and |D|^2, which carry no cancellation inside a ball (|w| < L < |D|/2).
 """
 
+import math
+
 import numpy as np
 
 from .monopole import (
@@ -214,20 +216,22 @@ def ball_evaluator(cfg, p_idx):
 
 
 def _higgs_from_distances(d_all, cfg):
-    """|Phi| from the (B, N) table of distances to the shell points.
+    """|Phi| from the (B, N) table of distances to the shell points; the
+    table is overwritten.
 
     Within distance L of its nearest point a sample takes the ball-chart
-    coefficient, outside it |phi_theta|; continuous across the switch.
+    coefficient, outside it |phi_theta|; continuous across the switch.  The
+    nearest point is looked up only for the rows within distance L of one.
     """
-    nearest = np.argmin(d_all, axis=1)
-    d = d_all[np.arange(len(d_all)), nearest]
-    with np.errstate(divide="ignore"):
-        ext = 1.0 - np.sum(1.0 / d_all, axis=1)  # phi_theta; -inf on a shell point
-    out = np.abs(ext)
-
+    d = np.min(d_all, axis=1)
     near = d < cfg.L
     dn = d[near]
-    r = cfg.residues[nearest[near]]
+    r = cfg.residues[np.argmin(d_all[near], axis=1)]
+    with np.errstate(divide="ignore"):
+        # phi_theta; -inf on a shell point
+        ext = 1.0 - np.sum(np.reciprocal(d_all, out=d_all), axis=1)
+    out = np.abs(ext)
+
     c = chi(8.0 * dn / cfg.L - 1.0)
     # chi < 1 only off-centre, where phi_theta is finite; the identity
     # r_p - 1/d - sum eta = phi_theta collapses the tail sum.  At a shell
@@ -432,6 +436,19 @@ def annulus_maxima(cfg, n_radial, n_angular):
     """
     rows = [_annulus_residuals(cfg, p_idx, n_radial, n_angular)[2] for p_idx in range(cfg.N)]
     return np.array(rows).T
+
+
+def transverse_decay(cfgs):
+    """How the transverse residual peak follows the core decay scale.
+
+    Per configuration: x = rbar L, with rbar the smallest residue, and
+    y = ln max |gT| over every support shell sampled by
+    `annulus_maxima(cfg, 8, 64)`.  Returns the arrays x and y and the
+    coefficients (slope, intercept) of their affine least-squares fit.
+    """
+    x = np.array([float(cfg.residues.min() * cfg.L) for cfg in cfgs])
+    y = np.array([math.log(annulus_maxima(cfg, 8, 64)[0].max()) for cfg in cfgs])
+    return x, y, np.polyfit(x, y, 1)
 
 
 def _residual_sweep(cfg, n_radial, n_angular, quad_radial, quad_angular):

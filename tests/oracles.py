@@ -7,15 +7,15 @@ source at a time for the glued tail sums, the singular abelian pair,
 multipole expansions for the far field, plain enumeration for the shell
 combinatorics, one point at a time for the shell layout, full (..., N, 3)
 difference arrays for distance tables, the weighted residual norm with
-`higgs_norm` weights on every sample, and the adjointness pairings over the
-union of both supports.
+`higgs_norm` weights on every sample, the adjointness pairings over the
+union of both supports, and critical radii from every sphere of the scan.
 """
 
 import numpy as np
 
-from magbag.analysis import fibonacci_sphere
+from magbag.analysis import _sphere_fn, fibonacci_sphere
 from magbag.glued import annulus_points, higgs_norm, residual_fields
-from magbag.monopole import SingularEvaluationError, _hedgehog_form
+from magbag.monopole import ScaledMonopole, SingularEvaluationError, _hedgehog_form
 from magbag.operators import apply_D
 from magbag.shell import band_sizes, choose_band_count
 from magbag.su2 import form_norm
@@ -256,3 +256,60 @@ def union_support_pairings(q_pair, q2_pair, bg_pair, pts, vol, h=1e-4):
     total1 = vol * float(np.sum(a2[live] * Dq[0]) + np.sum(e2[live] * Dq[1]))
     total2 = vol * float(np.sum(Ddq2[0] * a1[live]) + np.sum(Ddq2[1] * e1[live]))
     return total1, total2
+
+
+def _bisect(fn, lo, hi, resolution):
+    """Root of the sign change of fn on [lo, hi] to within `resolution`."""
+    flo = fn(lo)
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        fmid = fn(mid)
+        if (fmid > 0) == (flo > 0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def critical_radii_full_scan(eps, field, quad, r_max=None, n_scan=400, resolution=None):
+    """(R_eps, r_eps, rhat_eps) from the sphere statistics at every scan radius,
+    thresholds applied afterwards; the bisection re-evaluates its lower end."""
+    if r_max is None:
+        r_max = 40.0 if isinstance(field, ScaledMonopole) else 4.0 * field.R
+    if resolution is None:
+        resolution = 1e-3 * max(1.0, r_max / 40.0)
+    sphere = _sphere_fn(field, quad.points)
+    grid = np.linspace(r_max / n_scan, r_max, n_scan)
+    mins = np.empty(n_scan)
+    maxs = np.empty(n_scan)
+    means = np.empty(n_scan)
+    for i, r in enumerate(grid):
+        vals = sphere(r)
+        mins[i], means[i], maxs[i] = vals.min(), vals.mean(), vals.max()
+
+    def stat_fn(stat):
+        return lambda r: stat(sphere(r)) - eps
+
+    # Largest radius where the sphere minimum still dips to eps.
+    below = np.nonzero(mins <= eps)[0]
+    if len(below) == 0:
+        R_eps = 0.0
+    elif below[-1] == n_scan - 1:
+        R_eps = float(grid[-1])  # threshold beyond the scan window
+    else:
+        i = below[-1]
+        R_eps = float(_bisect(stat_fn(np.min), grid[i], grid[i + 1], resolution))
+
+    # First radius going outward where the max (resp. mean) reaches eps.
+    def first_reach(vals_arr, stat):
+        above = np.nonzero(vals_arr >= eps)[0]
+        if len(above) == 0:
+            return float(grid[-1])
+        i = above[0]
+        if i == 0:
+            return float(grid[0])
+        return float(_bisect(stat_fn(stat), grid[i - 1], grid[i], resolution))
+
+    r_eps = first_reach(maxs, np.max)
+    rhat_eps = first_reach(means, np.mean)
+    return R_eps, r_eps, rhat_eps

@@ -224,14 +224,8 @@ def test_criterion_07_longitudinal_scaling():
 
 
 def test_criterion_08_transverse_decay_mechanism(shells):
-    rows = []
-    for m in (16, 81, 256):
-        cfg = shells[(100, m)]
-        max_gT, _, _ = glued.annulus_maxima(cfg, 8, 64)
-        rows.append((float(cfg.residues.min() * cfg.L), math.log(max_gT.max())))
-    x = np.array([r[0] for r in rows])
-    y = np.array([r[1] for r in rows])
-    slope = float(np.polyfit(x, y, 1)[0])
+    x, _, fit = glued.transverse_decay([shells[(100, m)] for m in (16, 81, 256)])
+    slope = float(fit[0])
     ok = -0.18 <= slope <= -0.07
     _verdict(
         8,

@@ -1,9 +1,11 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from magbag import analysis
 from magbag.analysis import (
     SphereQuadrature,
     critical_radii,
@@ -22,9 +24,9 @@ from magbag.analysis import (
 )
 from magbag.glued import higgs_norm
 from magbag.monopole import ScaledMonopole, ps_evaluator, ps_higgs_norm
-from magbag.shell import InvalidParameterError
+from magbag.shell import InvalidParameterError, make_shell_config
 
-from oracles import dirac_evaluator
+from oracles import critical_radii_full_scan, dirac_evaluator
 
 PS = ScaledMonopole(center=np.zeros(3), scale=1.0)
 
@@ -167,6 +169,95 @@ def test_critical_radii_rejects_bad_eps():
 def test_critical_radii_rejects_bad_scan(kwargs):
     with pytest.raises(InvalidParameterError):
         critical_radii(0.5, PS, SphereQuadrature(64), **kwargs)
+
+
+def _glued(N, m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return make_shell_config(N, m)
+
+
+CORES = [
+    ScaledMonopole(center=np.array([0.3, -1.2, 0.7]), scale=1.7),
+    ScaledMonopole(center=np.array([2.0, 0.0, 0.0]), scale=0.5),
+    ScaledMonopole(center=np.array([0.0, 0.0, 0.05]), scale=2.0),
+]
+
+
+@pytest.mark.parametrize("N", [32, 100, 256])
+@pytest.mark.parametrize("m", [2.0, 16.0])
+def test_critical_radii_glued_equal_full_scan(N, m):
+    cfg = _glued(N, m)
+    quad = SphereQuadrature(128)
+    for eps in (0.05, 0.5, 0.8):
+        assert critical_radii(eps, cfg, quad) == critical_radii_full_scan(eps, cfg, quad)
+
+
+@pytest.mark.parametrize("mono", CORES)
+def test_critical_radii_off_centre_cores_equal_full_scan(mono):
+    quad = SphereQuadrature(128)
+    for eps in (0.01, 0.3, 0.5, 0.9):
+        for kwargs in ({}, {"r_max": 1.0, "n_scan": 50}):
+            got = critical_radii(eps, mono, quad, **kwargs)
+            assert got == critical_radii_full_scan(eps, mono, quad, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "field, eps, kwargs, branch",
+    [
+        # no sphere minimum reaches eps: R_eps = 0.0
+        (CORES[2], 0.01, {}, lambda R, r, rh, grid: R == 0.0),
+        (_glued(100, 16.0), 0.5, {}, lambda R, r, rh, grid: R == 0.0),
+        # the minimum still dips to eps on the outermost sphere
+        (PS, 0.5, {"r_max": 1.0}, lambda R, r, rh, grid: R == grid[-1] == r == rh),
+        # the max and the mean reach eps on the first sphere
+        (_glued(100, 16.0), 0.5, {}, lambda R, r, rh, grid: r == rh == grid[0]),
+        # the max and the mean never reach eps
+        (CORES[1], 0.5, {}, lambda R, r, rh, grid: r == rh == grid[-1]),
+        # a minimum crossing bisected inside the window
+        (_glued(100, 16.0), 0.8, {}, lambda R, r, rh, grid: grid[0] < R < grid[-1]),
+    ],
+)
+def test_critical_radii_branches_equal_full_scan(field, eps, kwargs, branch):
+    quad = SphereQuadrature(256)
+    got = critical_radii(eps, field, quad, **kwargs)
+    assert got == critical_radii_full_scan(eps, field, quad, **kwargs)
+    r_max = kwargs.get("r_max", 40.0 if isinstance(field, ScaledMonopole) else 4.0 * field.R)
+    assert branch(*got, np.linspace(r_max / 400, r_max, 400))
+
+
+@pytest.mark.parametrize("field", [_glued(32, 2.0), _glued(100, 16.0), PS] + CORES)
+def test_sphere_floor_bounds_the_sampled_minimum(field):
+    quad = SphereQuadrature(512)
+    sphere = analysis._sphere_fn(field, quad.points)
+    floor = analysis._sphere_floor(field)
+    rng = np.random.default_rng(3)
+    if isinstance(field, ScaledMonopole):
+        cn = np.linalg.norm(field.center)
+        radii = np.concatenate([rng.uniform(0.01, 40.0, 200), cn + rng.uniform(-1e-3, 1e-3, 20)])
+        band = []
+    else:
+        radii = rng.uniform(0.01, 4.0 * field.R, 200)
+        band = field.R + field.L * rng.uniform(-0.999, 0.999, 20)  # samples in a ball
+    for r in np.concatenate([radii, band]):
+        assert floor(r) <= sphere(r).min()
+    assert all(floor(r) == -np.inf for r in band)
+    # the floor is not vacuous on most of the scan window
+    assert sum(floor(r) > 0 for r in radii) > 100
+
+
+def test_critical_radii_evaluates_few_spheres(cfg100, monkeypatch):
+    # a scan of every sphere evaluates all 400 of them, then bisects
+    calls = []
+    sphere_fn = analysis._sphere_fn
+
+    def counted(field, dirs):
+        sphere = sphere_fn(field, dirs)
+        return lambda r: calls.append(r) or sphere(r)
+
+    monkeypatch.setattr(analysis, "_sphere_fn", counted)
+    critical_radii(0.5, cfg100, SphereQuadrature(1024))
+    assert 0 < len(calls) <= 64
 
 
 def test_core_sphere_off_centre_matches_pointwise():

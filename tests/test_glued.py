@@ -307,6 +307,20 @@ def test_higgs_norm_zero_on_points(cfg100):
     assert np.all(higgs_norm(cfg100.points[:10], cfg100) == 0.0)
 
 
+def test_higgs_norm_outside_every_ball_is_abs_phi_theta(cfg100):
+    # samples at distance >= L from every shell point never take the ball
+    # chart: |Phi| is |phi_theta| to the last bit
+    rng = np.random.default_rng(5)
+    dirs = rng.normal(size=(2000, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    near = cfg100.points[rng.integers(0, cfg100.N, 2000)]
+    near += cfg100.L * rng.uniform(1.0, 4.0, 2000)[:, None] * dirs
+    X = np.concatenate([near, rng.normal(size=(500, 3)) * 2.0 * cfg100.R])
+    X = X[np.min(difference_distances(X, cfg100.points), axis=1) >= cfg100.L]
+    assert len(X) > 1500
+    assert np.array_equal(higgs_norm(X, cfg100), np.abs(phi_theta(X, cfg100)))
+
+
 def test_higgs_norm_continuous_across_dispatch(cfg100):
     i = 3
     p = cfg100.points[i]

@@ -2,9 +2,10 @@
 """One-shot calibration sweeps behind src/magbag/constants.py.
 
 Prints every measured constant together with the margin actually frozen.
-The suite entries, the bag-geometry scalings and the Higgs floor are read
-from the functions the verification suites and acceptance tests call, so
-this script measures nothing they do not.  Rerun after any change to the
+The suite entries, the bag-geometry scalings, the transverse decay, the
+weighted-norm scaling and the Higgs floor are read from the functions the
+verification suites and acceptance tests call, so this script measures
+nothing they do not.  Rerun after any change to the
 field formulas; runtime is about ten seconds.
 """
 
@@ -73,13 +74,13 @@ def gt_slope():
 def gstar_values():
     print("[gstar] weighted norm (support shells contain Higgs zeros at desk scale):")
     for N in (64, 256):
-        cfg = make_shell_config(N, 16.0)
-        (total, sup_t, int_t), (total2, _, _) = glued.gstar_doubling(cfg)
+        (total, sup_t, int_t), (total2, _, _), scaled, _ = glued.gstar_scaling(
+            make_shell_config(N, 16.0))
         print(
             f"  N={N}: gstar={total:.4g} (sup {sup_t:.4g} + int {int_t:.4g}); "
             f"doubled sampling -> {total2:.4g}  (ratio {total2 / total:.3f})"
         )
-        print(f"        gstar * m * lnN = {total * 16.0 * math.log(N):.4g}")
+        print(f"        gstar * m * lnN = {scaled:.4g}")
 
 
 def higgs_floor():

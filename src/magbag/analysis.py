@@ -17,6 +17,7 @@ from . import glued
 from .monopole import ScaledMonopole, ps_evaluator, ps_higgs_norm
 from .operators import fd_curvature
 from .shell import InvalidParameterError, _check_count, _squared_distances
+from .su2 import cross
 
 
 class NumericFailureError(RuntimeError):
@@ -103,10 +104,28 @@ def write_profile_csv(rows, fh):
 # ---------------------------------------------------------------------------
 # Critical radii
 
-# Relative slack of `_sphere_floor`: it covers the rounding of the distances
-# and of the N-term Coulomb sum, so the computed sphere minimum never falls
-# below the floor (checked in the tests).
+# Relative slack of `_sphere_floor` and `_sphere_ceiling`: it covers the
+# rounding of the distances and of the N-term Coulomb sum, so the computed
+# sphere values never leave the bounds (checked in the tests).
 _FLOOR_SLACK = 1e-9
+
+
+def _radial_gap(points):
+    """(r -> min_p |r - |p||, max_p |p|); the function takes radii of any shape.
+
+    |p| is rounded as the direction table rounds it.  The rounded |r - |p||
+    is monotone in |p| on either side of r, so the minimum over every point
+    is attained next to r in the sorted |p|.
+    """
+    pn = np.sort(np.linalg.norm(points, axis=1))
+
+    def gap(r):
+        r = np.asarray(r, dtype=float)
+        i = np.searchsorted(pn, r)
+        below = np.abs(r - pn[np.maximum(i - 1, 0)])
+        return np.minimum(below, np.abs(r - pn[np.minimum(i, len(pn) - 1)]))
+
+    return gap, pn[-1]
 
 
 def _sphere_floor(field):
@@ -117,21 +136,46 @@ def _sphere_floor(field):
     least ps_higgs_norm(|r - |c||).  For the glued pair let delta =
     min_p |r - |p||: if delta >= L no sample lies in a ball, and
     |Phi| = |1 - sum_p 1/|x - p|| >= 1 - N / delta; otherwise the floor is
-    -inf.
+    -inf.  Radii may come as an array.
     """
-    # |p| rounded as the direction table rounds it
     if isinstance(field, ScaledMonopole):
         cn = np.linalg.norm(field.center[None], axis=1)[0]
-        return lambda r: ps_higgs_norm(abs(r - cn), field.scale) * (1.0 - _FLOOR_SLACK)
-    pn = np.linalg.norm(field.points, axis=1)
+        return lambda r: ps_higgs_norm(np.abs(r - cn), field.scale) * (1.0 - _FLOOR_SLACK)
+    gap, _ = _radial_gap(field.points)
 
     def floor(r):
-        delta = float(np.min(np.abs(r - pn)))
-        if delta < field.L:
-            return -np.inf
-        return 1.0 - field.N / delta * (1.0 + _FLOOR_SLACK)
+        delta = gap(r)
+        with np.errstate(divide="ignore"):
+            bound = 1.0 - field.N / delta * (1.0 + _FLOOR_SLACK)
+        return np.where(delta < field.L, -np.inf, bound)
 
     return floor
+
+
+def _sphere_ceiling(field):
+    """A certified upper bound r -> ceiling on the sampled max |Phi| over the radius-r sphere.
+
+    Every sample x of the sphere has |x - p| <= r + |p| for each source p.
+    The core's |Phi| grows with the distance to its centre c, so it is at
+    most ps_higgs_norm(r + |c|).  For the glued pair let delta =
+    min_p |r - |p||: if delta >= L no sample lies in a ball, and
+    N / (r + max|p|) <= sum_p 1/|x - p| <= N / delta bounds
+    |Phi| = |1 - sum_p 1/|x - p|| by max(1 - N / (r + max|p|), N / delta - 1);
+    otherwise the ceiling is +inf.  Radii may come as an array.
+    """
+    if isinstance(field, ScaledMonopole):
+        cn = np.linalg.norm(field.center[None], axis=1)[0]
+        return lambda r: ps_higgs_norm(np.add(r, cn), field.scale) * (1.0 + _FLOOR_SLACK)
+    gap, far = _radial_gap(field.points)
+
+    def ceiling(r):
+        delta = gap(r)
+        with np.errstate(divide="ignore"):
+            bound = np.maximum(1.0 - field.N / (r + far) * (1.0 - _FLOOR_SLACK),
+                               field.N / delta * (1.0 + _FLOOR_SLACK) - 1.0)
+        return np.where(delta < field.L, np.inf, bound)
+
+    return ceiling
 
 
 def _bisect(fn, lo, hi, resolution):
@@ -158,8 +202,9 @@ def critical_radii(eps, field, quad, r_max=None, n_scan=400, resolution=None):
 
     - r_eps / rhat_eps: where the sphere maximum / mean first reaches eps,
       going outward; the first grid radius if it already does there, r_max
-      if it never does.  The scan walks outward and stops once both are
-      found.
+      if it never does.  The scan walks outward, skips every radius where
+      `_sphere_ceiling` certifies a maximum below eps, and stops once both
+      are found.
     - R_eps: where the sphere minimum last dips to eps (<= eps); r_max if it
       does on the outermost sphere.  R_eps = 0.0 means that no sampled
       sphere minimum reached eps, which bounds nothing: a zero of |Phi|
@@ -197,9 +242,13 @@ def critical_radii(eps, field, quad, r_max=None, n_scan=400, resolution=None):
     def stat_fn(stat):
         return lambda r: stat(sphere(r)) - eps
 
-    # First grid radius going outward where the max (resp. mean) reaches eps.
+    # First grid radius going outward where the max (resp. mean) reaches eps;
+    # where `_sphere_ceiling` certifies a max below eps, neither does.
+    ceiling = _sphere_ceiling(field)(grid)
     i_max = i_mean = None
     for i in range(n_scan):
+        if ceiling[i] < eps:
+            continue
         _, mean, hi = grid_stats(i)
         if i_max is None and hi >= eps:
             i_max = i
@@ -216,10 +265,10 @@ def critical_radii(eps, field, quad, r_max=None, n_scan=400, resolution=None):
         return float(_bisect(stat_fn(stat), grid[i - 1], grid[i], resolution))
 
     # Largest radius where the sphere minimum still dips to eps.
-    floor = _sphere_floor(field)
+    floor = _sphere_floor(field)(grid)
     R_eps = 0.0
     for i in range(n_scan - 1, -1, -1):
-        if i not in stats and floor(grid[i]) > eps:
+        if i not in stats and floor[i] > eps:
             continue
         if grid_stats(i)[0] <= eps:
             if i == n_scan - 1:
@@ -298,7 +347,7 @@ def degree_of_map(values, faces):
     """
     v = values / np.linalg.norm(values, axis=1)[:, None]
     a, b, c = v[faces[:, 0]], v[faces[:, 1]], v[faces[:, 2]]
-    det = np.einsum("ij,ij->i", a, np.cross(b, c))
+    det = np.einsum("ij,ij->i", a, cross(b, c))
     denom = (
         1.0
         + np.einsum("ij,ij->i", a, b)

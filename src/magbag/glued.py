@@ -30,7 +30,7 @@ from .monopole import (
     inv_minus_csch,
 )
 from .shell import _check_count, _squared_distances
-from .su2 import bracket, form_norm, star_real_wedge, wedge_dual
+from .su2 import bracket, cross, form_norm, star_real_wedge, wedge_dual
 
 
 class ChartViolationError(ValueError):
@@ -158,7 +158,7 @@ def _eta_alpha_sums(X, p_idx, cfg):
         shift = 2.0 * wD + np.einsum("bk,bk->b", w, w)[:, None]  # |x-q|^2 - |D|^2
         s = np.sqrt(DD + shift)
         eta[lo : lo + _CHUNK] = -np.sum(shift / (s * Dn * (Dn + s)), axis=1)
-        alpha[lo : lo + _CHUNK] = np.cross(w, _alpha_weight(s, Dn, DD + wD) @ D)
+        alpha[lo : lo + _CHUNK] = cross(w, _alpha_weight(s, Dn, DD + wD) @ D)
     return eta, alpha
 
 
@@ -324,21 +324,24 @@ def sphere_flux_density(dirs, cfg):
 # ---------------------------------------------------------------------------
 # Explicit residual
 
-def _ball_residual(X, p_idx, cfg):
-    """(live, gT, gL, |Phi|) of the glued pair on the ball around point p.
+def _ball_residual(X, owner, cfg):
+    """(live, gT, gL, |Phi|) of the glued pair on the balls around the shell points.
 
-    `live` marks the rows of X (B, 3) on the cutoff transition shell, where
-    chi' != 0 or 0 < chi < 1; gT, gL and |Phi| are returned for those rows
-    only.  Everywhere else g = 0.  |Phi| is the ball-chart coefficient
-    |chi r coth_minus_inv(r d) + (1 - chi)(r_p - 1/d - eta)| with the tail
-    eta summed once for the residual: p is the nearest shell point here
-    (2L < min_sep), so r_p - 1/d - eta = phi_theta and this is `higgs_norm`.
+    Row i of X (B, 3) is evaluated in the ball of point owner[i]; a scalar
+    owner serves every row.  `live` marks the rows on the cutoff transition
+    shell, where chi' != 0 or 0 < chi < 1; gT, gL and |Phi| are returned for
+    those rows only.  Everywhere else g = 0.  |Phi| is the ball-chart
+    coefficient |chi r coth_minus_inv(r d) + (1 - chi)(r_p - 1/d - eta)| with
+    the tail eta summed once for the residual: p is the nearest shell point
+    here (2L < min_sep), so r_p - 1/d - eta = phi_theta and this is
+    `higgs_norm`.  The tail sums run once per run of equal owners among the
+    live rows, so a ball's sums see the same rows as in a call of its own.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    p = cfg.points[p_idx]
-    r = cfg.residues[p_idx]
+    owner = np.broadcast_to(owner, len(X))
+    r = cfg.residues[owner]
     L = cfg.L
-    w = X - p
+    w = X - cfg.points[owner]
     d = np.linalg.norm(w, axis=1)
     if np.any(d == 0.0):
         raise SingularEvaluationError("residual evaluated at a shell point")
@@ -350,14 +353,19 @@ def _ball_residual(X, p_idx, cfg):
         empty = np.zeros((0, 3, 3))
         return live, empty, empty, np.zeros(0)
 
-    dl, cl, cpl = d[live], c[live], cp[live]
+    dl, cl, cpl, rl = d[live], c[live], cp[live], r[live]
     xh = w[live] / dl[:, None]
-    s = r * dl
-    eta_sum, alpha_sum = _eta_alpha_sums(X[live], p_idx, cfg)
+    s = rl * dl
+    Xl, own = X[live], owner[live]
+    eta_sum = np.empty(len(Xl))
+    alpha_sum = np.empty((len(Xl), 3))
+    bounds = [0, *(np.flatnonzero(own[1:] != own[:-1]) + 1), len(own)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        eta_sum[lo:hi], alpha_sum[lo:hi] = _eta_alpha_sums(Xl[lo:hi], own[lo], cfg)
     eta = -eta_sum  # (3.36)-style signed tails
     alpha = -alpha_sum
-    Q = r * (1.0 / np.tanh(s) - 1.0)
-    Ap = _hedgehog_form(xh, -r / np.sinh(s))
+    Q = rl * (1.0 / np.tanh(s) - 1.0)
+    Ap = _hedgehog_form(xh, -rl / np.sinh(s))
     dchi = cpl[:, None] * xh  # real 1-form
     sh_Ap = bracket(xh[:, None, :], Ap)  # [sigma_hat, A_p] per form row
     ccm = (cl * (cl - 1.0))[:, None, None]
@@ -366,10 +374,10 @@ def _ball_residual(X, p_idx, cfg):
     gT += ccm * ((Q - eta)[:, None, None] * sh_Ap - star_real_wedge(alpha, sh_Ap))
 
     gL = ccm * 0.5 * wedge_dual(Ap, Ap)
-    coeff = np.cross(dchi, alpha) + (Q - eta)[:, None] * dchi
+    coeff = cross(dchi, alpha) + (Q - eta)[:, None] * dchi
     gL -= coeff[:, :, None] * xh[:, None, :]
 
-    higgs = np.abs(cl * (r * coth_minus_inv(s)) + (1.0 - cl) * (r - 1.0 / dl - eta_sum))
+    higgs = np.abs(cl * (rl * coth_minus_inv(s)) + (1.0 - cl) * (rl - 1.0 / dl - eta_sum))
     return live, gT, gL, higgs
 
 
@@ -399,32 +407,16 @@ def residual_fields(X, p_idx, cfg):
 
 def annulus_points(cfg, p_idx, n_radial, n_angular):
     """Deterministic product sampling of the residual support shell."""
+    return cfg.points[p_idx] + _annulus_offsets(cfg, n_radial, n_angular)
+
+
+def _annulus_offsets(cfg, n_radial, n_angular):
+    """The `annulus_points` of a shell point p, less p: radii L/8 .. L/4 x a Fibonacci sphere."""
     from .analysis import fibonacci_sphere
 
     _check_count(n_radial=n_radial, n_angular=n_angular)
-    L = cfg.L
-    radii = np.linspace(L / 8, L / 4, n_radial)
-    dirs = fibonacci_sphere(n_angular)
-    pts = cfg.points[p_idx] + radii[:, None, None] * dirs[None, :, :]
-    return pts.reshape(-1, 3)
-
-
-def _annulus_residuals(cfg, p_idx, n_radial, n_angular):
-    """The support shell of ball p sampled once on `annulus_points`.
-
-    Returns, on the live samples only (g = 0 on the others), max_m
-    |<sigma_hat, gL_m>| (the part the weighted norm divides by |Phi|^2)
-    and |Phi|, then the shell's maxima (max |gT|, max |gL|,
-    max |<sigma_hat, gL>|) over every sample.
-    """
-    pts = annulus_points(cfg, p_idx, n_radial, n_angular)
-    live, gT, gL, higgs = _ball_residual(pts, p_idx, cfg)
-    xh = pts[live] - cfg.points[p_idx]
-    xh /= np.linalg.norm(xh, axis=1)[:, None]
-    inner = np.abs(np.einsum("bk,bmk->bm", xh, gL)).max(axis=1)
-    maxima = (form_norm(gT).max(initial=0.0), form_norm(gL).max(initial=0.0),
-              inner.max(initial=0.0))
-    return inner, higgs, maxima
+    radii = np.linspace(cfg.L / 8, cfg.L / 4, n_radial)
+    return (radii[:, None, None] * fibonacci_sphere(n_angular)[None, :, :]).reshape(-1, 3)
 
 
 def annulus_maxima(cfg, n_radial, n_angular):
@@ -434,8 +426,7 @@ def annulus_maxima(cfg, n_radial, n_angular):
     point, each shell sampled on `annulus_points(cfg, p, n_radial,
     n_angular)`.
     """
-    rows = [_annulus_residuals(cfg, p_idx, n_radial, n_angular)[2] for p_idx in range(cfg.N)]
-    return np.array(rows).T
+    return _residual_sweep(cfg, n_radial, n_angular)[0]
 
 
 def transverse_decay(cfgs):
@@ -451,39 +442,82 @@ def transverse_decay(cfgs):
     return x, y, np.polyfit(x, y, 1)
 
 
-def _residual_sweep(cfg, n_radial, n_angular, quad_radial, quad_angular):
-    """Every support shell evaluated once on each of its two grids.
+_ROW_BUDGET = 1 << 15  # sample rows of one block of the residual sweep
+
+
+def _grid_residuals(cfg, shells, offsets):
+    """(points, owners, `_ball_residual` output) on p + offsets (n, 3) for
+    every shell point p in `shells`, in one call; rows are ordered by shell."""
+    pts = (cfg.points[shells][:, None, :] + offsets).reshape(-1, 3)
+    owner = np.repeat(shells, len(offsets))
+    return pts, owner, _ball_residual(pts, owner, cfg)
+
+
+def _residual_sweep(cfg, n_radial, n_angular, quad=None):
+    """Every support shell evaluated once on each of its grids.
 
     Returns (`annulus_maxima` on the sampling grid, the sup term of the
     weighted norm on that grid, its integral term on the Gauss-Legendre x
-    Fibonacci quadrature grid).  Both weights take |Phi| from
-    `_ball_residual`, on the live samples only: elsewhere g = 0 and the
-    sample adds exactly 0 to either term.
+    Fibonacci quadrature grid quad = (quad_radial, quad_angular), or None
+    without a quadrature).  Both weights take |Phi| from `_ball_residual`,
+    on the live samples only: elsewhere g = 0 and the sample adds exactly 0
+    to either term.
+
+    The shells are taken in blocks of at most `_ROW_BUDGET` sample rows
+    (at least one shell), each grid of a block in one `_ball_residual`
+    call, so memory stays bounded at any N.  The grids are not merged into
+    one call: the tail sums of a shell then see exactly the rows of a
+    one-shell call, and a BLAS matrix product may round a row differently
+    in a block of another height.  Per-shell maxima and integrals are
+    reduced on each shell's own rows and combined shell by shell in index
+    order, so the results do not depend on the blocking.
     """
     from .analysis import fibonacci_sphere
 
-    _check_count(quad_radial=quad_radial, quad_angular=quad_angular)
-    nodes, wts = np.polynomial.legendre.leggauss(quad_radial)
-    lo, hi = cfg.L / 8, cfg.L / 4
-    q_radii = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-    q_w = 0.5 * (hi - lo) * wts
-    q_dirs = fibonacci_sphere(quad_angular)
-    maxima = np.empty((3, cfg.N))
-    sup_term = 0.0
-    integral = 0.0
-    for p_idx in range(cfg.N):
-        inner, higgs, maxima[:, p_idx] = _annulus_residuals(cfg, p_idx, n_radial, n_angular)
+    grids = [_annulus_offsets(cfg, n_radial, n_angular)]
+    if quad is not None:
+        quad_radial, quad_angular = quad
+        _check_count(quad_radial=quad_radial, quad_angular=quad_angular)
+        nodes, wts = np.polynomial.legendre.leggauss(quad_radial)
+        lo, hi = cfg.L / 8, cfg.L / 4
+        q_radii = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+        q_w = 0.5 * (hi - lo) * wts
+        q_dirs = fibonacci_sphere(quad_angular)
+        grids.append((q_radii[:, None, None] * q_dirs[None, :, :]).reshape(-1, 3))
+    maxima = np.zeros((3, cfg.N))
+    sup = np.zeros(cfg.N)
+    shell_integrals = np.zeros(cfg.N)
+    step = max(1, _ROW_BUDGET // sum(len(g) for g in grids))
+    for first in range(0, cfg.N, step):
+        shells = np.arange(first, min(first + step, cfg.N))
+        pts, owner, (live, gT, gL, higgs) = _grid_residuals(cfg, shells, grids[0])
+        owner = owner[live]
+        xh = pts[live] - cfg.points[owner]
+        xh /= np.linalg.norm(xh, axis=1)[:, None]
+        inner = np.abs(np.einsum("bk,bmk->bm", xh, gL)).max(axis=1)
+        for row, vals in zip(maxima, (form_norm(gT), form_norm(gL), inner)):
+            np.maximum.at(row, owner, vals)
         with np.errstate(divide="ignore"):
-            sup_term = max(sup_term, float(np.max(inner / higgs**2, initial=0.0)))
+            np.maximum.at(sup, owner, inner / higgs**2)
+        if quad is None:
+            continue
 
-        qpts = cfg.points[p_idx] + q_radii[:, None, None] * q_dirs[None, :, :]
-        live, gTq, _, higgs_q = _ball_residual(qpts.reshape(-1, 3), p_idx, cfg)
+        _, _, (live, gTq, _, higgs_q) = _grid_residuals(cfg, shells, grids[1])
         # |[sh, gT]| = |gT| for transverse parts in su(2).
-        dens = np.zeros(quad_radial * quad_angular)
+        dens = np.zeros(live.shape)
         dens[live] = (form_norm(gTq) / higgs_q) ** 3
-        dens = dens.reshape(quad_radial, quad_angular)
-        shell = np.sum(q_w * q_radii**2 * dens.sum(axis=1) * (4.0 * np.pi / quad_angular))
-        integral += float(shell)
+        dens = dens.reshape(len(shells), quad_radial, quad_angular)
+        shell_integrals[shells] = np.sum(
+            q_w * q_radii**2 * dens.sum(axis=2) * (4.0 * np.pi / quad_angular), axis=1
+        )
+    # shell by shell: a NaN shell maximum is passed over, and the integral
+    # is summed left to right
+    sup_term = max([0.0, *sup.tolist()])
+    if quad is None:
+        return maxima, sup_term, None
+    integral = 0.0
+    for v in shell_integrals.tolist():
+        integral += v
     return maxima, sup_term, integral ** (1.0 / 3.0)
 
 
@@ -497,7 +531,7 @@ def gstar_norm(cfg, n_radial=8, n_angular=128, quad_radial=8, quad_angular=64):
     sample off the cutoff transition shell has g = 0 and adds 0 to both
     terms, even where |Phi| = 0 there (no 0/0).
     """
-    _, sup_term, int_term = _residual_sweep(cfg, n_radial, n_angular, quad_radial, quad_angular)
+    _, sup_term, int_term = _residual_sweep(cfg, n_radial, n_angular, (quad_radial, quad_angular))
     return sup_term + int_term, sup_term, int_term
 
 
@@ -511,6 +545,17 @@ def gstar_doubling(cfg, n_radial=8, n_angular=128, quad_radial=8, quad_angular=6
     return base, gstar_norm(cfg, 2 * n_radial, 2 * n_angular, 2 * quad_radial, 2 * quad_angular)
 
 
+def gstar_scaling(cfg):
+    """The weighted norm against its m ln N scaling, and how stable it is.
+
+    Returns (base, doubled, scaled, shift): the two `gstar_doubling`
+    triples at the default resolution, base total x m ln N, and the
+    relative shift |doubled - base| / base of the totals.
+    """
+    base, doubled = gstar_doubling(cfg)
+    return base, doubled, base[0] * cfg.m * math.log(cfg.N), abs(doubled[0] - base[0]) / base[0]
+
+
 def residual_report(cfg, n_radial=8, n_angular=128):
     """Summary of the residual over every support shell (JSON-friendly).
 
@@ -518,7 +563,7 @@ def residual_report(cfg, n_radial=8, n_angular=128):
     support shell at (n_radial, n_angular); the integral term uses
     `gstar_norm`'s default quadrature.
     """
-    maxima, sup_term, int_term = _residual_sweep(cfg, n_radial, n_angular, 8, 64)
+    maxima, sup_term, int_term = _residual_sweep(cfg, n_radial, n_angular, (8, 64))
     keys = ("max_gT", "max_gL", "max_inner_sigma_g")
     return {
         **dict(zip(keys, maxima.max(axis=1).tolist())),

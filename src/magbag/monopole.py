@@ -10,7 +10,7 @@ from math import factorial
 
 import numpy as np
 
-from .su2 import EPS
+from .su2 import eps_table
 
 # Below this argument the profiles are summed from their Taylor series.
 # Above it the direct formulas lose at most a factor ~15 to cancellation
@@ -89,9 +89,7 @@ def inv_minus_csch(s):
 
 def _hedgehog_form(xhat, coeff):
     """coeff * eps_{ijk} xhat_i on dx_j sigma_k/2, batched over leading axes."""
-    return np.asarray(coeff)[..., None, None] * np.einsum(
-        "ijk,...i->...jk", EPS, xhat
-    )
+    return eps_table(np.asarray(coeff)[..., None] * xhat)
 
 
 def ps_pair_batch(x, mono):

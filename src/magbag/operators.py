@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .su2 import EPS, bracket, wedge_dual
+from .su2 import bracket, hodge_star, wedge_dual
 
 
 @dataclass
@@ -64,7 +64,7 @@ def fd_curvature(pair_eval, x, h=1e-4):
     dphi = (phi_p - phi_m) / (2.0 * h)  # [..., j, k]
     comm = bracket(a0[..., :, None, :], a0[..., None, :, :])  # [a_j, a_l]
     F = da - np.swapaxes(da, -3, -2) + comm
-    star_F = 0.5 * np.einsum("jlm,...jlk->...mk", EPS, F)
+    star_F = 0.5 * hodge_star(F)
     d_phi = dphi + bracket(a0, phi0[..., None, :])
     return Curvature(F=F, star_F=star_F, d_phi=d_phi)
 
@@ -121,7 +121,7 @@ def apply_D(h_pair, bg_pair, x, h=1e-4, sign=1.0):
     d_eta = (et[..., 0:3, :] - et[..., 3:6, :]) / (2.0 * h)  # (..., j, k)
     cov = bracket(a[..., :, None, :], alpha0[..., None, :, :])
     dA_alpha = d_alpha - np.swapaxes(d_alpha, -3, -2) + cov - np.swapaxes(cov, -3, -2)
-    star = 0.5 * np.einsum("jlm,...jlk->...mk", EPS, dA_alpha)
+    star = 0.5 * hodge_star(dA_alpha)
     dA_eta = d_eta + bracket(a, eta0[..., None, :])
     first = star - dA_eta + bracket(phi[..., None, :], alpha0)
     second = np.einsum("...jjk->...k", d_alpha) + bracket(a, alpha0).sum(axis=-2)
@@ -252,8 +252,9 @@ def adjointness_gap(q_pair, q2_pair, bg_pair, box, n_nodes=64, h=1e-4):
     pts = np.stack([X, Y, Z], axis=-1).reshape(-1, 3)
     a1, e1 = q_pair(pts)
     a2, e2 = q2_pair(pts)
-    mag1 = np.sum(a1 * a1, axis=(1, 2)) + np.sum(e1 * e1, axis=1)
-    mag2 = np.sum(a2 * a2, axis=(1, 2)) + np.sum(e2 * e2, axis=1)
+    # squared magnitudes, read only for where they vanish
+    mag1 = np.einsum("bjk,bjk->b", a1, a1) + np.einsum("bk,bk->b", e1, e1)
+    mag2 = np.einsum("bjk,bjk->b", a2, a2) + np.einsum("bk,bk->b", e2, e2)
     grid_shape = (n_nodes, n_nodes, n_nodes)
     on_edge = np.zeros(grid_shape, dtype=bool)
     for axis in range(3):

@@ -6,20 +6,45 @@ basis the invariant inner product is the Euclidean dot product and the
 commutator is the negative cross product.  su(2)-valued 1-forms are 3x3
 coefficient tables, entry [j, k] multiplying dx_j (x) sigma_k/2.
 
-All operations broadcast over leading batch axes.
+All operations broadcast over leading batch axes.  The Levi-Civita
+contractions are written out over the cyclic index triples (j, l, m), each
+entry one difference.  A full contraction over an eps table gives the same
+bits: its other terms are exact zeros, its +-1 factors are exact, and
+fl(x - y) = -fl(y - x).
 """
 
 import numpy as np
 
-# Levi-Civita symbol, EPS[i, j, k] = sign of the permutation (i, j, k).
-EPS = np.zeros((3, 3, 3))
-EPS[0, 1, 2] = EPS[1, 2, 0] = EPS[2, 0, 1] = 1.0
-EPS[0, 2, 1] = EPS[2, 1, 0] = EPS[1, 0, 2] = -1.0
+# (j, l) with eps_{jlm} = +1, for m = 0, 1, 2
+_J = [1, 2, 0]
+_L = [2, 0, 1]
+
+
+def _difference(x, y):
+    """x - y in a new C-ordered array.
+
+    Operands taken with index lists carry permuted strides, and a result in
+    their memory order would make later reductions over its trailing axes
+    (`form_norm`) sum in a different order.
+    """
+    return np.subtract(x, y, out=np.empty(np.broadcast_shapes(x.shape, y.shape)))
+
+
+def cross(a, b):
+    """a x b of coefficient triples, component by component."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    for m, (j, l) in enumerate(zip(_J, _L)):
+        o = out[..., m]
+        np.multiply(a[..., j], b[..., l], out=o)
+        o -= a[..., l] * b[..., j]
+    return out
 
 
 def bracket(a, b):
-    """Commutator [a, b]: the negative cross product of coefficient triples."""
-    return -np.cross(a, b)
+    """Commutator [a, b] = -(a x b), taken as b x a."""
+    return cross(b, a)
 
 
 def inner(a, b):
@@ -38,6 +63,21 @@ def form_norm(c):
     return np.sqrt(np.sum(c * c, axis=(-2, -1)))
 
 
+def eps_table(v):
+    """out[..., j, l] = sum_m eps_{jlm} v[..., m]: the antisymmetric table of a triple."""
+    v = np.asarray(v)
+    out = np.zeros(v.shape + (3,))
+    out[..., _J, _L] = v
+    out[..., _L, _J] = -v
+    return out
+
+
+def hodge_star(t):
+    """out[..., m, :] = sum_{j,l} eps_{jlm} t[..., j, l, :] for a table t (..., 3, 3, k)."""
+    t = np.asarray(t)
+    return _difference(t[..., _J, _L, :], t[..., _L, _J, :])
+
+
 def wedge_dual(a, b):
     """Hodge dual of the symmetrized wedge of two su(2)-valued 1-forms.
 
@@ -47,9 +87,7 @@ def wedge_dual(a, b):
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    # cr[..., j, l, :] = [a_j, b_l]
-    cr = -np.cross(a[..., :, None, :], b[..., None, :, :])
-    return np.einsum("jlm,...jlk->...mk", EPS, cr)
+    return bracket(a[..., _J, :], b[..., _L, :]) - bracket(a[..., _L, :], b[..., _J, :])
 
 
 def star_real_wedge(u, w):
@@ -59,4 +97,4 @@ def star_real_wedge(u, w):
     """
     u = np.asarray(u)
     w = np.asarray(w)
-    return np.einsum("jlm,...j,...lk->...mk", EPS, u, w)
+    return _difference(u[..., _J, None] * w[..., _L, :], u[..., _L, None] * w[..., _J, :])

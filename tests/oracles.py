@@ -7,18 +7,53 @@ source at a time for the glued tail sums, the singular abelian pair,
 multipole expansions for the far field, plain enumeration for the shell
 combinatorics, one point at a time for the shell layout, full (..., N, 3)
 difference arrays for distance tables, the weighted residual norm with
-`higgs_norm` weights on every sample, the adjointness pairings over the
-union of both supports, and critical radii from every sphere of the scan.
+`higgs_norm` weights on every sample and one residual call per support
+shell, the adjointness pairings over the union of both supports, critical
+radii from every sphere of the scan, and the su(2) kernels through
+`np.cross` and Levi-Civita contractions.
 """
 
 import numpy as np
 
 from magbag.analysis import _sphere_fn, fibonacci_sphere
+from magbag import glued
 from magbag.glued import annulus_points, higgs_norm, residual_fields
 from magbag.monopole import ScaledMonopole, SingularEvaluationError, _hedgehog_form
 from magbag.operators import apply_D
 from magbag.shell import band_sizes, choose_band_count
 from magbag.su2 import form_norm
+
+# Levi-Civita symbol, EPS[i, j, k] = sign of the permutation (i, j, k).
+EPS = np.zeros((3, 3, 3))
+EPS[0, 1, 2] = EPS[1, 2, 0] = EPS[2, 0, 1] = 1.0
+EPS[0, 2, 1] = EPS[2, 1, 0] = EPS[1, 0, 2] = -1.0
+
+
+def cross_bracket(a, b):
+    """[a, b] as the negative `np.cross`."""
+    return -np.cross(a, b)
+
+
+def eps_wedge_dual(a, b):
+    """sum_{j,l} eps_{jlm} [a_j, b_l] over the whole (j, l) table."""
+    cr = -np.cross(a[..., :, None, :], b[..., None, :, :])
+    return np.einsum("jlm,...jlk->...mk", EPS, cr)
+
+
+def eps_star_real_wedge(u, w):
+    """sum_{j,l} eps_{jlm} u_j w_l."""
+    return np.einsum("jlm,...j,...lk->...mk", EPS, u, w)
+
+
+def eps_hedgehog_form(xhat, coeff):
+    """coeff * eps_{ijk} xhat_i on dx_j sigma_k/2."""
+    return np.asarray(coeff)[..., None, None] * np.einsum("ijk,...i->...jk", EPS, xhat)
+
+
+def eps_hodge_star(t):
+    """sum_{j,l} eps_{jlm} t_jl of a table t (..., 3, 3, k)."""
+    return np.einsum("jlm,...jlk->...mk", EPS, t)
+
 
 TAU = np.array(
     [
@@ -237,6 +272,38 @@ def higgs_norm_residual_sweep(cfg, n_radial, n_angular, quad_radial, quad_angula
         qflat = (cfg.points[p_idx] + q_radii[:, None, None] * q_dirs[None, :, :]).reshape(-1, 3)
         gTq, _ = residual_fields(qflat, p_idx, cfg)
         dens = ((form_norm(gTq) / higgs_norm(qflat, cfg)) ** 3).reshape(quad_radial, quad_angular)
+        integral += float(np.sum(q_w * q_radii**2 * dens.sum(axis=1) * (4.0 * np.pi / quad_angular)))
+    return maxima, sup_term, integral ** (1.0 / 3.0)
+
+
+def per_shell_residual_sweep(cfg, n_radial, n_angular, quad_radial, quad_angular):
+    """(annulus maxima (3, N), sup term, integral term) of the weighted norm,
+    one `_ball_residual` call per support shell and grid, each shell
+    reduced on its own before the next is evaluated."""
+    nodes, wts = np.polynomial.legendre.leggauss(quad_radial)
+    lo, hi = cfg.L / 8, cfg.L / 4
+    q_radii = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+    q_w = 0.5 * (hi - lo) * wts
+    q_dirs = fibonacci_sphere(quad_angular)
+    maxima = np.empty((3, cfg.N))
+    sup_term = 0.0
+    integral = 0.0
+    for p_idx in range(cfg.N):
+        pts = annulus_points(cfg, p_idx, n_radial, n_angular)
+        live, gT, gL, higgs = glued._ball_residual(pts, p_idx, cfg)
+        xh = pts[live] - cfg.points[p_idx]
+        xh /= np.linalg.norm(xh, axis=1)[:, None]
+        inner = np.abs(np.einsum("bk,bmk->bm", xh, gL)).max(axis=1)
+        maxima[:, p_idx] = (form_norm(gT).max(initial=0.0), form_norm(gL).max(initial=0.0),
+                            inner.max(initial=0.0))
+        with np.errstate(divide="ignore"):
+            sup_term = max(sup_term, float(np.max(inner / higgs**2, initial=0.0)))
+
+        qpts = cfg.points[p_idx] + q_radii[:, None, None] * q_dirs[None, :, :]
+        live, gTq, _, higgs_q = glued._ball_residual(qpts.reshape(-1, 3), p_idx, cfg)
+        dens = np.zeros(quad_radial * quad_angular)
+        dens[live] = (form_norm(gTq) / higgs_q) ** 3
+        dens = dens.reshape(quad_radial, quad_angular)
         integral += float(np.sum(q_w * q_radii**2 * dens.sum(axis=1) * (4.0 * np.pi / quad_angular)))
     return maxima, sup_term, integral ** (1.0 / 3.0)
 

@@ -244,8 +244,7 @@ def test_criterion_08_transverse_decay_mechanism(shells):
 def test_criterion_09_weighted_residual_norm(shells):
     results = {}
     for N in (64, 256):
-        (base, _, _), (dbl, _, _) = glued.gstar_doubling(shells[(N, 16)])
-        results[N] = (base * 16.0 * math.log(N), abs(dbl - base) / base)
+        results[N] = glued.gstar_scaling(shells[(N, 16)])[2:]
     bound_ok = all(v[0] <= constants.C_GSTAR for v in results.values())
     stab_ok = all(v[1] < 0.01 for v in results.values())
     detail = ", ".join(

@@ -246,6 +246,59 @@ def test_sphere_floor_bounds_the_sampled_minimum(field):
     assert sum(floor(r) > 0 for r in radii) > 100
 
 
+@pytest.mark.parametrize("N, m", [(32, 2.0), (100, 16.0), (256, 16.0)])
+def test_radial_gap_equals_min_over_every_point(N, m):
+    cfg = _glued(N, m)
+    pn = np.linalg.norm(cfg.points, axis=1)
+    gap, far = analysis._radial_gap(cfg.points)
+    radii = np.concatenate([np.random.default_rng(5).uniform(0.0, 2.0 * cfg.R, 300), pn,
+                            np.nextafter(pn, 0.0), np.nextafter(pn, np.inf)])
+    want = np.array([np.min(np.abs(r - pn)) for r in radii])
+    assert np.array_equal(gap(radii), want)
+    assert far == pn.max()
+
+
+@pytest.mark.parametrize("field", [_glued(32, 2.0), _glued(100, 16.0), PS] + CORES)
+def test_sphere_ceiling_bounds_the_sampled_maximum(field):
+    quad = SphereQuadrature(512)
+    sphere = analysis._sphere_fn(field, quad.points)
+    ceiling = analysis._sphere_ceiling(field)
+    rng = np.random.default_rng(4)
+    if isinstance(field, ScaledMonopole):
+        radii = rng.uniform(0.01, 40.0, 200)
+        band = []
+        top = field.scale  # the sup of |Phi|
+    else:
+        radii = rng.uniform(0.01, 4.0 * field.R, 200)
+        band = field.R + field.L * rng.uniform(-0.999, 0.999, 20)  # samples in a ball
+        top = 1.0  # the limit of |Phi| at infinity
+    for r in np.concatenate([radii, band]):
+        assert sphere(r).max() <= ceiling(r)
+    assert all(ceiling(r) == np.inf for r in band)
+    # the ceiling is not vacuous on most of the scan window
+    assert sum(ceiling(r) < top for r in radii) > 100
+
+
+@pytest.mark.parametrize("N, m, full_walk", [(100, 2.0, 400), (256, 16.0, 418)])
+def test_critical_radii_ceiling_skips_spheres(N, m, full_walk, monkeypatch):
+    # eps near 1: the max first reaches eps far out, and every sphere before
+    # that used to be evaluated (full_walk evaluations with the bisections)
+    cfg = _glued(N, m)
+    quad = SphereQuadrature(256)
+    calls = []
+    sphere_fn = analysis._sphere_fn
+
+    def counted(field, dirs):
+        sphere = sphere_fn(field, dirs)
+        return lambda r: calls.append(r) or sphere(r)
+
+    monkeypatch.setattr(analysis, "_sphere_fn", counted)
+    got = critical_radii(0.95, cfg, quad)
+    assert len(calls) < full_walk
+    monkeypatch.undo()
+    assert got == critical_radii_full_scan(0.95, cfg, quad)
+
+
 def test_critical_radii_evaluates_few_spheres(cfg100, monkeypatch):
     # a scan of every sphere evaluates all 400 of them, then bisects
     calls = []

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -19,9 +21,10 @@ from magbag.glued import (
 from magbag.monopole import ScaledMonopole, SingularEvaluationError, ps_evaluator
 from magbag.operators import fd_curvature
 from magbag.shell import InvalidParameterError, make_shell_config
-from magbag.su2 import EPS, bracket, form_norm
+from magbag.su2 import bracket, form_norm
 
 from oracles import (
+    EPS,
     alpha_closed_form,
     alpha_pq,
     alpha_quadrature,
@@ -29,6 +32,7 @@ from oracles import (
     difference_distances,
     higgs_norm_residual_sweep,
     multipole_far_field,
+    per_shell_residual_sweep,
 )
 
 
@@ -501,15 +505,16 @@ def test_annulus_maxima_rejects_empty_grid(cfg25, sizes):
 
 
 def test_residual_report_keys(cfg25, monkeypatch):
-    # one residual evaluation per support shell on the sampling grid, shared
-    # by the maxima and the sup term, and one on the quadrature grid; the
-    # weights reuse its |Phi|, so higgs_norm is never called
+    # one residual evaluation per block of support shells on the sampling
+    # grid, shared by the maxima and the sup term, and one on the quadrature
+    # grid; the weights reuse its |Phi|, so higgs_norm is never called
     calls = []
     original = glued._ball_residual
     monkeypatch.setattr(glued, "_ball_residual", lambda *args: calls.append(args) or original(*args))
     monkeypatch.setattr(glued, "higgs_norm", None)
     rep = glued.residual_report(cfg25, n_radial=4, n_angular=32)
-    assert len(calls) == 2 * cfg25.N
+    shells_per_block = glued._ROW_BUDGET // (4 * 32 + 8 * 64)
+    assert len(calls) == 2 * math.ceil(cfg25.N / shells_per_block)
     monkeypatch.undo()
 
     assert set(rep) >= {"max_gT", "max_gL", "max_inner_sigma_g", "gstar", "per_annulus"}
@@ -566,3 +571,44 @@ def test_weighted_norm_matches_higgs_norm_sweep(N):
     np.testing.assert_allclose(glued.gstar_norm(cfg, *res), want[0], rtol=1e-12, atol=0)
     np.testing.assert_allclose(glued.gstar_doubling(cfg, *res), want, rtol=1e-12, atol=0)
     assert np.array_equal(glued.annulus_maxima(cfg, 4, 32), maxima)
+
+
+@pytest.mark.parametrize(
+    "N, res, budget",
+    [
+        (25, (4, 32, 4, 16), None),
+        (64, (4, 32, 4, 16), None),
+        (256, (4, 32, 4, 16), None),
+        # blocks of 21 shells: the last block ends mid-configuration
+        (64, (8, 128, 8, 64), None),
+        # one shell per block
+        (25, (4, 32, 4, 16), 1),
+    ],
+)
+def test_residual_sweep_equals_per_shell_sweep(N, res, budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(glued, "_ROW_BUDGET", budget)
+    cfg = _shell(N)
+    maxima, sup_term, int_term = glued._residual_sweep(cfg, res[0], res[1], res[2:])
+    want = per_shell_residual_sweep(cfg, *res)
+    assert np.array_equal(maxima, want[0])
+    assert sup_term == want[1]
+    assert int_term == want[2]
+
+
+def test_residual_sweep_blocks_split_configurations():
+    # the mid-configuration case above really ends a block inside the shell list
+    shells_per_block = glued._ROW_BUDGET // (8 * 128 + 8 * 64)
+    assert 64 % shells_per_block != 0 and shells_per_block < 64
+
+
+def test_residual_report_memory_is_bounded():
+    cfg = _shell(256)
+    tracemalloc.start()
+    try:
+        glued.residual_report(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # blocks of at most _ROW_BUDGET sample rows, whatever N is
+    assert peak <= 12e6

@@ -2,10 +2,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from magbag.su2 import alg_norm, bracket, form_norm, inner, wedge_dual
+from magbag.monopole import _hedgehog_form
+from magbag.su2 import alg_norm, bracket, form_norm, hodge_star, inner, star_real_wedge, wedge_dual
 
-from oracles import matrix_bracket, matrix_inner
+from oracles import (
+    EPS,
+    cross_bracket,
+    eps_hedgehog_form,
+    eps_hodge_star,
+    eps_star_real_wedge,
+    eps_wedge_dual,
+    matrix_bracket,
+    matrix_inner,
+)
 
 E1, E2, E3 = np.eye(3)
 
@@ -86,8 +97,6 @@ def test_wedge_dual_matches_matrix_wedge():
     b = rng.normal(size=(3, 3))
     got = wedge_dual(a, b)
     want = np.zeros((3, 3))
-    from magbag.su2 import EPS
-
     for m in range(3):
         acc = np.zeros(3)
         for j in range(3):
@@ -100,3 +109,28 @@ def test_wedge_dual_matches_matrix_wedge():
 def test_norms():
     assert form_norm(np.eye(3)) == pytest.approx(np.sqrt(3))
     assert alg_norm(np.array([3.0, 4.0, 0.0])) == pytest.approx(5.0)
+
+
+@given(hnp.array_shapes(min_dims=0, max_dims=3, max_side=3), st.data())
+@settings(max_examples=100)
+def test_kernels_equal_cross_and_eps_oracles(batch, data):
+    # bit for bit, and in a C-ordered result: reductions over the trailing
+    # axes (form_norm) sum in memory order
+    def draw(*tail):
+        return data.draw(hnp.arrays(np.float64, batch + tail, elements=coeff))
+
+    a, b, c = draw(3), draw(3), draw()
+    A, B, T = draw(3, 3), draw(3, 3), draw(3, 3, 3)
+    cases = [
+        (bracket(a, b), cross_bracket(a, b)),
+        (bracket(A[..., :, None, :], B[..., None, :, :]),
+         cross_bracket(A[..., :, None, :], B[..., None, :, :])),
+        (wedge_dual(A, B), eps_wedge_dual(A, B)),
+        (star_real_wedge(a, B), eps_star_real_wedge(a, B)),
+        (_hedgehog_form(a, c), eps_hedgehog_form(a, c)),
+        (0.5 * hodge_star(T), 0.5 * eps_hodge_star(T)),
+    ]
+    for got, want in cases:
+        assert got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)

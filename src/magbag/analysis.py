@@ -104,10 +104,42 @@ def write_profile_csv(rows, fh):
 # ---------------------------------------------------------------------------
 # Critical radii
 
-# Relative slack of `_sphere_floor` and `_sphere_ceiling`: it covers the
-# rounding of the distances and of the N-term Coulomb sum, so the computed
-# sphere values never leave the bounds (checked in the tests).
+# Relative slack of `_sphere_bounds`: it covers the rounding of the distances
+# and of the N-term Coulomb sum, so the computed sphere values never leave
+# the bounds (checked in the tests).
 _FLOOR_SLACK = 1e-9
+
+
+def _sphere_bounds(field):
+    """Certified bounds r -> (floor, ceiling) on the sampled min and max |Phi|
+    over the radius-r sphere; r may be an array of radii.
+
+    Every sample x of the sphere has |r - |p|| <= |x - p| <= r + |p| for
+    each source p.  The core's |Phi| grows with the distance to its centre
+    c, so it lies between ps_higgs_norm(|r - |c||) and ps_higgs_norm(r + |c|).
+    For the glued pair let delta = min_p |r - |p||: if delta >= L no sample
+    lies in a ball, and N / (r + max|p|) <= sum_p 1/|x - p| <= N / delta
+    puts |Phi| = |1 - sum_p 1/|x - p|| between 1 - N / delta and
+    max(1 - N / (r + max|p|), N / delta - 1); otherwise the bounds are -inf
+    and +inf.
+    """
+    lo, hi = 1.0 - _FLOOR_SLACK, 1.0 + _FLOOR_SLACK
+    if isinstance(field, ScaledMonopole):
+        cn = np.linalg.norm(field.center[None], axis=1)[0]
+        return lambda r: (ps_higgs_norm(np.abs(r - cn), field.scale) * lo,
+                          ps_higgs_norm(np.add(r, cn), field.scale) * hi)
+    gap, far = _radial_gap(field.points)
+
+    def bounds(r):
+        delta = gap(r)
+        inside = delta < field.L
+        with np.errstate(divide="ignore"):
+            coulomb = field.N / delta
+        floor = np.where(inside, -np.inf, 1.0 - coulomb * hi)
+        ceiling = np.maximum(1.0 - field.N / (r + far) * lo, coulomb * hi - 1.0)
+        return floor, np.where(inside, np.inf, ceiling)
+
+    return bounds
 
 
 def _radial_gap(points):
@@ -126,56 +158,6 @@ def _radial_gap(points):
         return np.minimum(below, np.abs(r - pn[np.minimum(i, len(pn) - 1)]))
 
     return gap, pn[-1]
-
-
-def _sphere_floor(field):
-    """A certified lower bound r -> floor on the sampled min |Phi| over the radius-r sphere.
-
-    Every sample x of the sphere has |x - p| >= |r - |p|| for each source p.
-    The core's |Phi| grows with the distance to its centre c, so it is at
-    least ps_higgs_norm(|r - |c||).  For the glued pair let delta =
-    min_p |r - |p||: if delta >= L no sample lies in a ball, and
-    |Phi| = |1 - sum_p 1/|x - p|| >= 1 - N / delta; otherwise the floor is
-    -inf.  Radii may come as an array.
-    """
-    if isinstance(field, ScaledMonopole):
-        cn = np.linalg.norm(field.center[None], axis=1)[0]
-        return lambda r: ps_higgs_norm(np.abs(r - cn), field.scale) * (1.0 - _FLOOR_SLACK)
-    gap, _ = _radial_gap(field.points)
-
-    def floor(r):
-        delta = gap(r)
-        with np.errstate(divide="ignore"):
-            bound = 1.0 - field.N / delta * (1.0 + _FLOOR_SLACK)
-        return np.where(delta < field.L, -np.inf, bound)
-
-    return floor
-
-
-def _sphere_ceiling(field):
-    """A certified upper bound r -> ceiling on the sampled max |Phi| over the radius-r sphere.
-
-    Every sample x of the sphere has |x - p| <= r + |p| for each source p.
-    The core's |Phi| grows with the distance to its centre c, so it is at
-    most ps_higgs_norm(r + |c|).  For the glued pair let delta =
-    min_p |r - |p||: if delta >= L no sample lies in a ball, and
-    N / (r + max|p|) <= sum_p 1/|x - p| <= N / delta bounds
-    |Phi| = |1 - sum_p 1/|x - p|| by max(1 - N / (r + max|p|), N / delta - 1);
-    otherwise the ceiling is +inf.  Radii may come as an array.
-    """
-    if isinstance(field, ScaledMonopole):
-        cn = np.linalg.norm(field.center[None], axis=1)[0]
-        return lambda r: ps_higgs_norm(np.add(r, cn), field.scale) * (1.0 + _FLOOR_SLACK)
-    gap, far = _radial_gap(field.points)
-
-    def ceiling(r):
-        delta = gap(r)
-        with np.errstate(divide="ignore"):
-            bound = np.maximum(1.0 - field.N / (r + far) * (1.0 - _FLOOR_SLACK),
-                               field.N / delta * (1.0 + _FLOOR_SLACK) - 1.0)
-        return np.where(delta < field.L, np.inf, bound)
-
-    return ceiling
 
 
 def _bisect(fn, lo, hi, resolution):
@@ -203,14 +185,14 @@ def critical_radii(eps, field, quad, r_max=None, n_scan=400, resolution=None):
     - r_eps / rhat_eps: where the sphere maximum / mean first reaches eps,
       going outward; the first grid radius if it already does there, r_max
       if it never does.  The scan walks outward, skips every radius where
-      `_sphere_ceiling` certifies a maximum below eps, and stops once both
+      `_sphere_bounds` certifies a maximum below eps, and stops once both
       are found.
     - R_eps: where the sphere minimum last dips to eps (<= eps); r_max if it
       does on the outermost sphere.  R_eps = 0.0 means that no sampled
       sphere minimum reached eps, which bounds nothing: a zero of |Phi|
       missed by every sampled direction (the shell points of a glued pair)
       goes unseen.  The scan walks inward, starts from the spheres already
-      evaluated, and skips every radius where `_sphere_floor` certifies a
+      evaluated, and skips every radius where `_sphere_bounds` certifies a
       minimum above eps, so the result equals that of a scan of every
       sphere.
 
@@ -243,8 +225,8 @@ def critical_radii(eps, field, quad, r_max=None, n_scan=400, resolution=None):
         return lambda r: stat(sphere(r)) - eps
 
     # First grid radius going outward where the max (resp. mean) reaches eps;
-    # where `_sphere_ceiling` certifies a max below eps, neither does.
-    ceiling = _sphere_ceiling(field)(grid)
+    # where the ceiling certifies a max below eps, neither does.
+    floor, ceiling = _sphere_bounds(field)(grid)
     i_max = i_mean = None
     for i in range(n_scan):
         if ceiling[i] < eps:
@@ -265,7 +247,6 @@ def critical_radii(eps, field, quad, r_max=None, n_scan=400, resolution=None):
         return float(_bisect(stat_fn(stat), grid[i - 1], grid[i], resolution))
 
     # Largest radius where the sphere minimum still dips to eps.
-    floor = _sphere_floor(field)(grid)
     R_eps = 0.0
     for i in range(n_scan - 1, -1, -1):
         if i not in stats and floor[i] > eps:

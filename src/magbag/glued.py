@@ -29,7 +29,7 @@ from .monopole import (
     coth_minus_inv,
     inv_minus_csch,
 )
-from .shell import _check_count, _squared_distances
+from .shell import _check_count, _row_blocks, _squared_distances
 from .su2 import bracket, cross, form_norm, star_real_wedge, wedge_dual
 
 
@@ -257,24 +257,35 @@ def higgs_norm(x, cfg):
 # For a source p and radius r, |r u - p|^2 = (r - |p|)^2 + r |p| G with
 # G = |u - p/|p||^2, and (r u - p).u = (r - |p|) + |p| G / 2.  G depends only
 # on the directions and the sources, so one (B, N) table serves every radius
-# and no (B, N, 3) array is built.
+# and no (B, N, 3) array is built.  G is the only (B, N) array kept: the
+# evaluators work through it in blocks of `_BLOCK_ELEMENTS // N` rows, each
+# in buffers of one block allocated once per evaluator.
 
 def _direction_table(dirs, points):
     """(|p|, G) for unit directions (B, 3) and sources (N, 3): G = |u - p_hat|^2.
 
     G is summed coordinate by coordinate, which keeps it accurate where u
-    points at p.  A source at the origin has p_hat = 0 and enters only
+    points at p, and built in place block by block, through one block of
+    work space.  A source at the origin has p_hat = 0 and enters only
     through |p| = 0.
     """
+    dirs = np.asarray(dirs, dtype=float)
     pn = np.linalg.norm(points, axis=1)
-    phat = points / np.where(pn > 0.0, pn, 1.0)[:, None]
-    return pn, _squared_distances(dirs, phat)
+    phat = np.asfortranarray(points / np.where(pn > 0.0, pn, 1.0)[:, None])
+    G = np.empty((len(dirs), len(phat)))
+    size, blocks = _row_blocks(*G.shape)
+    work = np.empty((size, len(phat)))
+    for rows in blocks:
+        _squared_distances(dirs[rows], phat, out=G[rows], work=work[: rows.stop - rows.start])
+    return pn, G
 
 
-def _sphere_squared_distances(table, r):
-    """|r u - p|^2 (B, N) = (r - |p|)^2 + r |p| G from a `_direction_table`."""
+def _sphere_squared_distances(table, r, rows=slice(None), out=None):
+    """|r u - p|^2 = (r - |p|)^2 + r |p| G on `rows` of a `_direction_table`,
+    written into the leading rows of `out` when it is given."""
     pn, G = table
-    d2 = (r * pn) * G
+    G = G[rows]
+    d2 = np.multiply(r * pn, G, out=None if out is None else out[: len(G)])
     d2 += (r - pn) ** 2
     return d2
 
@@ -282,14 +293,22 @@ def _sphere_squared_distances(table, r):
 def sphere_higgs_norm(dirs, cfg):
     """The function r -> higgs_norm(r * dirs, cfg) for unit directions (B, 3).
 
-    The direction table is built once here; each radius then costs a few
-    (B, N) passes.
+    The direction table G is built once here and is the only (B, N) array
+    kept.  Each radius then takes G in blocks of `_BLOCK_ELEMENTS // N`
+    rows: the distances of a block are formed in one buffer, allocated here,
+    and reduced to |Phi| by one `_higgs_from_distances` call.
     """
     table = _direction_table(dirs, cfg.points)
+    G = table[1]
+    size, blocks = _row_blocks(*G.shape)
+    buf = np.empty((size, G.shape[1]))
 
     def norm(r):
-        d = _sphere_squared_distances(table, r)
-        return _higgs_from_distances(np.sqrt(d, out=d), cfg)
+        out = np.empty(len(G))
+        for rows in blocks:
+            d = _sphere_squared_distances(table, r, rows, buf)
+            out[rows] = _higgs_from_distances(np.sqrt(d, out=d), cfg)
+        return out
 
     return norm
 
@@ -299,24 +318,29 @@ def sphere_flux_density(dirs, cfg):
 
     Each term (r u - p).u / |r u - p|^3 is taken from the direction table;
     outside the shell both parts of (r - |p|) + |p| G / 2 are non-negative,
-    so the numerator carries no cancellation.
+    so the numerator carries no cancellation.  G is the only (B, N) array
+    kept; each radius takes it in blocks of `_BLOCK_ELEMENTS // N` rows,
+    through two block buffers allocated here.
     """
     table = _direction_table(dirs, cfg.points)
     pn, G = table
+    size, blocks = _row_blocks(*G.shape)
+    d2_buf, cube_buf = np.empty((size, len(pn))), np.empty((size, len(pn)))
 
     def density(r):
-        d2 = _sphere_squared_distances(table, r)
-        if np.any(d2 == 0.0):
-            raise SingularEvaluationError("flux density evaluated on a shell point")
-        # |r u - p|^3 and the numerator are built in place, so at most
-        # three (B, N) arrays are alive at once.
-        cube = np.sqrt(d2)
-        cube *= d2
-        del d2
-        num = (0.5 * pn) * G
-        num += r - pn
-        num /= cube
-        return np.sum(num, axis=1)
+        out = np.empty(len(G))
+        for rows in blocks:
+            d2 = _sphere_squared_distances(table, r, rows, d2_buf)
+            if np.any(d2 == 0.0):
+                raise SingularEvaluationError("flux density evaluated on a shell point")
+            cube = np.sqrt(d2, out=cube_buf[: len(d2)])
+            cube *= d2
+            # the numerator overwrites the block's squared distances
+            num = np.multiply(0.5 * pn, G[rows], out=d2)
+            num += r - pn
+            num /= cube
+            out[rows] = np.sum(num, axis=1)
+        return out
 
     return density
 

@@ -20,10 +20,13 @@ simultaneously.
 """
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .shell import InvalidParameterError, _check_count, _row_blocks
 from .su2 import bracket, hodge_star, wedge_dual
 
 
@@ -87,8 +90,11 @@ def bump_pair(center, width, seed, power=8):
 
     Polynomial profile (1 - |x-c|^2/w^2)^power times constant coefficients
     drawn from `seed`: smooth enough for the second-order stencils and
-    quadrature-friendly at its support edge.
+    quadrature-friendly at its support edge.  The width must be finite and
+    positive.
     """
+    if not (isinstance(width, numbers.Real) and math.isfinite(width) and width > 0):
+        raise InvalidParameterError(f"bump width must be finite and positive, got {width!r}")
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(3, 3))
     E = rng.normal(size=3)
@@ -232,40 +238,80 @@ def weitzenbock_defect(u_pair, bg_pair, x, h=1e-4):
     return float(np.sqrt(np.sum(da * da) + np.sum(de * de)))
 
 
+def _check_box(box):
+    """Raises unless `box` is three finite (lo, hi) pairs with lo < hi."""
+    try:
+        edges = [(lo, hi) for lo, hi in box]
+    except (TypeError, ValueError):
+        edges = None
+    if not (
+        edges is not None
+        and len(edges) == 3
+        and all(isinstance(v, numbers.Real) and math.isfinite(v) for e in edges for v in e)
+        and all(lo < hi for lo, hi in edges)
+    ):
+        raise InvalidParameterError(
+            f"box must be three finite (lo, hi) pairs with lo < hi, got {box!r}"
+        )
+
+
+def _apply_D_blocks(h_pair, bg_pair, x, h, sign):
+    """`apply_D` at points x (n, 3), in blocks of `_BLOCK_ELEMENTS // 63` rows
+    (the 7-point stencil of 3 x 3 tables per row)."""
+    first, second = np.empty((len(x), 3, 3)), np.empty((len(x), 3))
+    for rows in _row_blocks(len(x), 63)[1]:
+        first[rows], second[rows] = apply_D(h_pair, bg_pair, x[rows], h, sign=sign)
+    return first, second
+
+
 def adjointness_gap(q_pair, q2_pair, bg_pair, box, n_nodes=64, h=1e-4):
     """| int <q2, D q> - int <D^dag q2, q> | over a box, by midpoint rule.
 
     `box` is ((x0, x1), (y0, y1), (z0, z1)); both pairs must be supported
-    strictly inside it (this is checked on the boundary shell of nodes).
+    strictly inside it (this is checked on the boundary shell of nodes), and
+    n_nodes >= 3 nodes per axis give that shell an interior.
     The uniform midpoint rule converges super-algebraically on compactly
     supported smooth integrands.  Each pairing vanishes off its partner's
     support, so D q is evaluated on supp q2 and D^dag q2 on supp q.
     Returns (gap, scale) with scale the magnitude of the first integral.
+
+    The n_nodes^3 grid is scanned in blocks of `_BLOCK_ELEMENTS // 9` rows,
+    keeping only each pair's supported rows, and `apply_D` runs in blocks of
+    `_BLOCK_ELEMENTS // 63` rows; no table spans the whole grid.  Both
+    pairings are summed over the whole supports, as one batch would.
     """
+    _check_count(n_nodes=n_nodes)
+    if n_nodes < 3:
+        raise InvalidParameterError(f"n_nodes must be at least 3, got {n_nodes!r}")
+    _check_box(box)
     axes = []
     vol = 1.0
     for lo, hi in box:
         step = (hi - lo) / n_nodes
         axes.append(lo + step * (np.arange(n_nodes) + 0.5))
         vol *= step
-    X, Y, Z = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([X, Y, Z], axis=-1).reshape(-1, 3)
-    a1, e1 = q_pair(pts)
-    a2, e2 = q2_pair(pts)
-    # squared magnitudes, read only for where they vanish
-    mag1 = np.einsum("bjk,bjk->b", a1, a1) + np.einsum("bk,bk->b", e1, e1)
-    mag2 = np.einsum("bjk,bjk->b", a2, a2) + np.einsum("bk,bk->b", e2, e2)
     grid_shape = (n_nodes, n_nodes, n_nodes)
-    on_edge = np.zeros(grid_shape, dtype=bool)
-    for axis in range(3):
-        idx = [slice(None)] * 3
-        idx[axis] = [0, -1]
-        on_edge[tuple(idx)] = True
-    if np.any((mag1 + mag2).reshape(grid_shape)[on_edge] != 0.0):
-        raise ValueError("pair support touches the quadrature box boundary")
-    supp1, supp2 = mag1 > 0, mag2 > 0
-    Dq = apply_D(q_pair, bg_pair, pts[supp2], h)
-    Ddq2 = apply_D(q2_pair, bg_pair, pts[supp1], h, sign=-1.0)
-    total1 = vol * float(np.sum(a2[supp2] * Dq[0]) + np.sum(e2[supp2] * Dq[1]))
-    total2 = vol * float(np.sum(Ddq2[0] * a1[supp1]) + np.sum(Ddq2[1] * e1[supp1]))
+    kept1, kept2 = [], []  # (points, alpha, eta) on supp q and supp q2, per block
+    for rows in _row_blocks(n_nodes**3, 9)[1]:
+        ijk = np.unravel_index(np.arange(rows.start, rows.stop), grid_shape)
+        pts = np.stack([axis[i] for axis, i in zip(axes, ijk)], axis=-1)
+        a1, e1 = q_pair(pts)
+        a2, e2 = q2_pair(pts)
+        # squared magnitudes, read only for where they vanish
+        mag1 = np.einsum("bjk,bjk->b", a1, a1) + np.einsum("bk,bk->b", e1, e1)
+        mag2 = np.einsum("bjk,bjk->b", a2, a2) + np.einsum("bk,bk->b", e2, e2)
+        on_edge = np.zeros(len(pts), dtype=bool)
+        for i in ijk:
+            on_edge |= (i == 0) | (i == n_nodes - 1)
+        if np.any((mag1 + mag2)[on_edge] != 0.0):
+            raise ValueError("pair support touches the quadrature box boundary")
+        supp1, supp2 = mag1 > 0, mag2 > 0
+        kept1.append((pts[supp1], a1[supp1], e1[supp1]))
+        kept2.append((pts[supp2], a2[supp2], e2[supp2]))
+    pts1, a1, e1 = (np.concatenate(parts) for parts in zip(*kept1))
+    pts2, a2, e2 = (np.concatenate(parts) for parts in zip(*kept2))
+    Dq = _apply_D_blocks(q_pair, bg_pair, pts2, h, 1.0)
+    Ddq2 = _apply_D_blocks(q2_pair, bg_pair, pts1, h, -1.0)
+    total1 = vol * float(np.sum(a2 * Dq[0]) + np.sum(e2 * Dq[1]))
+    total2 = vol * float(np.sum(Ddq2[0] * a1) + np.sum(Ddq2[1] * e1))
     return abs(total1 - total2), abs(total1)

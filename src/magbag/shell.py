@@ -99,6 +99,14 @@ def place_points(N, R):
 _BLOCK_ELEMENTS = 1 << 16
 
 
+def _row_blocks(n_rows, row_entries):
+    """(size, slices): consecutive slices covering range(n_rows), each of
+    `_BLOCK_ELEMENTS // row_entries` rows (at least one; the last may hold
+    fewer), and size, the most rows any of them holds."""
+    step = max(1, _BLOCK_ELEMENTS // max(row_entries, 1))
+    return min(step, n_rows), [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
 def _squared_distances(x, points, out=None, work=None):
     """|x - p|^2 for points x (..., 3) and sources p (N, 3), shape (..., N).
 

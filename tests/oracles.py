@@ -8,9 +8,11 @@ multipole expansions for the far field, plain enumeration for the shell
 combinatorics, one point at a time for the shell layout, full (..., N, 3)
 difference arrays for distance tables, the weighted residual norm with
 `higgs_norm` weights on every sample and one residual call per support
-shell, the adjointness pairings over the union of both supports, critical
-radii from every sphere of the scan, and the su(2) kernels through
-`np.cross` and Levi-Civita contractions.
+shell, the adjointness pairings over the union of both supports and over
+the whole quadrature grid in one batch, the origin-sphere |Phi| and flux
+density from whole (B, N) tables, critical radii from every sphere of the
+scan, and the su(2) kernels through `np.cross` and Levi-Civita
+contractions.
 """
 
 import numpy as np
@@ -323,6 +325,84 @@ def union_support_pairings(q_pair, q2_pair, bg_pair, pts, vol, h=1e-4):
     total1 = vol * float(np.sum(a2[live] * Dq[0]) + np.sum(e2[live] * Dq[1]))
     total2 = vol * float(np.sum(Ddq2[0] * a1[live]) + np.sum(Ddq2[1] * e1[live]))
     return total1, total2
+
+
+def whole_grid_adjointness_gap(q_pair, q2_pair, bg_pair, box, n_nodes=64, h=1e-4):
+    """`operators.adjointness_gap` with every table built over the whole grid.
+
+    Both pairs are evaluated on all n_nodes^3 nodes at once and each
+    `apply_D` runs in one batch over its partner's support.
+    """
+    axes = []
+    vol = 1.0
+    for lo, hi in box:
+        step = (hi - lo) / n_nodes
+        axes.append(lo + step * (np.arange(n_nodes) + 0.5))
+        vol *= step
+    X, Y, Z = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([X, Y, Z], axis=-1).reshape(-1, 3)
+    a1, e1 = q_pair(pts)
+    a2, e2 = q2_pair(pts)
+    mag1 = np.einsum("bjk,bjk->b", a1, a1) + np.einsum("bk,bk->b", e1, e1)
+    mag2 = np.einsum("bjk,bjk->b", a2, a2) + np.einsum("bk,bk->b", e2, e2)
+    grid_shape = (n_nodes, n_nodes, n_nodes)
+    on_edge = np.zeros(grid_shape, dtype=bool)
+    for axis in range(3):
+        idx = [slice(None)] * 3
+        idx[axis] = [0, -1]
+        on_edge[tuple(idx)] = True
+    if np.any((mag1 + mag2).reshape(grid_shape)[on_edge] != 0.0):
+        raise ValueError("pair support touches the quadrature box boundary")
+    supp1, supp2 = mag1 > 0, mag2 > 0
+    Dq = apply_D(q_pair, bg_pair, pts[supp2], h)
+    Ddq2 = apply_D(q2_pair, bg_pair, pts[supp1], h, sign=-1.0)
+    total1 = vol * float(np.sum(a2[supp2] * Dq[0]) + np.sum(e2[supp2] * Dq[1]))
+    total2 = vol * float(np.sum(Ddq2[0] * a1[supp1]) + np.sum(Ddq2[1] * e1[supp1]))
+    return abs(total1 - total2), abs(total1)
+
+
+def whole_direction_table(dirs, points):
+    """(|p|, G) of `glued._direction_table` with G built in one (B, N) pass."""
+    pn = np.linalg.norm(points, axis=1)
+    phat = points / np.where(pn > 0.0, pn, 1.0)[:, None]
+    return pn, glued._squared_distances(dirs, phat)
+
+
+def _whole_sphere_squared_distances(table, r):
+    pn, G = table
+    d2 = (r * pn) * G
+    d2 += (r - pn) ** 2
+    return d2
+
+
+def whole_sphere_higgs_norm(dirs, cfg):
+    """`glued.sphere_higgs_norm` from whole (B, N) tables at each radius."""
+    table = whole_direction_table(dirs, cfg.points)
+
+    def norm(r):
+        d = _whole_sphere_squared_distances(table, r)
+        return glued._higgs_from_distances(np.sqrt(d, out=d), cfg)
+
+    return norm
+
+
+def whole_sphere_flux_density(dirs, cfg):
+    """`glued.sphere_flux_density` from whole (B, N) tables at each radius."""
+    table = whole_direction_table(dirs, cfg.points)
+    pn, G = table
+
+    def density(r):
+        d2 = _whole_sphere_squared_distances(table, r)
+        if np.any(d2 == 0.0):
+            raise SingularEvaluationError("flux density evaluated on a shell point")
+        cube = np.sqrt(d2)
+        cube *= d2
+        num = (0.5 * pn) * G
+        num += r - pn
+        num /= cube
+        return np.sum(num, axis=1)
+
+    return density
 
 
 def _bisect(fn, lo, hi, resolution):

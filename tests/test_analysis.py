@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -348,6 +349,21 @@ def test_flux_charge_single_pole():
     cfg1 = SimpleNamespace(points=np.zeros((1, 3)), R=0.0, L=0.1, N=1)
     quad = SphereQuadrature(4096)
     assert flux_charge(2.0, cfg1, quad) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_flux_charge_memory_is_bounded():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = make_shell_config(100, 16.0)
+    tracemalloc.start()
+    try:
+        flux_charge(2 * cfg.R, cfg, SphereQuadrature(16384))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 13.1 MB direction table G plus two row-block buffers; whole
+    # (B, N) temporaries would need about 40 MB
+    assert peak <= 20e6
 
 
 def test_degree_of_map_identity_and_antipodal():

@@ -20,7 +20,7 @@ from magbag.glued import (
 )
 from magbag.monopole import ScaledMonopole, SingularEvaluationError, ps_evaluator
 from magbag.operators import fd_curvature
-from magbag.shell import InvalidParameterError, make_shell_config
+from magbag.shell import _BLOCK_ELEMENTS, InvalidParameterError, make_shell_config
 from magbag.su2 import bracket, form_norm
 
 from oracles import (
@@ -33,6 +33,9 @@ from oracles import (
     higgs_norm_residual_sweep,
     multipole_far_field,
     per_shell_residual_sweep,
+    whole_direction_table,
+    whole_sphere_flux_density,
+    whole_sphere_higgs_norm,
 )
 
 
@@ -417,6 +420,60 @@ def test_sphere_flux_density_singular_on_a_point(cfg25):
     R = np.linalg.norm(p)
     with pytest.raises(SingularEvaluationError):
         glued.sphere_flux_density((p / R)[None, :], cfg25)(R)
+
+
+def _block_counts(n_sources):
+    """Direction counts below one row block, on one, on two and straddling one."""
+    rows = _BLOCK_ELEMENTS // n_sources
+    return [rows // 3, rows, 2 * rows, rows + 1, 2 * rows + 7]
+
+
+def _dirs_through(points, B):
+    """B unit directions: those of the nonzero points first, then a lattice."""
+    pn = np.linalg.norm(points, axis=1)
+    through = points[pn > 0] / pn[pn > 0][:, None]
+    return np.vstack([through, fibonacci_sphere(B)])[:B]
+
+
+@pytest.mark.parametrize("name", ["cfg25", "cfg100"])
+def test_sphere_higgs_norm_equals_whole_table(name, request):
+    cfg = request.getfixturevalue(name)
+    radii = np.concatenate([
+        [0.1 * cfg.R, cfg.R],
+        cfg.R + cfg.L * np.linspace(-1.2, 1.2, 7),  # the ball band
+        [3.0 * cfg.R],
+    ])
+    for B in _block_counts(cfg.N):
+        dirs = _dirs_through(cfg.points, B)
+        got, want = glued._direction_table(dirs, cfg.points), whole_direction_table(dirs, cfg.points)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        with np.errstate(divide="ignore"):
+            sphere, whole = glued.sphere_higgs_norm(dirs, cfg), whole_sphere_higgs_norm(dirs, cfg)
+            for r in radii:
+                assert np.array_equal(sphere(r), whole(r))
+
+
+@pytest.mark.parametrize("name", ["centre", "seeded", "cfg25", "cfg100"])
+def test_sphere_flux_density_equals_whole_table(name, request):
+    cfg = request.getfixturevalue(name) if name.startswith("cfg") else _point_sets()[name]
+    outer = np.max(np.linalg.norm(cfg.points, axis=1)) + getattr(cfg, "L", 0.0)
+    for B in _block_counts(len(cfg.points)):
+        dirs = _dirs_through(cfg.points, B)
+        got, want = glued._direction_table(dirs, cfg.points), whole_direction_table(dirs, cfg.points)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        density = glued.sphere_flux_density(dirs, cfg)
+        whole = whole_sphere_flux_density(dirs, cfg)
+        for r in (1.2 * outer + 0.5, 4.0 * outer + 2.0):
+            assert np.array_equal(density(r), whole(r))
+
+
+def test_sphere_flux_density_singular_in_a_later_block(cfg25):
+    # the shell point's direction sits in the last of three row blocks
+    p = cfg25.points[4]
+    R = np.linalg.norm(p)
+    dirs = np.vstack([fibonacci_sphere(2 * (_BLOCK_ELEMENTS // 25) + 3), p / R])
+    with pytest.raises(SingularEvaluationError):
+        glued.sphere_flux_density(dirs, cfg25)(R)
 
 
 # --- residual ----------------------------------------------------------------

@@ -1,7 +1,11 @@
 import functools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magbag.glued import ball_evaluator
 from magbag.monopole import ScaledMonopole, ps_evaluator
@@ -15,9 +19,10 @@ from magbag.operators import (
     hash_bilinear,
     weitzenbock_defect,
 )
+from magbag.shell import InvalidParameterError
 from magbag.su2 import bracket, form_norm, wedge_dual
 
-from oracles import dirac_evaluator, union_support_pairings
+from oracles import dirac_evaluator, union_support_pairings, whole_grid_adjointness_gap
 
 ORIGIN = ScaledMonopole(center=np.zeros(3), scale=1.0)
 
@@ -78,6 +83,37 @@ def test_apply_D_batched_equals_rows():
         f, s = apply_D(q, bg, X[i])
         np.testing.assert_array_equal(first[i], f)
         np.testing.assert_array_equal(second[i], s)
+
+
+@pytest.mark.parametrize("background", ["flat", "core", "glued"])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_apply_D_rows_are_independent(background, cfg100, data):
+    # the blocked adjointness scan relies on apply_D(x[rows]) == apply_D(x)[rows]
+    # bit for bit, whatever the batch around a row
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = data.draw(st.integers(1, 400), label="n")
+    dirs = rng.normal(size=(n, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    if background == "glued":
+        i = 11
+        centre, radius = cfg100.points[i], 0.9 * cfg100.L
+        bg = ball_evaluator(cfg100, i)
+    else:
+        centre, radius = np.zeros(3), 2.0
+        bg = flat_bg() if background == "flat" else ps_evaluator(ORIGIN)
+    # radii over the whole ball: the glued pair's tail sums switch on in part of it
+    x = centre + radius * rng.uniform(0.0, 1.0, size=(n, 1)) * dirs
+    q = bump_pair(centre + 0.1 * radius, radius, 16)
+    start = data.draw(st.integers(0, n - 1), label="start")
+    stop = data.draw(st.integers(start + 1, n), label="stop")
+    step = data.draw(st.integers(1, 3), label="step")
+    rows = slice(start, stop, step)
+    for sign in (1.0, -1.0):
+        whole = apply_D(q, bg, x, sign=sign)
+        part = apply_D(q, bg, x[rows], sign=sign)
+        np.testing.assert_array_equal(part[0], whole[0][rows])
+        np.testing.assert_array_equal(part[1], whole[1][rows])
 
 
 def test_adjoint_is_phi_negation():
@@ -262,3 +298,85 @@ def test_adjointness_gap_zero_pair():
     q = bump_pair([0, 0, 0], 1.0, 13)
     gap, _ = adjointness_gap(z, q, flat_bg(), ((-2, 2), (-2, 2), (-2, 2)), n_nodes=12)
     assert gap == 0.0
+
+
+def _suite_pairs():
+    return (
+        bump_pair(np.array([0.2, 0.1, -0.3]), 1.2, 3),
+        bump_pair(np.array([-0.3, 0.25, 0.1]), 1.2, 4),
+    )
+
+
+BOX = ((-2, 2), (-2, 2), (-2, 2))
+
+
+@pytest.mark.parametrize("n_nodes", [12, 20, 48, 64])
+def test_adjointness_gap_equals_whole_grid(n_nodes):
+    # 64^3 nodes fill 36 scan blocks of 7281 rows, the last partial, and each
+    # support (about 30k nodes) ends in a partial apply_D block of 1040 rows
+    q1, q2 = _suite_pairs()
+    got = adjointness_gap(q1, q2, flat_bg(), BOX, n_nodes=n_nodes)
+    assert got == whole_grid_adjointness_gap(q1, q2, flat_bg(), BOX, n_nodes=n_nodes)
+
+
+def test_adjointness_gap_zero_pair_equals_whole_grid():
+    z = constant_pair(np.zeros((3, 3)), np.zeros(3))
+    q = bump_pair([0, 0, 0], 1.0, 13)
+    for pair in ((z, q), (q, z)):
+        got = adjointness_gap(*pair, flat_bg(), BOX, n_nodes=20)
+        assert got == whole_grid_adjointness_gap(*pair, flat_bg(), BOX, n_nodes=20)
+
+
+@pytest.mark.parametrize("centre", [[-1.9, 0.0, 0.0], [1.9, 0.0, 0.0]])
+def test_adjointness_gap_rejects_support_on_the_boundary(centre):
+    # the first and the last scan block each hold a touched face
+    q = bump_pair(centre, 0.5, 17)
+    for pair in ((q, _suite_pairs()[0]), (_suite_pairs()[0], q)):
+        with pytest.raises(ValueError, match="boundary"):
+            adjointness_gap(*pair, flat_bg(), BOX, n_nodes=48)
+
+
+@pytest.mark.parametrize("n_nodes", [0, 1, 2, -5, 2.0, 48.0, True, None, "48"])
+def test_adjointness_gap_rejects_bad_node_count(n_nodes):
+    q1, q2 = _suite_pairs()
+    with pytest.raises(InvalidParameterError, match="n_nodes"):
+        adjointness_gap(q1, q2, flat_bg(), BOX, n_nodes=n_nodes)
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        ((2, -2), (-2, 2), (-2, 2)),  # reversed
+        ((-2, 2), (1, 1), (-2, 2)),  # empty
+        ((-2, math.inf), (-2, 2), (-2, 2)),
+        ((-2, 2), (-2, 2), (math.nan, 2)),
+        ((-2, 2), (-2, 2)),  # two axes
+        ((-2, 2), (-2, 2), (-2, 2), (-2, 2)),
+        ((-2, 2, 3), (-2, 2), (-2, 2)),
+        ((-2, "2"), (-2, 2), (-2, 2)),
+        None,
+    ],
+)
+def test_adjointness_gap_rejects_bad_box(box):
+    q1, q2 = _suite_pairs()
+    with pytest.raises(InvalidParameterError, match="box"):
+        adjointness_gap(q1, q2, flat_bg(), box, n_nodes=12)
+
+
+@pytest.mark.parametrize("width", [0, 0.0, -1.0, math.nan, math.inf, None, "1"])
+def test_bump_pair_rejects_bad_width(width):
+    with pytest.raises(InvalidParameterError, match="width"):
+        bump_pair([0, 0, 0], width, 1)
+
+
+def test_adjointness_gap_memory_is_bounded():
+    q1, q2 = _suite_pairs()
+    tracemalloc.start()
+    try:
+        adjointness_gap(q1, q2, flat_bg(), BOX, n_nodes=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # scan blocks of 7281 nodes plus the supported rows; whole-grid tables
+    # at 64^3 nodes need about 131 MB
+    assert peak <= 40e6

@@ -241,15 +241,14 @@ def weitzenbock_defect(u_pair, bg_pair, x, h=1e-4):
 def _check_box(box):
     """Raises unless `box` is three finite (lo, hi) pairs with lo < hi."""
     try:
-        edges = [(lo, hi) for lo, hi in box]
-    except (TypeError, ValueError):
-        edges = None
-    if not (
-        edges is not None
-        and len(edges) == 3
-        and all(isinstance(v, numbers.Real) and math.isfinite(v) for e in edges for v in e)
-        and all(lo < hi for lo, hi in edges)
-    ):
+        ok = len(box) == 3 and all(
+            isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real)
+            and math.isfinite(lo) and math.isfinite(hi) and lo < hi
+            for lo, hi in box
+        )
+    except (TypeError, ValueError):  # not a sequence of pairs
+        ok = False
+    if not ok:
         raise InvalidParameterError(
             f"box must be three finite (lo, hi) pairs with lo < hi, got {box!r}"
         )

@@ -17,7 +17,6 @@ import warnings
 import numpy as np
 
 from magbag import glued
-from magbag.monopole import coth_minus_inv
 from magbag.shell import make_shell_config
 
 
@@ -30,13 +29,11 @@ def profile_zero_radii(cfg, p_idx=0, samples=200000):
     p = cfg.points[p_idx]
     r = cfg.residues[p_idx]
     ds = np.linspace(1e-4 * cfg.L, 0.9999 * cfg.L, samples)
-    c = glued.chi(8.0 * ds / cfg.L - 1.0)
-    core = r * coth_minus_inv(r * ds)
     ext = np.concatenate([
         glued.phi_theta(p + ds[lo : lo + _RAY_CHUNK, None] * np.array([1.0, 0.0, 0.0]), cfg)
         for lo in range(0, samples, _RAY_CHUNK)
     ])
-    coeff = c * core + (1.0 - c) * ext
+    coeff = glued.ball_higgs(ds, r, glued.chi(8.0 * ds / cfg.L - 1.0), ext)
     flips = np.nonzero(np.diff(np.sign(coeff)) != 0)[0]
     return [float(0.5 * (ds[i] + ds[i + 1]) / cfg.L) for i in flips]
 

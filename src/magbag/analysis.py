@@ -60,13 +60,11 @@ def _sphere_fn(field, dirs):
     """The function r -> |Phi|(r * dirs) over unit directions dirs (B, 3).
 
     Accepts a ShellConfig (glued pair) or a ScaledMonopole (exact core);
-    either is evaluated from one direction table built here.
+    either is a `glued.sphere_sweep` over one direction table built here.
     """
     if isinstance(field, ScaledMonopole):
-        table = glued._direction_table(dirs, field.center[None])
-        return lambda r: ps_higgs_norm(
-            np.sqrt(glued._sphere_squared_distances(table, r)[:, 0]), field.scale
-        )
+        return glued.sphere_sweep(dirs, field.center[None],
+                                  lambda r, d2, pn, G: ps_higgs_norm(np.sqrt(d2[:, 0]), field.scale))
     return glued.sphere_higgs_norm(dirs, field)
 
 
@@ -175,12 +173,12 @@ def _bisect(fn, lo, hi, resolution):
     return 0.5 * (lo + hi)
 
 
-def critical_radii(eps, field, quad, r_max=None, n_scan=400, resolution=None):
+def critical_radii(eps, field, quad, r_max=None, n_scan=400):
     """Sampled estimates of the three threshold radii of |Phi|.
 
     The spheres of an even grid of n_scan radii up to r_max are scanned,
     and the grid cell where a threshold is crossed is bisected to
-    `resolution`.  Returns (R_eps, r_eps, rhat_eps):
+    1e-3 max(1, r_max / 40).  Returns (R_eps, r_eps, rhat_eps):
 
     - r_eps / rhat_eps: where the sphere maximum / mean first reaches eps,
       going outward; the first grid radius if it already does there, r_max
@@ -196,21 +194,17 @@ def critical_radii(eps, field, quad, r_max=None, n_scan=400, resolution=None):
       minimum above eps, so the result equals that of a scan of every
       sphere.
 
-    The scan takes an integer n_scan >= 2 radii up to a finite r_max > 0
-    and bisects to a finite resolution > 0.
+    The scan takes an integer n_scan >= 2 radii up to a finite r_max > 0.
     """
     if not 0 < eps < 1:
         raise InvalidParameterError("eps must lie in (0, 1)")
     if r_max is None:
         r_max = 40.0 if isinstance(field, ScaledMonopole) else 4.0 * field.R
-    if resolution is None:
-        resolution = 1e-3 * max(1.0, r_max / 40.0)
     if not 0 < r_max < np.inf:
         raise InvalidParameterError("r_max must be positive and finite")
     if not (isinstance(n_scan, (int, np.integer)) and n_scan >= 2):
         raise InvalidParameterError("n_scan must be an integer >= 2")
-    if not 0 < resolution < np.inf:
-        raise InvalidParameterError("resolution must be positive and finite")
+    resolution = 1e-3 * max(1.0, r_max / 40.0)
     sphere = _sphere_fn(field, quad.points)
     grid = np.linspace(r_max / n_scan, r_max, n_scan)
     stats = {}  # grid index -> (min, mean, max), each sphere evaluated once
@@ -440,11 +434,11 @@ def higgs_floor(cfg):
     floor = np.inf
     for fac in (1.0, 1.05, 1.2, 1.5, 2.0):
         for i in range(cfg.N):
-            pts = cfg.points[i] + fac * cfg.L * dirs
-            d = np.min(np.sqrt(_squared_distances(pts, cfg.points)), axis=1)
-            keep = d >= cfg.L * (1 - 1e-12)
+            d = _squared_distances(cfg.points[i] + fac * cfg.L * dirs, cfg.points)
+            d = np.sqrt(d, out=d)
+            keep = np.min(d, axis=1) >= cfg.L * (1 - 1e-12)
             if keep.any():
-                floor = min(floor, float(glued.higgs_norm(pts[keep], cfg).min()))
+                floor = min(floor, float(glued._higgs_from_distances(d[keep], cfg).min()))
     for rad in (0.5 * cfg.R, cfg.R + 2 * cfg.L, 2 * cfg.R):
         floor = min(floor, float(glued.higgs_norm(rad * fibonacci_sphere(1024), cfg).min()))
     return floor

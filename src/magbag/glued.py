@@ -125,12 +125,6 @@ def _alpha_weight(s, Dn, Dxq):
     return np.reciprocal(t, out=t)
 
 
-def _others(cfg, p_idx):
-    mask = np.ones(cfg.N, dtype=bool)
-    mask[p_idx] = False
-    return cfg.points[mask]
-
-
 _CHUNK = 512  # sample rows per block of `_eta_alpha_sums`
 
 
@@ -147,7 +141,7 @@ def _eta_alpha_sums(X, p_idx, cfg):
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     p = cfg.points[p_idx]
-    D = p - _others(cfg, p_idx)  # (Nq, 3)
+    D = p - np.delete(cfg.points, p_idx, axis=0)  # (Nq, 3), q != p
     DD = np.einsum("qk,qk->q", D, D)
     Dn = np.sqrt(DD)
     eta = np.empty(len(X))
@@ -198,10 +192,17 @@ def ball_fields(X, p_idx, cfg):
     a = _hedgehog_form(xhat, core)
     a -= ((1.0 - c) * 1.0)[:, None, None] * alpha_sum[:, :, None] * xhat[:, None, :]
 
-    higgs = c * r * coth_minus_inv(s) + (1.0 - c) * (r - 1.0 / safe - eta_sum)
-    higgs = np.where(d > 0, higgs, 0.0)
+    higgs = np.where(d > 0, ball_higgs(d, r, c, r - 1.0 / safe - eta_sum), 0.0)
     phi = higgs[:, None] * xhat
     return a, phi
+
+
+def ball_higgs(d, r, c, ext):
+    """Ball-chart Higgs coefficient c r coth_minus_inv(r d) + (1 - c) ext at
+    distance d from a shell point of residue r: the core blended into the
+    exterior coefficient ext (phi_theta, = r - 1/d - sum_q eta_pq in the
+    ball) by the cutoff c = chi(8 d / L - 1)."""
+    return c * (r * coth_minus_inv(r * d)) + (1.0 - c) * ext
 
 
 def ball_evaluator(cfg, p_idx):
@@ -237,7 +238,7 @@ def _higgs_from_distances(d_all, cfg):
     # r_p - 1/d - sum eta = phi_theta collapses the tail sum.  At a shell
     # point chi = 1 and the core term is exactly 0.
     ext_near = np.where(c < 1.0, ext[near], 0.0)
-    out[near] = np.abs(c * (r * coth_minus_inv(r * dn)) + (1.0 - c) * ext_near)
+    out[near] = np.abs(ball_higgs(dn, r, c, ext_near))
     return out
 
 
@@ -257,9 +258,9 @@ def higgs_norm(x, cfg):
 # For a source p and radius r, |r u - p|^2 = (r - |p|)^2 + r |p| G with
 # G = |u - p/|p||^2, and (r u - p).u = (r - |p|) + |p| G / 2.  G depends only
 # on the directions and the sources, so one (B, N) table serves every radius
-# and no (B, N, 3) array is built.  G is the only (B, N) array kept: the
-# evaluators work through it in blocks of `_BLOCK_ELEMENTS // N` rows, each
-# in buffers of one block allocated once per evaluator.
+# and no (B, N, 3) array is built.  G is the only (B, N) array kept: every
+# sphere function is a `sphere_sweep`, which works through G in blocks of
+# `_BLOCK_ELEMENTS // N` rows, in buffers of one block allocated once.
 
 def _direction_table(dirs, points):
     """(|p|, G) for unit directions (B, 3) and sources (N, 3): G = |u - p_hat|^2.
@@ -280,69 +281,60 @@ def _direction_table(dirs, points):
     return pn, G
 
 
-def _sphere_squared_distances(table, r, rows=slice(None), out=None):
-    """|r u - p|^2 = (r - |p|)^2 + r |p| G on `rows` of a `_direction_table`,
-    written into the leading rows of `out` when it is given."""
-    pn, G = table
-    G = G[rows]
-    d2 = np.multiply(r * pn, G, out=None if out is None else out[: len(G)])
-    d2 += (r - pn) ** 2
-    return d2
+def sphere_sweep(dirs, points, reduce):
+    """The function r -> out (B,) on the spheres r u, u = dirs (B, 3), about
+    the sources `points` (N, 3).
+
+    The direction table is built once here, and each radius takes it in
+    blocks of `_BLOCK_ELEMENTS // N` rows: out[rows] = reduce(r, d2, pn, G),
+    with G the block's rows of the table, pn = |p| and d2 = |r u - p|^2 on
+    those rows in a block buffer allocated here, which reduce may overwrite.
+    """
+    pn, G = _direction_table(dirs, points)
+    size, blocks = _row_blocks(*G.shape)
+    buf = np.empty((size, len(pn)))
+
+    def sweep(r):
+        out = np.empty(len(G))
+        for rows in blocks:
+            d2 = np.multiply(r * pn, G[rows], out=buf[: rows.stop - rows.start])
+            d2 += (r - pn) ** 2
+            out[rows] = reduce(r, d2, pn, G[rows])
+        return out
+
+    return sweep
 
 
 def sphere_higgs_norm(dirs, cfg):
-    """The function r -> higgs_norm(r * dirs, cfg) for unit directions (B, 3).
-
-    The direction table G is built once here and is the only (B, N) array
-    kept.  Each radius then takes G in blocks of `_BLOCK_ELEMENTS // N`
-    rows: the distances of a block are formed in one buffer, allocated here,
-    and reduced to |Phi| by one `_higgs_from_distances` call.
-    """
-    table = _direction_table(dirs, cfg.points)
-    G = table[1]
-    size, blocks = _row_blocks(*G.shape)
-    buf = np.empty((size, G.shape[1]))
-
-    def norm(r):
-        out = np.empty(len(G))
-        for rows in blocks:
-            d = _sphere_squared_distances(table, r, rows, buf)
-            out[rows] = _higgs_from_distances(np.sqrt(d, out=d), cfg)
-        return out
-
-    return norm
+    """The function r -> higgs_norm(r * dirs, cfg) for unit directions (B, 3):
+    a `sphere_sweep` reducing each block by `_higgs_from_distances`."""
+    return sphere_sweep(dirs, cfg.points,
+                        lambda r, d2, pn, G: _higgs_from_distances(np.sqrt(d2, out=d2), cfg))
 
 
 def sphere_flux_density(dirs, cfg):
     """The function r -> grad phi_theta(r u) . u at unit directions u = dirs (B, 3).
 
-    Each term (r u - p).u / |r u - p|^3 is taken from the direction table;
-    outside the shell both parts of (r - |p|) + |p| G / 2 are non-negative,
-    so the numerator carries no cancellation.  G is the only (B, N) array
-    kept; each radius takes it in blocks of `_BLOCK_ELEMENTS // N` rows,
-    through two block buffers allocated here.
+    A `sphere_sweep`: each term (r u - p).u / |r u - p|^3 has the numerator
+    (r - |p|) + |p| G / 2; outside the shell both parts are non-negative,
+    so it carries no cancellation.  The cubes take a second block buffer,
+    allocated here.
     """
-    table = _direction_table(dirs, cfg.points)
-    pn, G = table
-    size, blocks = _row_blocks(*G.shape)
-    d2_buf, cube_buf = np.empty((size, len(pn))), np.empty((size, len(pn)))
+    n = len(cfg.points)
+    cube_buf = np.empty((_row_blocks(len(dirs), n)[0], n))
 
-    def density(r):
-        out = np.empty(len(G))
-        for rows in blocks:
-            d2 = _sphere_squared_distances(table, r, rows, d2_buf)
-            if np.any(d2 == 0.0):
-                raise SingularEvaluationError("flux density evaluated on a shell point")
-            cube = np.sqrt(d2, out=cube_buf[: len(d2)])
-            cube *= d2
-            # the numerator overwrites the block's squared distances
-            num = np.multiply(0.5 * pn, G[rows], out=d2)
-            num += r - pn
-            num /= cube
-            out[rows] = np.sum(num, axis=1)
-        return out
+    def density(r, d2, pn, G):
+        if np.any(d2 == 0.0):
+            raise SingularEvaluationError("flux density evaluated on a shell point")
+        cube = np.sqrt(d2, out=cube_buf[: len(d2)])
+        cube *= d2
+        # the numerator overwrites the block's squared distances
+        num = np.multiply(0.5 * pn, G, out=d2)
+        num += r - pn
+        num /= cube
+        return np.sum(num, axis=1)
 
-    return density
+    return sphere_sweep(dirs, cfg.points, density)
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +346,11 @@ def _ball_residual(X, owner, cfg):
     Row i of X (B, 3) is evaluated in the ball of point owner[i]; a scalar
     owner serves every row.  `live` marks the rows on the cutoff transition
     shell, where chi' != 0 or 0 < chi < 1; gT, gL and |Phi| are returned for
-    those rows only.  Everywhere else g = 0.  |Phi| is the ball-chart
-    coefficient |chi r coth_minus_inv(r d) + (1 - chi)(r_p - 1/d - eta)| with
-    the tail eta summed once for the residual: p is the nearest shell point
-    here (2L < min_sep), so r_p - 1/d - eta = phi_theta and this is
-    `higgs_norm`.  The tail sums run once per run of equal owners among the
-    live rows, so a ball's sums see the same rows as in a call of its own.
+    those rows only.  Everywhere else g = 0.  |Phi| is |`ball_higgs`| with
+    the exterior part r_p - 1/d - eta from the residual's own tail sum, so
+    this is `higgs_norm`.  The tail sums run once per run of equal owners
+    among the live rows, so a ball's sums see the same rows as in a call of
+    its own.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     owner = np.broadcast_to(owner, len(X))
@@ -401,7 +392,7 @@ def _ball_residual(X, owner, cfg):
     coeff = cross(dchi, alpha) + (Q - eta)[:, None] * dchi
     gL -= coeff[:, :, None] * xh[:, None, :]
 
-    higgs = np.abs(cl * (rl * coth_minus_inv(s)) + (1.0 - cl) * (rl - 1.0 / dl - eta_sum))
+    higgs = np.abs(ball_higgs(dl, rl, cl, rl - 1.0 / dl - eta_sum))
     return live, gT, gL, higgs
 
 
@@ -434,13 +425,18 @@ def annulus_points(cfg, p_idx, n_radial, n_angular):
     return cfg.points[p_idx] + _annulus_offsets(cfg, n_radial, n_angular)
 
 
-def _annulus_offsets(cfg, n_radial, n_angular):
-    """The `annulus_points` of a shell point p, less p: radii L/8 .. L/4 x a Fibonacci sphere."""
+def _shell_grid(radii, n_angular):
+    """Offsets (len(radii) n_angular, 3): each radius times a Fibonacci sphere
+    of n_angular directions, radius-major."""
     from .analysis import fibonacci_sphere
 
+    return (radii[:, None, None] * fibonacci_sphere(n_angular)[None]).reshape(-1, 3)
+
+
+def _annulus_offsets(cfg, n_radial, n_angular):
+    """The `annulus_points` of a shell point p, less p: radii L/8 .. L/4 x a Fibonacci sphere."""
     _check_count(n_radial=n_radial, n_angular=n_angular)
-    radii = np.linspace(cfg.L / 8, cfg.L / 4, n_radial)
-    return (radii[:, None, None] * fibonacci_sphere(n_angular)[None, :, :]).reshape(-1, 3)
+    return _shell_grid(np.linspace(cfg.L / 8, cfg.L / 4, n_radial), n_angular)
 
 
 def annulus_maxima(cfg, n_radial, n_angular):
@@ -496,8 +492,6 @@ def _residual_sweep(cfg, n_radial, n_angular, quad=None):
     reduced on each shell's own rows and combined shell by shell in index
     order, so the results do not depend on the blocking.
     """
-    from .analysis import fibonacci_sphere
-
     grids = [_annulus_offsets(cfg, n_radial, n_angular)]
     if quad is not None:
         quad_radial, quad_angular = quad
@@ -506,8 +500,7 @@ def _residual_sweep(cfg, n_radial, n_angular, quad=None):
         lo, hi = cfg.L / 8, cfg.L / 4
         q_radii = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         q_w = 0.5 * (hi - lo) * wts
-        q_dirs = fibonacci_sphere(quad_angular)
-        grids.append((q_radii[:, None, None] * q_dirs[None, :, :]).reshape(-1, 3))
+        grids.append(_shell_grid(q_radii, quad_angular))
     maxima = np.zeros((3, cfg.N))
     sup = np.zeros(cfg.N)
     shell_integrals = np.zeros(cfg.N)

@@ -42,29 +42,25 @@ class Curvature:
         return self.star_F - self.d_phi
 
 
+def _central_differences(pair_eval, x, h):
+    """Per output v of pair_eval, (dv, v(x)) at points x (..., 3), with
+    dv[..., j, ...] = (v(x + h e_j) - v(x - h e_j)) / 2h; the 7-point
+    stencil is evaluated in one batch."""
+    x = np.asarray(x, dtype=float)
+    offsets = h * np.eye(3)
+    pts = np.concatenate(
+        [x[..., None, :] + offsets, x[..., None, :] - offsets, x[..., None, :]], axis=-2
+    )  # (..., 7, 3)
+    lead = (slice(None),) * (x.ndim - 1)  # the stencil axis follows the point axes
+    return [
+        ((v[(*lead, slice(0, 3))] - v[(*lead, slice(3, 6))]) / (2.0 * h), v[(*lead, 6)])
+        for v in pair_eval(pts)
+    ]
+
+
 def fd_curvature(pair_eval, x, h=1e-4):
     """Curvature and covariant Higgs derivative at points x (..., 3)."""
-    x = np.asarray(x, dtype=float)
-    base_shape = x.shape[:-1]
-    offsets = h * np.eye(3)
-    # Evaluate on the 6-point stencil plus the center in one batch.
-    pts = np.concatenate(
-        [
-            (x[..., None, :] + offsets).reshape(*base_shape, 3, 3),
-            (x[..., None, :] - offsets).reshape(*base_shape, 3, 3),
-            x[..., None, :],
-        ],
-        axis=-2,
-    )  # (..., 7, 3)
-    a_all, phi_all = pair_eval(pts)
-    a_p, a_m, a0 = a_all[..., 0:3, :, :], a_all[..., 3:6, :, :], a_all[..., 6, :, :]
-    phi_p, phi_m, phi0 = (
-        phi_all[..., 0:3, :],
-        phi_all[..., 3:6, :],
-        phi_all[..., 6, :],
-    )
-    da = (a_p - a_m) / (2.0 * h)  # [..., j, l, k] = d_j a_l
-    dphi = (phi_p - phi_m) / (2.0 * h)  # [..., j, k]
+    (da, a0), (dphi, phi0) = _central_differences(pair_eval, x, h)  # da[..., j, l, k] = d_j a_l
     comm = bracket(a0[..., :, None, :], a0[..., None, :, :])  # [a_j, a_l]
     F = da - np.swapaxes(da, -3, -2) + comm
     star_F = 0.5 * hodge_star(F)
@@ -114,17 +110,10 @@ def apply_D(h_pair, bg_pair, x, h=1e-4, sign=1.0):
 
     `sign` multiplies the background Higgs: -1 gives the formal adjoint.
     """
-    x = np.asarray(x, dtype=float)
-    a, phi = bg_pair(x)
+    a, phi = bg_pair(np.asarray(x, dtype=float))
     phi = sign * phi
-    offsets = h * np.eye(3)
-    pts = np.concatenate(
-        [x[..., None, :] + offsets, x[..., None, :] - offsets, x[..., None, :]], axis=-2
-    )  # (..., 7, 3)
-    al, et = h_pair(pts)
-    alpha0, eta0 = al[..., 6, :, :], et[..., 6, :]
-    d_alpha = (al[..., 0:3, :, :] - al[..., 3:6, :, :]) / (2.0 * h)  # (..., j, l, k)
-    d_eta = (et[..., 0:3, :] - et[..., 3:6, :]) / (2.0 * h)  # (..., j, k)
+    # d_alpha[..., j, l, k] = d_j alpha_l, d_eta[..., j, k] = d_j eta
+    (d_alpha, alpha0), (d_eta, eta0) = _central_differences(h_pair, x, h)
     cov = bracket(a[..., :, None, :], alpha0[..., None, :, :])
     dA_alpha = d_alpha - np.swapaxes(d_alpha, -3, -2) + cov - np.swapaxes(cov, -3, -2)
     star = 0.5 * hodge_star(dA_alpha)

@@ -137,28 +137,26 @@ def pairwise_distances(points):
 def _distance_blocks(points):
     """Row blocks (rows, d, d_min, spare) of `pairwise_distances`.
 
-    `rows` is the slice of points the block covers, taken
-    `_BLOCK_ELEMENTS // N` at a time, and d its distances with an infinite
-    diagonal, so that 1/d vanishes there and d_min = d.min() is the
-    smallest separation.  d and `spare`, an array of d's shape the caller
-    may overwrite, are views of two buffers allocated once and reused by
-    every block: each block is valid only until the next is drawn.
-    Non-finite and coincident points raise.
+    `rows` is the slice of points the block covers, one of `_row_blocks`,
+    and d its distances with an infinite diagonal, so that 1/d vanishes
+    there and d_min = d.min() is the smallest separation.  d and `spare`,
+    an array of d's shape the caller may overwrite, are views of two
+    buffers allocated once and reused by every block: each block is valid
+    only until the next is drawn.  Non-finite and coincident points raise.
     """
     points = np.asarray(points, dtype=float)
     if not np.isfinite(points).all():
         raise InvalidConfigurationError("non-finite point coordinates")
     n = len(points)
-    step = max(1, _BLOCK_ELEMENTS // max(n, 1))
+    size, blocks = _row_blocks(n, n)
     cols = np.asfortranarray(points)
-    buf = np.empty((min(step, n), n))
+    buf = np.empty((size, n))
     work = np.empty_like(buf)
-    for lo in range(0, n, step):
-        rows = slice(lo, min(lo + step, n))
-        k = rows.stop - lo
+    for rows in blocks:
+        k = rows.stop - rows.start
         d = _squared_distances(cols[rows], cols, out=buf[:k], work=work[:k])
         i = np.arange(k)
-        d[i, lo + i] = np.inf
+        d[i, rows.start + i] = np.inf
         d_min = float(d.min())
         if d_min == 0.0:
             raise InvalidConfigurationError("coincident points in the configuration")
@@ -230,7 +228,6 @@ class ShellConfig:
     points: np.ndarray
     residues: np.ndarray
     bands: np.ndarray
-    longitudes: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -261,7 +258,7 @@ def make_shell_config(N, m):
         )
     R = shell_radius(N, m)
     L = gluing_length(N, m)
-    K, bands, longitudes, points = _layout(N, R)
+    K, bands, _, points = _layout(N, R)
 
     radii = np.linalg.norm(points, axis=1)
     if np.any(np.abs(radii - R) > 1e-12 * R):
@@ -310,7 +307,6 @@ def make_shell_config(N, m):
         points=points,
         residues=r_p,
         bands=bands,
-        longitudes=longitudes,
         diagnostics=diagnostics,
     )
 

@@ -51,9 +51,9 @@ def _shell(N, m):
 
 # ---------------------------------------------------------------------------
 
-def algebra_suite(trials=1000, seed=0):
-    rng = np.random.default_rng(seed)
-    a, b, c = rng.normal(size=(3, trials, 3))
+def algebra_suite():
+    rng = np.random.default_rng(0)
+    a, b, c = rng.normal(size=(3, 1000, 3))
     jac = bracket(a, bracket(b, c)) + bracket(b, bracket(c, a)) + bracket(c, bracket(a, b))
     out = [_check("jacobi_identity", np.abs(jac).max(), 1e-12)]
     out.append(
@@ -67,8 +67,8 @@ def algebra_suite(trials=1000, seed=0):
     out.append(
         _check("ad_invariance", np.abs(inner(a, bracket(a, b))).max(), 1e-12)
     )
-    A = rng.normal(size=(trials, 3, 3))
-    B = rng.normal(size=(trials, 3, 3))
+    A = rng.normal(size=(1000, 3, 3))
+    B = rng.normal(size=(1000, 3, 3))
     out.append(
         _check(
             "wedge_dual_symmetry",
@@ -79,7 +79,7 @@ def algebra_suite(trials=1000, seed=0):
     return out
 
 
-def ps_suite(h=1e-4, seed=0, n_points=1000):
+def ps_suite(seed=0, n_points=1000):
     rng = np.random.default_rng(seed)
     mono = ScaledMonopole(center=np.zeros(3), scale=1.0)
     ev = ps_evaluator(mono)
@@ -90,10 +90,10 @@ def ps_suite(h=1e-4, seed=0, n_points=1000):
             f"only {len(X)} of {3 * n_points} draws fall in the radius-8 ball, "
             f"need n_points={n_points}"
         )
-    cur = fd_curvature(ev, X, h=h)
+    cur = fd_curvature(ev, X, h=1e-4)
     rel = form_norm(cur.g) / (1.0 + form_norm(cur.d_phi))
     out = [_check("bogomolny_rel_defect", rel.max(), 1e-6)]
-    cur2 = fd_curvature(ev, X, h=h / 2)
+    cur2 = fd_curvature(ev, X, h=5e-5)
     ratio = form_norm(cur.g).max() / form_norm(cur2.g).max()
     out.append(_check("bogomolny_h_ratio", ratio, 4.5, ok=3.5 <= ratio <= 4.5))
 
@@ -117,11 +117,11 @@ def ps_suite(h=1e-4, seed=0, n_points=1000):
     return out
 
 
-def lemma31_suite(sweep=(64, 128, 256, 512)):
+def lemma31_suite():
     out = []
     d1 = {}
     d2 = {}
-    for N in sweep:
+    for N in (64, 128, 256, 512):
         d1[N], d2[N] = coulomb_maxima(N)
         out.append(_check(f"S1_normalized_N{N}", d1[N], constants.KAPPA_S1))
         out.append(_check(f"S2_normalized_N{N}", d2[N], constants.KAPPA_S2))
@@ -129,7 +129,7 @@ def lemma31_suite(sweep=(64, 128, 256, 512)):
         vals = np.array(list(d.values()))
         spread = (vals.max() - vals.min()) / vals.mean()
         out.append(_check(f"{tag}_sweep_stability", spread, 0.6))
-    N = max(sweep)
+    N = 512
     pts = place_points(N, float(N))
     _, _, s3, s4 = coulomb_sums(pts, np.zeros(3), 1.0)
     out.append(
@@ -145,9 +145,9 @@ def lemma31_suite(sweep=(64, 128, 256, 512)):
     return out
 
 
-def lemma32_suite(N=100, m=16.0, seed=0):
-    cfg = _shell(N, m)
-    rng = np.random.default_rng(seed)
+def lemma32_suite():
+    cfg = _shell(100, 16.0)
+    rng = np.random.default_rng(0)
     out = []
 
     # Chart-overlap identity on random points of the matching shell.
@@ -194,7 +194,7 @@ def lemma32_suite(N=100, m=16.0, seed=0):
     # Longitudinal scaling across the charge sweep (frozen constant).
     worst_norm = {}
     for Ns in (64, 128, 256):
-        _, _, inner = glued.annulus_maxima(_shell(Ns, m), 8, 64)
+        _, _, inner = glued.annulus_maxima(_shell(Ns, 16.0), 8, 64)
         worst_norm[Ns] = float(inner.max()) * Ns / math.log(Ns)
         out.append(
             _check(
@@ -208,16 +208,15 @@ def lemma32_suite(N=100, m=16.0, seed=0):
     return out
 
 
-def theorems_suite(N=100, m=16.0):
+def theorems_suite():
     from .analysis import theorem_report
 
-    cfg = _shell(N, m)
+    cfg = _shell(100, 16.0)
     quad = SphereQuadrature(16384)
     out = []
-    for Nf in (25, 100):
-        cfg_f = cfg if Nf == N else _shell(Nf, m)
+    for cfg_f in (_shell(25, 16.0), cfg):
         val = flux_charge(2 * cfg_f.R, cfg_f, quad)
-        out.append(_check(f"flux_charge_N{Nf}", abs(val - Nf), 1e-3))
+        out.append(_check(f"flux_charge_N{cfg_f.N}", abs(val - cfg_f.N), 1e-3))
     vals = [flux_charge(s * cfg.R, cfg, quad) for s in (1.5, 2.0, 4.0)]
     out.append(_check("flux_r_independence", max(vals) - min(vals), 1e-3))
     geometry = theorem_report(cfg)
@@ -232,7 +231,7 @@ def theorems_suite(N=100, m=16.0):
     return out
 
 
-def operator_suite(N_deg=25, m=16.0, seed=0):
+def operator_suite(seed=0):
     out = []
     mono = ScaledMonopole(center=np.zeros(3), scale=1.0)
     ps_bg = ps_evaluator(mono)
@@ -245,7 +244,7 @@ def operator_suite(N_deg=25, m=16.0, seed=0):
     out.append(_check("deformation_identity_rel", defect / scale, 1e-6))
 
     # Weitzenboeck on flat, exact-core, and glued backgrounds: order 2 in h.
-    cfg = _shell(100, m)
+    cfg = _shell(100, 16.0)
     p_idx = 11
     x_ann = cfg.points[p_idx] + (0.17 * cfg.L) * np.array([0.6, 0.64, 0.48]) / np.linalg.norm(
         [0.6, 0.64, 0.48]
@@ -275,9 +274,9 @@ def operator_suite(N_deg=25, m=16.0, seed=0):
     h2 = hash_bilinear(qb, qa)
     out.append(_check("hash_symmetry", np.abs(h1[0] - h2[0]).max(), 0.0))
 
-    cfg_deg = _shell(N_deg, m)
+    cfg_deg = _shell(25, 16.0)
     total = sum(local_degree(i, cfg_deg) for i in range(cfg_deg.N))
-    out.append(_check("local_degree_sum", abs(total - N_deg), 0.0))
+    out.append(_check("local_degree_sum", abs(total - cfg_deg.N), 0.0))
     return out
 
 

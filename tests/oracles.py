@@ -418,13 +418,12 @@ def _bisect(fn, lo, hi, resolution):
     return 0.5 * (lo + hi)
 
 
-def critical_radii_full_scan(eps, field, quad, r_max=None, n_scan=400, resolution=None):
+def critical_radii_full_scan(eps, field, quad, r_max=None, n_scan=400):
     """(R_eps, r_eps, rhat_eps) from the sphere statistics at every scan radius,
     thresholds applied afterwards; the bisection re-evaluates its lower end."""
     if r_max is None:
         r_max = 40.0 if isinstance(field, ScaledMonopole) else 4.0 * field.R
-    if resolution is None:
-        resolution = 1e-3 * max(1.0, r_max / 40.0)
+    resolution = 1e-3 * max(1.0, r_max / 40.0)
     sphere = _sphere_fn(field, quad.points)
     grid = np.linspace(r_max / n_scan, r_max, n_scan)
     mins = np.empty(n_scan)

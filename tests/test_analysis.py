@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from magbag import analysis
+from magbag import analysis, shell
 from magbag.analysis import (
     SphereQuadrature,
     critical_radii,
@@ -157,10 +157,8 @@ def test_critical_radii_rejects_bad_eps():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"resolution": 0.0},  # would bisect forever
-        {"resolution": math.nan},
         {"r_max": -5.0},
-        {"r_max": math.inf, "resolution": 1e-3},
+        {"r_max": math.inf},
         {"r_max": math.nan},
         {"n_scan": 0},
         {"n_scan": 1},
@@ -170,6 +168,16 @@ def test_critical_radii_rejects_bad_eps():
 def test_critical_radii_rejects_bad_scan(kwargs):
     with pytest.raises(InvalidParameterError):
         critical_radii(0.5, PS, SphereQuadrature(64), **kwargs)
+
+
+@pytest.mark.parametrize("r_max, resolution", [(10.0, 1e-3), (40.0, 1e-3), (400.0, 1e-2)])
+def test_critical_radii_bisects_to_the_scan_resolution(r_max, resolution, monkeypatch):
+    # the bisection resolution follows r_max: 1e-3 max(1, r_max / 40)
+    seen = []
+    bisect = analysis._bisect
+    monkeypatch.setattr(analysis, "_bisect", lambda *args: seen.append(args[3]) or bisect(*args))
+    critical_radii(0.5, PS, SphereQuadrature(64), r_max=r_max)
+    assert seen and all(res == resolution for res in seen)
 
 
 def _glued(N, m):
@@ -322,6 +330,23 @@ def test_core_sphere_off_centre_matches_pointwise():
         vals = ps_higgs_norm(np.linalg.norm(r * quad.points - mono.center, axis=1), mono.scale)
         np.testing.assert_allclose([lo, mean, hi], [vals.min(), vals.mean(), vals.max()],
                                    rtol=2e-15, atol=0)
+
+
+def test_core_sphere_rows_cross_blocks(monkeypatch):
+    # the exact-core sphere in row blocks equals one block bit for bit and
+    # the pointwise |Phi|
+    mono = ScaledMonopole(center=np.array([0.3, -1.2, 0.7]), scale=1.7)
+    dirs = fibonacci_sphere(500)
+    radii = (0.4, 1.0, np.linalg.norm(mono.center), 1.5, 6.0)
+    one_block = analysis._sphere_fn(mono, dirs)
+    want = [one_block(r) for r in radii]
+    monkeypatch.setattr(shell, "_BLOCK_ELEMENTS", 140)  # one source: rows 140, 140, 140, 80
+    blocked = analysis._sphere_fn(mono, dirs)
+    for r, one in zip(radii, want):
+        got = blocked(r)
+        assert np.array_equal(got, one)
+        vals = ps_higgs_norm(np.linalg.norm(r * dirs - mono.center, axis=1), mono.scale)
+        np.testing.assert_allclose(got, vals, rtol=4e-15, atol=0)
 
 
 # --- flux and degree ----------------------------------------------------------

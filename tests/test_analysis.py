@@ -157,6 +157,8 @@ def test_critical_radii_rejects_bad_eps():
 @pytest.mark.parametrize(
     "kwargs",
     [
+        {"r_max": 0.0},
+        {"r_max": -math.inf},
         {"r_max": -5.0},
         {"r_max": math.inf},
         {"r_max": math.nan},

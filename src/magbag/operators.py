@@ -176,20 +176,16 @@ def _grande(u_pair, bg_pair, x, h):
     return first, second
 
 
-def _cov_component(pair_eval, bg_pair, j, h):
-    """Evaluator for the j-th covariant derivative of an (alpha, eta) field."""
-    e = np.zeros(3)
-    e[j] = h
+def _cov_component(pair_eval, bg_pair, h):
+    """Evaluator of the covariant derivatives of an (alpha, eta) field in
+    all three directions: tables [..., j, l, k] and [..., j, k] of cov_j."""
 
     def ev(pts):
         pts = np.asarray(pts, dtype=float)
-        ap, ep = pair_eval(pts + e)
-        am, em = pair_eval(pts - e)
-        a0, e0 = pair_eval(pts)
+        (d_alpha, alpha0), (d_eta, eta0) = _central_differences(pair_eval, pts, h)
         abg, _ = bg_pair(pts)
-        dal = (ap - am) / (2.0 * h) + bracket(abg[..., j, None, :], a0)
-        det = (ep - em) / (2.0 * h) + bracket(abg[..., j, :], e0)
-        return dal, det
+        return (d_alpha + bracket(abg[..., :, None, :], alpha0[..., None, :, :]),
+                d_eta + bracket(abg, eta0[..., None, :]))
 
     return ev
 
@@ -200,21 +196,18 @@ def weitzenbock_defect(u_pair, bg_pair, x, h=1e-4):
     ddag = functools.partial(apply_D, u_pair, bg_pair, h=h, sign=-1.0)
     lhs = apply_D(ddag, bg_pair, x, h)
 
-    # Rough covariant Laplacian -sum_j cov_j cov_j, componentwise.
+    # Rough covariant Laplacian -sum_j cov_j cov_j, componentwise; d_cov[i, j]
+    # is the i-th difference of cov_j.
+    (d_cov_a, cov_a), (d_cov_e, cov_e) = _central_differences(
+        _cov_component(u_pair, bg_pair, h), x, h)
+    abg, phi = bg_pair(x[None, :])
+    abg, phi = abg[0], phi[0]
     lap_a = np.zeros((3, 3))
     lap_e = np.zeros(3)
     for j in range(3):
-        inner_ev = _cov_component(u_pair, bg_pair, j, h)
-        e = np.zeros(3)
-        e[j] = h
-        ap, ep = inner_ev(np.stack([x + e, x - e]))
-        abg, _ = bg_pair(x[None, :])
-        a0, e0 = inner_ev(x[None, :])
-        lap_a -= (ap[0] - ap[1]) / (2.0 * h) + bracket(abg[0, j, None, :], a0[0])
-        lap_e -= (ep[0] - ep[1]) / (2.0 * h) + bracket(abg[0, j, :], e0[0])
+        lap_a -= d_cov_a[j, j] + bracket(abg[j, None, :], cov_a[j])
+        lap_e -= d_cov_e[j, j] + bracket(abg[j, :], cov_e[j])
 
-    _, phi = bg_pair(x[None, :])
-    phi = phi[0]
     alpha0, eta0 = u_pair(x[None, :])
     alpha0, eta0 = alpha0[0], eta0[0]
     mass_a = bracket(phi[None, :], bracket(alpha0, phi[None, :]))

@@ -4,7 +4,10 @@ N points are distributed over latitude bands of a radius-R sphere, band k
 at polar angle k*pi/K carrying n_k equally spaced points, with the excess
 over N removed round-robin over the bands (largest longitude first within
 a band).  Each point gets a Coulomb residue r_p = 1 - sum_q 1/|p-q|, the
-asymptotic Higgs scale of the core glued there.
+asymptotic Higgs scale of the core glued there.  `make_shell_config` sums it
+band by band (`_ring_residues`): nearby bands pair by pair, and each distant
+band as a whole latitude ring in Gauss's closed form.  `residues` sums any
+point set pair by pair.
 """
 
 import math
@@ -46,7 +49,12 @@ def choose_band_count(N):
 
 
 def _layout(N, R):
-    """Band index, longitude and coordinates for each of the N points."""
+    """(K, n_b, keep, band, longitude, points) of the N-point layout.
+
+    n_b are the full band sizes, keep the points each band keeps after the
+    round-robin, and band (1-based), longitude and coordinates are given
+    point by point.
+    """
     K = choose_band_count(N)
     sizes = band_sizes(K)
     # Band k keeps the longitude indices j < keep[k], at 2 pi j / n_k.
@@ -60,12 +68,19 @@ def _layout(N, R):
         b = (b + 1) % (K - 1)
     band = np.repeat(np.arange(K - 1), keep)
     j = np.arange(N) - np.repeat(np.cumsum(keep) - keep, keep)
+    phi, points = _band_points(R, K, sizes, band, j)
+    return K, sizes, np.array(keep), band + 1, phi, points
+
+
+def _band_points(R, K, sizes, band, j):
+    """(longitude, coordinates) of point j of each 0-based band: polar angle
+    (band + 1) pi / K, longitude 2 pi j / n_band."""
     theta = (band + 1) * np.pi / K
     phi = 2.0 * np.pi * j / sizes[band]
     points = np.column_stack(
         [R * np.sin(theta) * np.cos(phi), R * np.sin(theta) * np.sin(phi), R * np.cos(theta)]
     )
-    return K, band + 1, phi, points
+    return phi, points
 
 
 def _check_charge(N):
@@ -89,13 +104,13 @@ def place_points(N, R):
     N = _check_charge(N)
     if not (isinstance(R, numbers.Real) and math.isfinite(R) and R > 0):
         raise InvalidParameterError(f"radius must be finite and positive, got {R!r}")
-    return _layout(N, R)[3]
+    return _layout(N, R)[5]
 
 
 # Row blocks of the pairwise table hold about this many float64 entries
 # (512 kB).  A block and its work array then stay in a core's 2 MB L2 cache
 # through every pass over them, and the shell assembly needs O(N) memory plus
-# those two arrays at any N (tracemalloc peak 1.3 MB at N = 4800).
+# those two arrays at any N (tracemalloc peak 1.5 MB at N = 4800).
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -171,6 +186,140 @@ def _residues_and_separation(points):
         min_sep = min(min_sep, d_min)
         r_p[rows] = 1.0 - np.sum(np.reciprocal(d, out=d), axis=1)
     return r_p, min_sep
+
+
+# A far ring's aliasing may reach this fraction of its ring term: half an ulp
+# of 1, so leaving the aliasing out costs no more than rounding the term.
+_ALIAS_TOL = 2.0**-53
+
+
+# numpy buffers a broadcasting ufunc whose rows hold fewer than about a third
+# of its buffer (8192 elements by default), and its outer differences then
+# take ~2 ns per entry instead of ~0.5 ns (numpy 2.4, x86-64).  Most near runs
+# are shorter than that; a 1024-element buffer keeps runs of 342 or more
+# columns unbuffered.  The residues are the same bits at the default size.
+_RUN_BUFSIZE = 1024
+
+
+def _band_chords(R, K):
+    """(d_max, d_min), each (K-1, K-1): the farthest and nearest distance
+    from a point of band a to the circle of band b, 2R sin((t_a + t_b)/2)
+    and 2R |sin((t_a - t_b)/2)|, with t_b = (b + 1) pi / K."""
+    theta = np.arange(1, K) * np.pi / K
+    d_max = 2.0 * R * np.sin(0.5 * (theta[:, None] + theta))
+    d_min = 2.0 * R * np.abs(np.sin(0.5 * (theta[:, None] - theta)))
+    return d_max, d_min
+
+
+def _ring_plan(K, sizes):
+    """near (K-1, K-1) bool: near[a, b] when the points of band b are summed
+    pair by pair for the points of band a; the other band pairs are far and
+    take the ring term n_b / AGM(d_max, d_min) of `_band_chords`.
+
+    The rule.  Let x lie on band a and q run over the n_b equally spaced
+    points of band b, psi the longitude between them.  With
+    alpha = (d_max + d_min)/2 and rho = (d_max - d_min)/(d_max + d_min),
+    |x - q|^2 = alpha^2 |1 - rho e^{i psi}|^2, so
+
+        1/|x - q| = (1/alpha) (1 - rho e^{i psi})^{-1/2} (1 - rho e^{-i psi})^{-1/2}
+                  = sum_l c_l e^{i l psi},
+        c_l = (1/alpha) sum_k a_k a_{k+l} rho^{2k+l},  a_k = C(2k, k) / 4^k.
+
+    The a_k are positive and decrease, so 0 < c_l <= rho^|l| c_0, and
+    c_0 = 1/AGM(d_max, d_min) is the ring's mean (Gauss).  Summing over the
+    n_b points keeps the modes l = k n_b:
+
+        sum_q 1/|x - q| = n_b c_0 + 2 n_b sum_{k>=1} c_{k n_b} cos(k n_b psi_0),
+
+    and the aliasing sum is at most 2 rho^n_b / (1 - rho^n_b) of the ring
+    term n_b c_0.  A pair is far when that bound is <= `_ALIAS_TOL`.  rho
+    does not depend on R, so the plan depends on the layout alone.  Band a
+    itself (rho = 1) is always near; its neighbours a +- 1 are made near,
+    so every pair closer than 2R sin(pi/K), the nearest any far pair can
+    be, is summed pair by pair and the smallest separation is exact.
+    """
+    d_max, d_min = _band_chords(1.0, K)
+    alias = ((d_max - d_min) / (d_max + d_min)) ** sizes
+    band = np.arange(K - 1)
+    return (2.0 * alias > _ALIAS_TOL * (1.0 - alias)) | (np.abs(band[:, None] - band) <= 1)
+
+
+def _agm(a, b):
+    """Gauss's arithmetic-geometric mean of arrays a >= b > 0, elementwise."""
+    a, b = np.asarray(a, dtype=np.longdouble), np.asarray(b, dtype=np.longdouble)
+    while True:
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        # a - b <= 2^-32 a leaves 2^-67 a after one more mean
+        if np.all(a - b <= 2.0**-32 * a):
+            return 0.5 * (a + b)
+
+
+def _ring_terms(R, K, sizes, far):
+    """(K-1, K-1): n_b / AGM(d_max, d_min) where `far`, else 0.  The AGM is
+    taken in long double, so each term is within about half an ulp where
+    that type is wider than float64."""
+    d_max, d_min = _band_chords(R, K)
+    ring = np.zeros((K - 1, K - 1))
+    ring[far] = np.broadcast_to(sizes, ring.shape)[far] / _agm(d_max[far], d_min[far])
+    return ring
+
+
+def _ring_residues(R, K, sizes, keep, points):
+    """(r_p, smallest separation) of `points`, the layout `_layout(N, R)`
+    with band sizes n_b and survivor counts `keep`, from latitude rings.
+
+    The points of each band a (of consecutive bands with the same near
+    bands together) are summed pair by pair against the near bands of
+    `_ring_plan`, in row blocks of one contiguous run of near bands at a
+    time; a run's columns are never split, so the sums do not depend on
+    `_BLOCK_ELEMENTS`.  Each far band b adds its whole ring's
+    n_b / AGM(d_max, d_min), less the points the layout dropped from it.
+    The separation is the smallest over the near pairs, which hold every
+    pair that could attain it, so it equals `_residues_and_separation`'s
+    bit for bit; the residues agree with it to rounding.  Coincident points
+    raise.
+    """
+    near = _ring_plan(K, sizes)
+    far = ~near
+    ring = np.repeat(_ring_terms(R, K, sizes, far).sum(axis=1), keep)
+    lost_band = np.repeat(np.arange(K - 1), sizes - keep)
+    lost_j = np.concatenate([np.arange(k, n) for k, n in zip(keep, sizes)])
+    lost = np.asfortranarray(_band_points(R, K, sizes, lost_band, lost_j)[1])
+
+    cols = np.asfortranarray(points)
+    start = np.concatenate([[0], np.cumsum(keep)])
+    # bands [a0, a1) share their near bands, which hold all of them in one run
+    a0s = np.flatnonzero(np.concatenate([[True], np.any(near[1:] != near[:-1], axis=1)]))
+    buf = np.empty(max(_BLOCK_ELEMENTS, len(points)))
+    work = np.empty_like(buf)
+    r_p = np.empty(len(points))
+    d2_min = math.inf
+    bufsize = np.setbufsize(_RUN_BUFSIZE)
+    try:
+        for a0, a1 in zip(a0s, [*a0s[1:], K - 1]):
+            own = slice(start[a0], start[a1])
+            rows = cols[own]
+            total = np.zeros(len(rows))
+            edges = np.flatnonzero(np.diff(np.concatenate([[0], near[a0], [0]])))
+            for b0, b1 in edges.reshape(-1, 2):
+                run = cols[start[b0]:start[b1]]
+                c = len(run)
+                for blk in _row_blocks(len(rows), c)[1]:
+                    k = blk.stop - blk.start
+                    d = _squared_distances(rows[blk], run, out=buf[:k * c].reshape(k, c),
+                                           work=work[:k * c].reshape(k, c))
+                    if b0 <= a0 < b1:
+                        i = np.arange(k)
+                        d[i, start[a0] - start[b0] + blk.start + i] = np.inf
+                    d2_min = min(d2_min, float(d.min()))
+                    total[blk] += np.sum(np.reciprocal(np.sqrt(d, out=d), out=d), axis=1)
+            d = np.sqrt(_squared_distances(rows, lost[far[a0, lost_band]]))
+            r_p[own] = 1.0 - (total + (ring[own] - np.sum(1.0 / d, axis=1)))
+    finally:
+        np.setbufsize(bufsize)
+    if d2_min == 0.0:
+        raise InvalidConfigurationError("coincident points in the configuration")
+    return r_p, math.sqrt(d2_min)
 
 
 def residues(points):
@@ -258,13 +407,13 @@ def make_shell_config(N, m):
         )
     R = shell_radius(N, m)
     L = gluing_length(N, m)
-    K, bands, _, points = _layout(N, R)
+    K, sizes, keep, bands, _, points = _layout(N, R)
 
     radii = np.linalg.norm(points, axis=1)
     if np.any(np.abs(radii - R) > 1e-12 * R):
         raise InvalidConfigurationError("points off the shell sphere")
 
-    r_p, min_sep = _residues_and_separation(points)
+    r_p, min_sep = _ring_residues(R, K, sizes, keep, points)
     sep_floor = R * math.sin(math.pi / (2 * K))
     if min_sep < sep_floor * (1 - 1e-12):
         raise InvalidConfigurationError(
@@ -312,11 +461,15 @@ def make_shell_config(N, m):
 
 
 def write_points_csv(cfg, fh):
-    """Point table index,band,x,y,z,r_p, 17 significant digits, to text file fh."""
-    lines = ["index,band,x,y,z,r_p"]
-    for i in range(cfg.N):
-        x, y, z = cfg.points[i]
-        lines.append(
-            f"{i},{cfg.bands[i]},{x:.17g},{y:.17g},{z:.17g},{cfg.residues[i]:.17g}"
-        )
-    fh.write("\n".join(lines) + "\n")
+    """Point table index,band,x,y,z,r_p, 17 significant digits, to text file fh.
+
+    Rows are formatted from Python scalars and written 1024 at a time, so
+    the text never holds more than one chunk.
+    """
+    fh.write("index,band,x,y,z,r_p\n")
+    x, y, z = cfg.points.T
+    for lo in range(0, cfg.N, 1024):
+        part = slice(lo, lo + 1024)
+        rows = zip(range(lo, lo + 1024), cfg.bands[part].tolist(), x[part].tolist(),
+                   y[part].tolist(), z[part].tolist(), cfg.residues[part].tolist())
+        fh.write("".join(["%d,%d,%.17g,%.17g,%.17g,%.17g\n" % row for row in rows]))

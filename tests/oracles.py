@@ -459,3 +459,14 @@ def critical_radii_full_scan(eps, field, quad, r_max=None, n_scan=400):
     r_eps = first_reach(maxs, np.max)
     rhat_eps = first_reach(means, np.mean)
     return R_eps, r_eps, rhat_eps
+
+
+def write_points_csv_rows(cfg, fh):
+    """`shell.write_points_csv` one f-string per row, joined and written once."""
+    lines = ["index,band,x,y,z,r_p"]
+    for i in range(cfg.N):
+        x, y, z = cfg.points[i]
+        lines.append(
+            f"{i},{cfg.bands[i]},{x:.17g},{y:.17g},{z:.17g},{cfg.residues[i]:.17g}"
+        )
+    fh.write("\n".join(lines) + "\n")

@@ -263,6 +263,26 @@ def test_weitzenbock_glued_background_order(cfg100):
     assert d1 / d2 == pytest.approx(4.0, abs=1.2)
 
 
+# `operator_suite(seed=0)` values, to the bit: the Weitzenboeck check's
+# nested stencils are `_central_differences` batches of the same points
+OPERATOR_SUITE_SEED0 = {
+    "deformation_identity_rel": "0x1.4ddbc553531cdp-42",
+    "weitzenbock_order_flat": "0x1.0000000000000p+2",
+    "weitzenbock_order_core": "0x1.000022ac17502p+2",
+    "weitzenbock_order_glued": "0x1.0000eaae2ca05p+2",
+    "adjointness_gap_rel": "0x1.b91f5f2334176p-33",
+    "hash_symmetry": "0x0.0p+0",
+    "local_degree_sum": "0x0.0p+0",
+}
+
+
+def test_operator_suite_values_are_pinned():
+    from magbag.suites import operator_suite
+
+    got = {e["check"]: e["value"] for e in operator_suite(seed=0)}
+    assert got == {k: float.fromhex(v) for k, v in OPERATOR_SUITE_SEED0.items()}
+
+
 def test_adjointness_gap_flat():
     q1 = bump_pair([0.2, 0.1, -0.3], 1.2, 11)
     q2 = bump_pair([-0.3, 0.25, 0.1], 1.2, 12)

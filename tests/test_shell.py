@@ -24,7 +24,13 @@ from magbag.shell import (
     write_points_csv,
 )
 
-from oracles import brute_band_sizes, difference_distances, layout_loop, shell_coulomb_rows
+from oracles import (
+    brute_band_sizes,
+    difference_distances,
+    layout_loop,
+    shell_coulomb_rows,
+    write_points_csv_rows,
+)
 
 
 def test_band_sizes_k10():
@@ -82,7 +88,7 @@ def test_place_points_removal_pattern():
     # round-robin: 23 removals from the K=10 layout at N=100
     from magbag.shell import _layout
 
-    K, bands, _, pts = _layout(100, 1.0)
+    K, _, _, bands, _, pts = _layout(100, 1.0)
     assert K == 10 and len(pts) == 100
     counts = np.bincount(bands, minlength=10)[1:]
     removed = band_sizes(10) - counts
@@ -95,7 +101,7 @@ def test_layout_matches_point_by_point_oracle(N, radius):
     from magbag.shell import _layout
 
     R = shell_radius(N, 16.0) if radius == "shell" else N
-    _, bands, lons, pts = _layout(N, R)
+    *_, bands, lons, pts = _layout(N, R)
     want_bands, want_lons, want_pts = layout_loop(N, R)
     assert np.array_equal(bands, want_bands)
     assert np.array_equal(lons, want_lons)
@@ -118,7 +124,7 @@ def test_place_points_deterministic():
 def test_place_points_ordering():
     from magbag.shell import _layout
 
-    _, bands, lons, _ = _layout(100, 1.0)
+    _, _, _, bands, lons, _ = _layout(100, 1.0)
     order = np.lexsort((lons, bands))
     assert np.array_equal(order, np.arange(100))
 
@@ -183,19 +189,23 @@ def test_residues_catch_a_twin_in_another_block(monkeypatch):
 
 
 # (N, block budget): one block, five equal blocks, 25 blocks and a ragged 7-row
-# one; the blocked runs reuse one buffer across every block
+# one; the blocked runs reuse one buffer across every block.  The one-block
+# configuration also runs at numpy's default ufunc buffer size.
 @pytest.mark.parametrize("N, budget", [(8, 8 * 8), (100, 100 * 20), (257, 257 * 10)])
 def test_blocked_tables_equal_difference_oracle(N, budget, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         monkeypatch.setattr(shell, "_BLOCK_ELEMENTS", N * N)
+        monkeypatch.setattr(shell, "_RUN_BUFSIZE", 8192)
         one_block = make_shell_config(N, 16.0)
+        monkeypatch.undo()
         monkeypatch.setattr(shell, "_BLOCK_ELEMENTS", budget)
         cfg = make_shell_config(N, 16.0)
     min_sep, s1, _ = shell_coulomb_rows(cfg.points)
-    assert np.array_equal(cfg.residues, 1.0 - s1)
+    np.testing.assert_allclose(cfg.residues, 1.0 - s1, rtol=1e-14, atol=0)
     assert np.array_equal(residues(cfg.points), 1.0 - s1)
     assert cfg.diagnostics["min_separation"] == min_sep
+    assert np.array_equal(cfg.residues, one_block.residues)
     assert cfg.diagnostics == one_block.diagnostics
     assert np.array_equal(pairwise_distances(cfg.points), difference_distances(cfg.points, cfg.points))
 
@@ -217,6 +227,71 @@ def test_make_shell_config_memory_is_bounded():
         tracemalloc.stop()
     assert cfg.diagnostics["Lr_min"] > 16 / 3
     assert peak <= 4 * 2**20
+
+
+def _ring_layout(N, m):
+    """(R, K, n_b, keep, points) of the (N, m) shell layout."""
+    R = shell_radius(N, m)
+    K, sizes, keep, _, _, points = shell._layout(N, R)
+    return R, K, sizes, keep, points
+
+
+@given(st.integers(min_value=8, max_value=3000), st.floats(min_value=1.01, max_value=256.0))
+@settings(max_examples=30, deadline=None)
+def test_ring_residues_match_brute_force(N, m):
+    R, K, sizes, keep, points = _ring_layout(N, m)
+    r_p, min_sep = shell._ring_residues(R, K, sizes, keep, points)
+    want, want_sep = shell._residues_and_separation(points)
+    np.testing.assert_allclose(r_p, want, rtol=1e-14, atol=0)
+    assert min_sep == want_sep
+
+
+def test_ring_term_matches_elliptic_integral():
+    # Gauss: 1/AGM(a, b) = (2/pi) K(k)/a with k^2 = 1 - (b/a)^2, ellipk(k^2) = K(k)
+    import mpmath
+
+    R, K, sizes, _, _ = _ring_layout(4800, 16.0)
+    far = ~shell._ring_plan(K, sizes)
+    ring = shell._ring_terms(R, K, sizes, far)
+    d_max, d_min = shell._band_chords(R, K)
+    worst = 0.0
+    with mpmath.workdps(30):
+        for a, b in zip(*np.nonzero(far)):
+            hi, lo = mpmath.mpf(d_max[a, b]), mpmath.mpf(d_min[a, b])
+            want = int(sizes[b]) * 2 / mpmath.pi * mpmath.ellipk(1 - (lo / hi) ** 2) / hi
+            worst = max(worst, float(abs(ring[a, b] - want)) / np.spacing(float(want)))
+    assert far.sum() > 2000 and worst <= 2.0
+
+
+def test_far_rings_within_their_aliasing_bound():
+    # every point of band a against the whole ring b, the dropped points
+    # included; 8 ulps cover the rounded coordinates and the row sums
+    R, K, sizes, keep, points = _ring_layout(4800, 16.0)
+    far = ~shell._ring_plan(K, sizes)
+    ring = shell._ring_terms(R, K, sizes, far)
+    d_max, d_min = shell._band_chords(1.0, K)
+    band = np.repeat(np.arange(K - 1), keep)
+    for b in range(K - 1):
+        rows = far[band, b]
+        if not rows.any():
+            continue
+        _, q = shell._band_points(R, K, sizes, np.full(sizes[b], b), np.arange(sizes[b]))
+        got = np.sum(1.0 / difference_distances(points[rows], q), axis=1)
+        want = ring[band[rows], b]
+        alias = ((d_max - d_min) / (d_max + d_min))[band[rows], b] ** sizes[b]
+        bound = 2 * alias / (1 - alias)
+        assert np.all(bound <= 2.0**-53)
+        assert np.all(np.abs(got - want) <= (bound + 8 * np.finfo(float).eps) * want)
+
+
+def test_ring_plan_near_field_work_is_sub_quadratic():
+    # near pairs are the O(N^{3/2}) part of the layout's residues; the
+    # brute-force pass takes all N^2
+    N = 4800
+    K, sizes, keep, *_ = shell._layout(N, 1.0)
+    near = shell._ring_plan(K, sizes)
+    assert all(near.diagonal(k).all() for k in (-1, 0, 1))
+    assert keep @ near @ keep <= 0.3 * N * N
 
 
 def test_coulomb_sums_singleton():
@@ -276,7 +351,8 @@ def test_shell_invariants(cfg100):
 
 def test_make_shell_config_residues_and_diagnostics(cfg100):
     # one distance matrix serves the separation checks and the residues
-    assert np.array_equal(cfg100.residues, residues(place_points(100, cfg100.R)))
+    np.testing.assert_allclose(cfg100.residues, residues(place_points(100, cfg100.R)),
+                               rtol=1e-14, atol=0)
     diag = cfg100.diagnostics
     assert (diag["min_separation"], diag["r_min"], diag["r_max"]) == (
         258.5938353509599, 0.8825922060064197, 0.9063745860241845)
@@ -346,6 +422,15 @@ def test_points_csv_roundtrip(cfg100):
     buf2 = io.StringIO()
     write_points_csv(cfg100, buf2)
     assert buf2.getvalue() == text
+
+
+@pytest.mark.parametrize("N", [100, 4800])
+def test_points_csv_equals_row_by_row_writer(N):
+    cfg = make_shell_config(N, 16.0)
+    got, want = io.StringIO(), io.StringIO()
+    write_points_csv(cfg, got)
+    write_points_csv_rows(cfg, want)
+    assert got.getvalue() == want.getvalue()
 
 
 def test_shell_radius_formula():

@@ -236,7 +236,9 @@ def _ring_plan(K, sizes):
     does not depend on R, so the plan depends on the layout alone.  Band a
     itself (rho = 1) is always near; its neighbours a +- 1 are made near,
     so every pair closer than 2R sin(pi/K), the nearest any far pair can
-    be, is summed pair by pair and the smallest separation is exact.
+    be, is summed pair by pair.  Some near pair is closer than that (checked
+    at every N from 8 to 3000 and at every 97th N up to 20000), so the
+    smallest separation is exact.
     """
     d_max, d_min = _band_chords(1.0, K)
     alias = ((d_max - d_min) / (d_max + d_min)) ** sizes

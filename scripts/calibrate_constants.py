@@ -10,7 +10,6 @@ field formulas; runtime is about ten seconds.
 """
 
 import math
-import warnings
 
 import numpy as np
 
@@ -91,7 +90,6 @@ def higgs_floor():
 
 
 if __name__ == "__main__":
-    warnings.filterwarnings("ignore")
     bogomolny_scale()
     suite_values()
     band_overshoot()

@@ -12,7 +12,6 @@ resulting weighted-norm behavior.  Output is a JSON table on stdout.
 import argparse
 import json
 import math
-import warnings
 
 import numpy as np
 
@@ -24,14 +23,15 @@ from magbag.shell import make_shell_config
 _RAY_CHUNK = 4096
 
 
-def profile_zero_radii(cfg, p_idx=0, samples=200000):
-    """Radii in (0, L) where the ball-chart Higgs coefficient changes sign."""
-    p = cfg.points[p_idx]
-    r = cfg.residues[p_idx]
-    ds = np.linspace(1e-4 * cfg.L, 0.9999 * cfg.L, samples)
+def profile_zero_radii(cfg):
+    """Radii in (0, L) where the ball-chart Higgs coefficient changes sign,
+    from 200000 samples along the x-axis ray out of the first shell point."""
+    p = cfg.points[0]
+    r = cfg.residues[0]
+    ds = np.linspace(1e-4 * cfg.L, 0.9999 * cfg.L, 200000)
     ext = np.concatenate([
         glued.phi_theta(p + ds[lo : lo + _RAY_CHUNK, None] * np.array([1.0, 0.0, 0.0]), cfg)
-        for lo in range(0, samples, _RAY_CHUNK)
+        for lo in range(0, len(ds), _RAY_CHUNK)
     ])
     coeff = glued.ball_higgs(ds, r, glued.chi(8.0 * ds / cfg.L - 1.0), ext)
     flips = np.nonzero(np.diff(np.sign(coeff)) != 0)[0]
@@ -70,5 +70,4 @@ def main():
 
 
 if __name__ == "__main__":
-    warnings.filterwarnings("ignore")
     main()

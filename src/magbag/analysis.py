@@ -15,7 +15,7 @@ import numpy as np
 
 from . import glued
 from .monopole import ScaledMonopole, ps_evaluator, ps_higgs_norm
-from .operators import fd_curvature
+from .operators import _stencil_points, fd_curvature
 from .shell import InvalidParameterError, _check_count, _squared_distances
 from .su2 import cross
 
@@ -69,18 +69,19 @@ def _sphere_fn(field, dirs):
 
 
 def sphere_stats(r, field, quad):
-    """(min, mean, max) of |Phi| over the radius-r sphere."""
-    if not 0 < r < np.inf:
-        raise InvalidParameterError("sphere radius must be positive and finite")
-    vals = _sphere_fn(field, quad.points)(r)
-    return float(vals.min()), float(vals.mean()), float(vals.max())
+    """(min, mean, max) of |Phi| over the radius-r sphere: the one row of
+    `radial_profile([r])`."""
+    return radial_profile([r], field, quad)[0][1:]
 
 
 def radial_profile(radii, field, quad):
-    """Rows of (radius, min, mean, max); radii must be finite and increase strictly."""
+    """Rows of (radius, min, mean, max); radii must be finite, positive and
+    increase strictly."""
     radii = np.asarray(radii, dtype=float)
     if not np.all(np.isfinite(radii)):
         raise InvalidParameterError("radii must be finite")
+    if np.any(radii <= 0):
+        raise InvalidParameterError("radii must be positive")
     if np.any(np.diff(radii) <= 0):
         raise InvalidParameterError("radii must be strictly increasing")
     sphere = _sphere_fn(field, quad.points)
@@ -270,9 +271,10 @@ def flux_charge(r, cfg, quad):
     return float(r * r * quad.weight * dens.sum() / (4.0 * np.pi))
 
 
-@functools.lru_cache(maxsize=4)
-def icosphere(subdivisions=3):
-    """Geodesic triangulation of S^2: 20 * 4^k faces.
+@functools.cache
+def icosphere():
+    """Geodesic triangulation of S^2: the icosahedron subdivided three
+    times, 1280 faces.
 
     Memoised; the returned (vertices, faces) arrays are read-only.
     """
@@ -292,7 +294,7 @@ def icosphere(subdivisions=3):
         (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
     ]
     verts = [v / np.linalg.norm(v) for v in verts]
-    for _ in range(subdivisions):
+    for _ in range(3):
         cache = {}
         new_faces = []
 
@@ -333,9 +335,9 @@ def degree_of_map(values, faces):
     return omega.sum() / (4.0 * np.pi)
 
 
-def local_degree(p_idx, cfg, subdivisions=3):
+def local_degree(p_idx, cfg):
     """Winding number of Phi/|Phi| on a small sphere around a shell point."""
-    verts, faces = icosphere(subdivisions)
+    verts, faces = icosphere()
     radius = cfg.L / 16.0
     pts = cfg.points[p_idx] + radius * verts
     _, phi = glued.ball_fields(pts, p_idx, cfg)
@@ -346,26 +348,25 @@ def local_degree(p_idx, cfg, subdivisions=3):
     return int(nearest)
 
 
-def ps_energy(r_max=40.0, quad=None, n_radial=64, h=1e-4):
+def ps_energy(r_max=40.0, n_radial=64):
     """Whole-space integrals of |F|^2 and |d_A Phi|^2 for the unit core.
 
-    Product Gauss-Legendre radial rule times the sphere lattice, plus the
-    abelian tail estimate 4 pi / r_max for each integral.
+    Product Gauss-Legendre radial rule times a 64-point sphere lattice, with
+    derivatives at step 1e-4, plus the abelian tail estimate 4 pi / r_max
+    for each integral.
     """
     if not 20 <= r_max < np.inf:
         raise InvalidParameterError("tail estimate needs a finite r_max >= 20")
-    if quad is None:
-        quad = SphereQuadrature(64)
     mono = ScaledMonopole(center=np.zeros(3), scale=1.0)
     ev = ps_evaluator(mono)
     nodes, wts = np.polynomial.legendre.leggauss(n_radial)
     radii = 0.5 * r_max * (nodes + 1.0)
     w_r = 0.5 * r_max * wts
-    dirs = quad.points
+    dirs = fibonacci_sphere(64)
     E_F = 0.0
     E_dphi = 0.0
     for r, w in zip(radii, w_r):
-        cur = fd_curvature(ev, r * dirs, h=h)
+        cur = fd_curvature(ev, r * dirs)
         f2 = np.sum(cur.star_F**2, axis=(1, 2)).mean()
         d2 = np.sum(cur.d_phi**2, axis=(1, 2)).mean()
         E_F += w * 4.0 * np.pi * r * r * f2
@@ -377,16 +378,9 @@ def ps_energy(r_max=40.0, quad=None, n_radial=64, h=1e-4):
 def laplacian_identity(x, pair_eval, h=1e-3):
     """Defect of  Laplacian |Phi|^2 = 2 |d_A Phi|^2  at x (exact solutions)."""
     x = np.asarray(x, dtype=float)
-
-    def n2(pts):
-        _, phi = pair_eval(pts)
-        return np.sum(phi * phi, axis=-1)
-
-    lap = 0.0
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = h
-        lap += (n2((x + e)[None, :])[0] - 2 * n2(x[None, :])[0] + n2((x - e)[None, :])[0]) / h**2
+    _, phi = pair_eval(_stencil_points(x, h))  # x + h e_j, x - h e_j, x
+    n2 = np.sum(phi * phi, axis=-1)
+    lap = sum((n2[j] - 2 * n2[6] + n2[3 + j]) / h**2 for j in range(3))
     cur = fd_curvature(pair_eval, x[None, :], h=h)
     d2 = float(np.sum(cur.d_phi**2))
     return abs(lap - 2.0 * d2)

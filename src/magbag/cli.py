@@ -18,7 +18,6 @@ import json
 import math
 import numbers
 import sys
-import warnings
 
 import numpy as np
 
@@ -111,9 +110,7 @@ def cmd_place(cfg):
 
     _require(cfg.n >= 8, f"charge must be at least 8, got n={cfg.n}")
     _check_m(cfg.m)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        shell = make_shell_config(cfg.n, cfg.m)
+    shell = make_shell_config(cfg.n, cfg.m)
     with _output(cfg.out) as fh:
         write_points_csv(shell, fh)
     return 0
@@ -136,9 +133,7 @@ def cmd_profile(cfg):
     if cfg.n == 1:
         field = ScaledMonopole(center=np.zeros(3), scale=1.0)
     else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            field = make_shell_config(cfg.n, cfg.m)
+        field = make_shell_config(cfg.n, cfg.m)
         radii = field.R * radii
     rows = radial_profile(radii, field, quad)
     with _output(cfg.out) as fh:

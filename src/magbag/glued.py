@@ -44,25 +44,17 @@ _PLATEAU_LO = 0.25  # chi = 1 at or below
 _PLATEAU_HI = 0.5  # chi = 0 at or above
 
 
-def _bump(s):
-    """exp(-1/s) for s > 0, 0 otherwise; all derivatives vanish at 0."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    pos = s > 0
-    out[pos] = np.exp(-1.0 / s[pos])
-    return out
-
-
 def chi(t):
-    """Smooth non-increasing cutoff: 1 on (-inf, 1/4], 0 on [1/2, inf)."""
+    """Smooth non-increasing cutoff: 1 on (-inf, 1/4], 0 on [1/2, inf), and
+    g / (g + h) between, with g = exp(-1/(1/2 - t)) and h = exp(-1/(t - 1/4)).
+    """
     t = np.asarray(t, dtype=float)
-    g = _bump(_PLATEAU_HI - t)
-    h = _bump(t - _PLATEAU_LO)
-    out = np.ones_like(t)
-    hi = t >= _PLATEAU_HI
-    mid = (t > _PLATEAU_LO) & ~hi
-    out[hi] = 0.0
-    out[mid] = g[mid] / (g[mid] + h[mid])
+    out = np.where(t >= _PLATEAU_HI, 0.0, 1.0)
+    mid = (t > _PLATEAU_LO) & (t < _PLATEAU_HI)
+    tm = t[mid]
+    g = np.exp(-1.0 / (_PLATEAU_HI - tm))
+    h = np.exp(-1.0 / (tm - _PLATEAU_LO))
+    out[mid] = g / (g + h)
     return out if out.ndim else float(out)
 
 
@@ -125,19 +117,16 @@ def _alpha_weight(s, Dn, Dxq):
     return np.reciprocal(t, out=t)
 
 
-_CHUNK = 512  # sample rows per block of `_eta_alpha_sums`
-
-
 def _eta_alpha_sums(X, p_idx, cfg):
     """(sum_q eta_pq, sum_q alpha_pq) at points X (B, 3) of the ball around p.
 
     With w = x-p and D = p-q, both sums come from the dot products w.D
-    (one matrix product per chunk), |w|^2 and |D|^2:
+    (one matrix product per row block), |w|^2 and |D|^2:
     |x-q|^2 = |D|^2 + 2 w.D + |w|^2, D.(x-q) = |D|^2 + w.D, and
     eta_pq = -(2 w.D + |w|^2) / (|x-q| |D| (|D| + |x-q|)), the difference
     1/|x-q| - 1/|D| without its cancellation.  Since w x D is linear in D,
-    sum_q alpha_pq = w x sum_q weight_q D.  Rows are taken `_CHUNK` at a
-    time, so memory stays O(_CHUNK N).
+    sum_q alpha_pq = w x sum_q weight_q D.  Rows are taken in the shell's
+    row blocks of the (B, N - 1) tables, so memory stays bounded at any N.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     p = cfg.points[p_idx]
@@ -146,13 +135,13 @@ def _eta_alpha_sums(X, p_idx, cfg):
     Dn = np.sqrt(DD)
     eta = np.empty(len(X))
     alpha = np.empty((len(X), 3))
-    for lo in range(0, len(X), _CHUNK):
-        w = X[lo : lo + _CHUNK] - p  # (b, 3)
+    for rows in _row_blocks(len(X), len(D))[1]:
+        w = X[rows] - p  # (b, 3)
         wD = w @ D.T  # (b, Nq)
         shift = 2.0 * wD + np.einsum("bk,bk->b", w, w)[:, None]  # |x-q|^2 - |D|^2
         s = np.sqrt(DD + shift)
-        eta[lo : lo + _CHUNK] = -np.sum(shift / (s * Dn * (Dn + s)), axis=1)
-        alpha[lo : lo + _CHUNK] = cross(w, _alpha_weight(s, Dn, DD + wD) @ D)
+        eta[rows] = -np.sum(shift / (s * Dn * (Dn + s)), axis=1)
+        alpha[rows] = cross(w, _alpha_weight(s, Dn, DD + wD) @ D)
     return eta, alpha
 
 

@@ -42,19 +42,24 @@ class Curvature:
         return self.star_F - self.d_phi
 
 
+def _stencil_points(x, h):
+    """The 7-point stencil (..., 7, 3) of points x (..., 3): x + h e_j for
+    j = 0, 1, 2, then x - h e_j, then x."""
+    x = np.asarray(x, dtype=float)
+    offsets = h * np.eye(3)
+    return np.concatenate(
+        [x[..., None, :] + offsets, x[..., None, :] - offsets, x[..., None, :]], axis=-2
+    )
+
+
 def _central_differences(pair_eval, x, h):
     """Per output v of pair_eval, (dv, v(x)) at points x (..., 3), with
     dv[..., j, ...] = (v(x + h e_j) - v(x - h e_j)) / 2h; the 7-point
     stencil is evaluated in one batch."""
-    x = np.asarray(x, dtype=float)
-    offsets = h * np.eye(3)
-    pts = np.concatenate(
-        [x[..., None, :] + offsets, x[..., None, :] - offsets, x[..., None, :]], axis=-2
-    )  # (..., 7, 3)
-    lead = (slice(None),) * (x.ndim - 1)  # the stencil axis follows the point axes
+    lead = (slice(None),) * (np.ndim(x) - 1)  # the stencil axis follows the point axes
     return [
         ((v[(*lead, slice(0, 3))] - v[(*lead, slice(3, 6))]) / (2.0 * h), v[(*lead, 6)])
-        for v in pair_eval(pts)
+        for v in pair_eval(_stencil_points(x, h))
     ]
 
 
@@ -81,10 +86,10 @@ def flat_bg(phi3=0.8):
     return ev
 
 
-def bump_pair(center, width, seed, power=8):
-    """Compactly supported C^{power-1} deformation pair (alpha, eta).
+def bump_pair(center, width, seed):
+    """Compactly supported C^7 deformation pair (alpha, eta).
 
-    Polynomial profile (1 - |x-c|^2/w^2)^power times constant coefficients
+    Polynomial profile (1 - |x-c|^2/w^2)^8 times constant coefficients
     drawn from `seed`: smooth enough for the second-order stencils and
     quadrature-friendly at its support edge.  The width must be finite and
     positive.
@@ -99,7 +104,7 @@ def bump_pair(center, width, seed, power=8):
     def ev(pts):
         pts = np.asarray(pts, dtype=float)
         t = np.sum(((pts - center) / width) ** 2, axis=-1)
-        prof = np.where(t < 1.0, (1.0 - np.minimum(t, 1.0)) ** power, 0.0)
+        prof = np.where(t < 1.0, (1.0 - np.minimum(t, 1.0)) ** 8, 0.0)
         return prof[..., None, None] * A, prof[..., None] * E
 
     return ev
@@ -236,17 +241,18 @@ def _check_box(box):
         )
 
 
-def _apply_D_blocks(h_pair, bg_pair, x, h, sign):
+def _apply_D_blocks(h_pair, bg_pair, x, sign):
     """`apply_D` at points x (n, 3), in blocks of `_BLOCK_ELEMENTS // 63` rows
     (the 7-point stencil of 3 x 3 tables per row)."""
     first, second = np.empty((len(x), 3, 3)), np.empty((len(x), 3))
     for rows in _row_blocks(len(x), 63)[1]:
-        first[rows], second[rows] = apply_D(h_pair, bg_pair, x[rows], h, sign=sign)
+        first[rows], second[rows] = apply_D(h_pair, bg_pair, x[rows], sign=sign)
     return first, second
 
 
-def adjointness_gap(q_pair, q2_pair, bg_pair, box, n_nodes=64, h=1e-4):
-    """| int <q2, D q> - int <D^dag q2, q> | over a box, by midpoint rule.
+def adjointness_gap(q_pair, q2_pair, bg_pair, box, n_nodes=64):
+    """| int <q2, D q> - int <D^dag q2, q> | over a box, by midpoint rule,
+    with D at its default step.
 
     `box` is ((x0, x1), (y0, y1), (z0, z1)); both pairs must be supported
     strictly inside it (this is checked on the boundary shell of nodes), and
@@ -291,8 +297,8 @@ def adjointness_gap(q_pair, q2_pair, bg_pair, box, n_nodes=64, h=1e-4):
         kept2.append((pts[supp2], a2[supp2], e2[supp2]))
     pts1, a1, e1 = (np.concatenate(parts) for parts in zip(*kept1))
     pts2, a2, e2 = (np.concatenate(parts) for parts in zip(*kept2))
-    Dq = _apply_D_blocks(q_pair, bg_pair, pts2, h, 1.0)
-    Ddq2 = _apply_D_blocks(q2_pair, bg_pair, pts1, h, -1.0)
+    Dq = _apply_D_blocks(q_pair, bg_pair, pts2, 1.0)
+    Ddq2 = _apply_D_blocks(q2_pair, bg_pair, pts1, -1.0)
     total1 = vol * float(np.sum(a2 * Dq[0]) + np.sum(e2 * Dq[1]))
     total2 = vol * float(np.sum(Ddq2[0] * a1) + np.sum(Ddq2[1] * e1))
     return abs(total1 - total2), abs(total1)

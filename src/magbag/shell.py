@@ -12,7 +12,6 @@ point set pair by pair.
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -397,16 +396,11 @@ def gluing_length(N, m):
 
 
 def make_shell_config(N, m):
-    """Build and validate the full configuration for charge N, thickness m."""
+    """Build and validate the full configuration for charge N, thickness m;
+    `diagnostics` reports how far (N, m) lies from the asymptotic regime."""
     N = _check_charge(N)
     if not (isinstance(m, numbers.Real) and math.isfinite(m) and m > 1):
         raise InvalidParameterError(f"need a finite m > 1, got {m!r}")
-    if N < 64:
-        warnings.warn(
-            f"N={N} is far below the asymptotic regime; bound diagnostics "
-            "will show large slack",
-            stacklevel=2,
-        )
     R = shell_radius(N, m)
     L = gluing_length(N, m)
     K, sizes, keep, bands, _, points = _layout(N, R)

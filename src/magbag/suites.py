@@ -10,7 +10,6 @@ tolerance) or from the frozen calibration constants.
 """
 
 import math
-import warnings
 
 import numpy as np
 
@@ -43,12 +42,6 @@ def _check(name, value, bound, ok=None):
     return {"check": name, "value": float(value), "bound": float(bound), "pass": bool(ok)}
 
 
-def _shell(N, m):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return make_shell_config(N, m)
-
-
 # ---------------------------------------------------------------------------
 
 def algebra_suite():
@@ -79,17 +72,13 @@ def algebra_suite():
     return out
 
 
-def ps_suite(seed=0, n_points=1000):
+def ps_suite(seed=0):
     rng = np.random.default_rng(seed)
     mono = ScaledMonopole(center=np.zeros(3), scale=1.0)
     ev = ps_evaluator(mono)
-    X = rng.uniform(-8, 8, size=(3 * n_points, 3))
-    X = X[np.linalg.norm(X, axis=1) <= 8.0][:n_points]
-    if len(X) < n_points:
-        raise ValueError(
-            f"only {len(X)} of {3 * n_points} draws fall in the radius-8 ball, "
-            f"need n_points={n_points}"
-        )
+    # the first 1000 of 3000 draws in the radius-8 ball (about 1571 fall in it)
+    X = rng.uniform(-8, 8, size=(3000, 3))
+    X = X[np.linalg.norm(X, axis=1) <= 8.0][:1000]
     cur = fd_curvature(ev, X, h=1e-4)
     rel = form_norm(cur.g) / (1.0 + form_norm(cur.d_phi))
     out = [_check("bogomolny_rel_defect", rel.max(), 1e-6)]
@@ -146,7 +135,7 @@ def lemma31_suite():
 
 
 def lemma32_suite():
-    cfg = _shell(100, 16.0)
+    cfg = make_shell_config(100, 16.0)
     rng = np.random.default_rng(0)
     out = []
 
@@ -194,7 +183,7 @@ def lemma32_suite():
     # Longitudinal scaling across the charge sweep (frozen constant).
     worst_norm = {}
     for Ns in (64, 128, 256):
-        _, _, inner = glued.annulus_maxima(_shell(Ns, 16.0), 8, 64)
+        _, _, inner = glued.annulus_maxima(make_shell_config(Ns, 16.0), 8, 64)
         worst_norm[Ns] = float(inner.max()) * Ns / math.log(Ns)
         out.append(
             _check(
@@ -211,10 +200,10 @@ def lemma32_suite():
 def theorems_suite():
     from .analysis import theorem_report
 
-    cfg = _shell(100, 16.0)
+    cfg = make_shell_config(100, 16.0)
     quad = SphereQuadrature(16384)
     out = []
-    for cfg_f in (_shell(25, 16.0), cfg):
+    for cfg_f in (make_shell_config(25, 16.0), cfg):
         val = flux_charge(2 * cfg_f.R, cfg_f, quad)
         out.append(_check(f"flux_charge_N{cfg_f.N}", abs(val - cfg_f.N), 1e-3))
     vals = [flux_charge(s * cfg.R, cfg, quad) for s in (1.5, 2.0, 4.0)]
@@ -244,7 +233,7 @@ def operator_suite(seed=0):
     out.append(_check("deformation_identity_rel", defect / scale, 1e-6))
 
     # Weitzenboeck on flat, exact-core, and glued backgrounds: order 2 in h.
-    cfg = _shell(100, 16.0)
+    cfg = make_shell_config(100, 16.0)
     p_idx = 11
     x_ann = cfg.points[p_idx] + (0.17 * cfg.L) * np.array([0.6, 0.64, 0.48]) / np.linalg.norm(
         [0.6, 0.64, 0.48]
@@ -274,7 +263,7 @@ def operator_suite(seed=0):
     h2 = hash_bilinear(qb, qa)
     out.append(_check("hash_symmetry", np.abs(h1[0] - h2[0]).max(), 0.0))
 
-    cfg_deg = _shell(25, 16.0)
+    cfg_deg = make_shell_config(25, 16.0)
     total = sum(local_degree(i, cfg_deg) for i in range(cfg_deg.N))
     out.append(_check("local_degree_sum", abs(total - cfg_deg.N), 0.0))
     return out

@@ -1,5 +1,4 @@
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -12,13 +11,9 @@ from magbag.shell import make_shell_config
 @pytest.fixture(scope="session")
 def cfg100():
     """The workhorse desk-scale configuration."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return make_shell_config(100, 16.0)
+    return make_shell_config(100, 16.0)
 
 
 @pytest.fixture(scope="session")
 def cfg25():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return make_shell_config(25, 16.0)
+    return make_shell_config(25, 16.0)

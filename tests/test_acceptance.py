@@ -39,8 +39,8 @@ from magbag.analysis import (
     sphere_stats,
 )
 from magbag.operators import fd_curvature
+from magbag.shell import make_shell_config
 from magbag.su2 import form_norm
-from magbag.suites import _shell
 
 
 def _verdict(num, ok, detail):
@@ -60,11 +60,11 @@ def _suite_values(suite, **kwargs):
 @pytest.fixture(scope="module")
 def shells():
     return {
-        (100, 16): _shell(100, 16.0),
-        (64, 16): _shell(64, 16.0),
-        (256, 16): _shell(256, 16.0),
-        (100, 81): _shell(100, 81.0),
-        (100, 256): _shell(100, 256.0),
+        (100, 16): make_shell_config(100, 16.0),
+        (64, 16): make_shell_config(64, 16.0),
+        (256, 16): make_shell_config(256, 16.0),
+        (100, 81): make_shell_config(100, 81.0),
+        (100, 256): make_shell_config(100, 256.0),
     }
 
 

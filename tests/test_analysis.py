@@ -1,7 +1,6 @@
 import io
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -86,8 +85,11 @@ def test_radial_profile_monotone_radii(cfg100):
     for _, lo, mean, hi in rows:
         # radial field: equal up to the rounding of the float mean
         assert lo <= mean + 1e-14 and mean <= hi + 1e-14
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="increasing"):
         radial_profile([2.0, 1.0], PS, quad)
+    for radii in ([-2.0, 0.0, 1.0], [0.0, 1.0], [-1.0]):
+        with pytest.raises(InvalidParameterError, match="positive"):
+            radial_profile(radii, PS, quad)
 
 
 @pytest.mark.parametrize("radii", [[1.0, 2.0, math.inf], [1.0, math.nan, 3.0], [math.nan]])
@@ -96,7 +98,7 @@ def test_radial_profile_rejects_non_finite_radii(radii):
         radial_profile(radii, PS, SphereQuadrature(256))
 
 
-@pytest.mark.parametrize("r", [math.inf, math.nan, 0.0])
+@pytest.mark.parametrize("r", [math.inf, math.nan, 0.0, -1.0])
 def test_sphere_stats_rejects_bad_radius(r):
     with pytest.raises(InvalidParameterError):
         sphere_stats(r, PS, SphereQuadrature(256))
@@ -182,12 +184,6 @@ def test_critical_radii_bisects_to_the_scan_resolution(r_max, resolution, monkey
     assert seen and all(res == resolution for res in seen)
 
 
-def _glued(N, m):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return make_shell_config(N, m)
-
-
 CORES = [
     ScaledMonopole(center=np.array([0.3, -1.2, 0.7]), scale=1.7),
     ScaledMonopole(center=np.array([2.0, 0.0, 0.0]), scale=0.5),
@@ -198,7 +194,7 @@ CORES = [
 @pytest.mark.parametrize("N", [32, 100, 256])
 @pytest.mark.parametrize("m", [2.0, 16.0])
 def test_critical_radii_glued_equal_full_scan(N, m):
-    cfg = _glued(N, m)
+    cfg = make_shell_config(N, m)
     quad = SphereQuadrature(128)
     for eps in (0.05, 0.5, 0.8):
         assert critical_radii(eps, cfg, quad) == critical_radii_full_scan(eps, cfg, quad)
@@ -218,15 +214,15 @@ def test_critical_radii_off_centre_cores_equal_full_scan(mono):
     [
         # no sphere minimum reaches eps: R_eps = 0.0
         (CORES[2], 0.01, {}, lambda R, r, rh, grid: R == 0.0),
-        (_glued(100, 16.0), 0.5, {}, lambda R, r, rh, grid: R == 0.0),
+        (make_shell_config(100, 16.0), 0.5, {}, lambda R, r, rh, grid: R == 0.0),
         # the minimum still dips to eps on the outermost sphere
         (PS, 0.5, {"r_max": 1.0}, lambda R, r, rh, grid: R == grid[-1] == r == rh),
         # the max and the mean reach eps on the first sphere
-        (_glued(100, 16.0), 0.5, {}, lambda R, r, rh, grid: r == rh == grid[0]),
+        (make_shell_config(100, 16.0), 0.5, {}, lambda R, r, rh, grid: r == rh == grid[0]),
         # the max and the mean never reach eps
         (CORES[1], 0.5, {}, lambda R, r, rh, grid: r == rh == grid[-1]),
         # a minimum crossing bisected inside the window
-        (_glued(100, 16.0), 0.8, {}, lambda R, r, rh, grid: grid[0] < R < grid[-1]),
+        (make_shell_config(100, 16.0), 0.8, {}, lambda R, r, rh, grid: grid[0] < R < grid[-1]),
     ],
 )
 def test_critical_radii_branches_equal_full_scan(field, eps, kwargs, branch):
@@ -237,7 +233,9 @@ def test_critical_radii_branches_equal_full_scan(field, eps, kwargs, branch):
     assert branch(*got, np.linspace(r_max / 400, r_max, 400))
 
 
-@pytest.mark.parametrize("field", [_glued(32, 2.0), _glued(100, 16.0), PS] + CORES)
+@pytest.mark.parametrize(
+    "field", [make_shell_config(32, 2.0), make_shell_config(100, 16.0), PS] + CORES
+)
 def test_sphere_floor_bounds_the_sampled_minimum(field):
     quad = SphereQuadrature(512)
     sphere = analysis._sphere_fn(field, quad.points)
@@ -259,7 +257,7 @@ def test_sphere_floor_bounds_the_sampled_minimum(field):
 
 @pytest.mark.parametrize("N, m", [(32, 2.0), (100, 16.0), (256, 16.0)])
 def test_radial_gap_equals_min_over_every_point(N, m):
-    cfg = _glued(N, m)
+    cfg = make_shell_config(N, m)
     pn = np.linalg.norm(cfg.points, axis=1)
     gap, far = analysis._radial_gap(cfg.points)
     radii = np.concatenate([np.random.default_rng(5).uniform(0.0, 2.0 * cfg.R, 300), pn,
@@ -269,7 +267,9 @@ def test_radial_gap_equals_min_over_every_point(N, m):
     assert far == pn.max()
 
 
-@pytest.mark.parametrize("field", [_glued(32, 2.0), _glued(100, 16.0), PS] + CORES)
+@pytest.mark.parametrize(
+    "field", [make_shell_config(32, 2.0), make_shell_config(100, 16.0), PS] + CORES
+)
 def test_sphere_ceiling_bounds_the_sampled_maximum(field):
     quad = SphereQuadrature(512)
     sphere = analysis._sphere_fn(field, quad.points)
@@ -294,7 +294,7 @@ def test_sphere_ceiling_bounds_the_sampled_maximum(field):
 def test_critical_radii_ceiling_skips_spheres(N, m, full_walk, monkeypatch):
     # eps near 1: the max first reaches eps far out, and every sphere before
     # that used to be evaluated (full_walk evaluations with the bisections)
-    cfg = _glued(N, m)
+    cfg = make_shell_config(N, m)
     quad = SphereQuadrature(256)
     calls = []
     sphere_fn = analysis._sphere_fn
@@ -379,9 +379,7 @@ def test_flux_charge_single_pole():
 
 
 def test_flux_charge_memory_is_bounded():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cfg = make_shell_config(100, 16.0)
+    cfg = make_shell_config(100, 16.0)
     tracemalloc.start()
     try:
         flux_charge(2 * cfg.R, cfg, SphereQuadrature(16384))
@@ -394,9 +392,9 @@ def test_flux_charge_memory_is_bounded():
 
 
 def test_degree_of_map_identity_and_antipodal():
-    verts, faces = icosphere(3)
+    verts, faces = icosphere()
     assert len(faces) == 1280
-    assert icosphere(3)[0] is verts and not verts.flags.writeable  # memoised, read-only
+    assert icosphere()[0] is verts and not verts.flags.writeable  # memoised, read-only
     assert degree_of_map(verts, faces) == pytest.approx(1.0, abs=1e-9)
     assert degree_of_map(-verts, faces) == pytest.approx(-1.0, abs=1e-9)
 
@@ -446,6 +444,31 @@ def test_laplacian_identity_abelian():
     ev = dirac_evaluator(p, 1.0)
     d = laplacian_identity(p + np.array([3.0, 0, 0]), ev, h=1e-3)
     assert d < 1e-5
+
+
+# `ps_suite(seed=0)` values, to the bit: they pin `ps_energy`'s fixed sphere
+# rule and step, the Laplacian stencil and the core's critical radii
+PS_SUITE_SEED0 = {
+    "bogomolny_rel_defect": "0x1.d8393496a2c64p-33",
+    "bogomolny_h_ratio": "0x1.f04e7556c05cap+1",
+    "energy_dphi_vs_4pi": "0x1.1b819931d0630p-32",
+    "energy_F_vs_dphi": "0x1.fdd9f95f5b2b3p-32",
+    "r_eps<0.3": "0x1.e833333333333p-1",
+    "rhat_eps<0.3": "0x1.e833333333333p-1",
+    "r_eps<0.5": "0x1.cbe6666666666p+0",
+    "rhat_eps<0.5": "0x1.cbe6666666666p+0",
+    "r_half_value": "0x1.e4f765fd8c000p-14",
+    "r_eps<0.7": "0x1.a6d9999999999p+1",
+    "rhat_eps<0.7": "0x1.a6d9999999999p+1",
+    "higgs_laplacian_identity": "0x1.697f966000000p-27",
+}
+
+
+def test_ps_suite_values_are_pinned():
+    from magbag.suites import ps_suite
+
+    got = {e["check"]: e["value"] for e in ps_suite(seed=0)}
+    assert got == {k: float.fromhex(v) for k, v in PS_SUITE_SEED0.items()}
 
 
 # --- report --------------------------------------------------------------------

@@ -108,9 +108,7 @@ def test_phi_theta_singular(cfg100):
 
 @pytest.mark.parametrize("N", [25, 100, 256])
 def test_distance_tables_equal_difference_oracle(N):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cfg = make_shell_config(N, 16.0)
+    cfg = make_shell_config(N, 16.0)
     rng = np.random.default_rng(N)
     near = cfg.points[rng.integers(0, N, 300)] + rng.normal(size=(300, 3)) * cfg.L / 3
     far = rng.normal(size=(300, 3)) * 2.0 * cfg.R
@@ -185,9 +183,7 @@ def test_alpha_on_the_line_through_p_and_q():
 
 
 def test_eta_alpha_sums_match_per_source_oracles():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cfg = make_shell_config(256, 16.0)
+    cfg = make_shell_config(256, 16.0)
     rng = np.random.default_rng(7)
     for p_idx in (0, 100, 255):
         p = cfg.points[p_idx]
@@ -372,9 +368,7 @@ def test_desk_scale_profile_has_interior_zero(cfg100):
 
 @pytest.mark.parametrize("N", [25, 100, 256])
 def test_sphere_higgs_norm_matches_pointwise(N):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cfg = make_shell_config(N, 16.0)
+    cfg = make_shell_config(N, 16.0)
     # lattice directions plus the direction of every shell point, so the
     # spheres through R pass exactly through the zeros
     shell_dirs = cfg.points / np.linalg.norm(cfg.points, axis=1)[:, None]
@@ -585,16 +579,10 @@ def test_residual_report_keys(cfg25, monkeypatch):
     assert gstar == glued.gstar_norm(cfg25, 4, 32)
 
 
-def _shell(N):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return make_shell_config(N, 16.0)
-
-
 @pytest.mark.parametrize("N", [25, 64, 256])
 def test_ball_residual_higgs_matches_higgs_norm(N):
     # |Phi| from the residual's own tail sum is higgs_norm on every live sample
-    cfg = _shell(N)
+    cfg = make_shell_config(N, 16.0)
     worst = 0.0
     n_live = 0
     for p_idx in range(0, N, max(1, N // 32)):
@@ -620,7 +608,7 @@ def test_ball_residual_singular_on_any_point(cfg25):
 
 @pytest.mark.parametrize("N", [25, 64])
 def test_weighted_norm_matches_higgs_norm_sweep(N):
-    cfg = _shell(N)
+    cfg = make_shell_config(N, 16.0)
     res = (4, 32, 4, 16)
     maxima, sup_o, int_o = higgs_norm_residual_sweep(cfg, *res)
     _, sup2_o, int2_o = higgs_norm_residual_sweep(cfg, *(2 * k for k in res))
@@ -645,7 +633,7 @@ def test_weighted_norm_matches_higgs_norm_sweep(N):
 def test_residual_sweep_equals_per_shell_sweep(N, res, budget, monkeypatch):
     if budget is not None:
         monkeypatch.setattr(glued, "_ROW_BUDGET", budget)
-    cfg = _shell(N)
+    cfg = make_shell_config(N, 16.0)
     maxima, sup_term, int_term = glued._residual_sweep(cfg, res[0], res[1], res[2:])
     want = per_shell_residual_sweep(cfg, *res)
     assert np.array_equal(maxima, want[0])
@@ -660,7 +648,7 @@ def test_residual_sweep_blocks_split_configurations():
 
 
 def test_residual_report_memory_is_bounded():
-    cfg = _shell(256)
+    cfg = make_shell_config(256, 16.0)
     tracemalloc.start()
     try:
         glued.residual_report(cfg)

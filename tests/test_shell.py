@@ -193,14 +193,12 @@ def test_residues_catch_a_twin_in_another_block(monkeypatch):
 # configuration also runs at numpy's default ufunc buffer size.
 @pytest.mark.parametrize("N, budget", [(8, 8 * 8), (100, 100 * 20), (257, 257 * 10)])
 def test_blocked_tables_equal_difference_oracle(N, budget, monkeypatch):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        monkeypatch.setattr(shell, "_BLOCK_ELEMENTS", N * N)
-        monkeypatch.setattr(shell, "_RUN_BUFSIZE", 8192)
-        one_block = make_shell_config(N, 16.0)
-        monkeypatch.undo()
-        monkeypatch.setattr(shell, "_BLOCK_ELEMENTS", budget)
-        cfg = make_shell_config(N, 16.0)
+    monkeypatch.setattr(shell, "_BLOCK_ELEMENTS", N * N)
+    monkeypatch.setattr(shell, "_RUN_BUFSIZE", 8192)
+    one_block = make_shell_config(N, 16.0)
+    monkeypatch.undo()
+    monkeypatch.setattr(shell, "_BLOCK_ELEMENTS", budget)
+    cfg = make_shell_config(N, 16.0)
     min_sep, s1, _ = shell_coulomb_rows(cfg.points)
     np.testing.assert_allclose(cfg.residues, 1.0 - s1, rtol=1e-14, atol=0)
     assert np.array_equal(residues(cfg.points), 1.0 - s1)
@@ -372,9 +370,7 @@ def test_residue_window_is_saturated_at_desk_scale(cfg100):
 def test_small_m_stays_valid_at_desk_scale():
     # the Coulomb budget 1 - N/R cannot be exhausted when R/N = 1 + m ln N/sqrt(N)
     # with m > 1; the residues stay positive even at m = 1.01
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cfg = make_shell_config(100, 1.01)
+    cfg = make_shell_config(100, 1.01)
     assert cfg.residues.min() > 0.3
 
 
@@ -402,9 +398,11 @@ def test_make_shell_config_accepts_numpy_integer():
     assert type(cfg.N) is int and cfg.N == 100 and len(cfg.points) == 100
 
 
-def test_small_N_warns():
-    with pytest.warns(UserWarning):
-        make_shell_config(25, 16.0)
+@pytest.mark.parametrize("N", [8, 25])
+def test_small_N_builds_quietly(N):
+    # the regime is read from the diagnostics; construction warns of nothing
+    warnings.simplefilter("error")  # pytest restores the filters after each test
+    make_shell_config(N, 16.0)
 
 
 def test_points_csv_roundtrip(cfg100):

@@ -51,8 +51,9 @@ def band_overshoot():
 def glued_scalings():
     print("[glued] shell-sphere and interior scalings:")
     for N, m in ((100, 16.0), (64, 16.0), (256, 16.0)):
-        rep = analysis.theorem_report(make_shell_config(N, m))
-        scale = m * math.log(N) / math.sqrt(N)
+        cfg = make_shell_config(N, m)
+        rep = analysis.theorem_report(cfg)
+        scale = cfg.diagnostics["residue_target"]
         mean_R, interior = rep["shell_sphere_mean"], rep["interior_max_half_radius"]
         print(
             f"  N={N} m={m}: mean|Phi|(R)={mean_R:.4f} -> C={mean_R / scale:.4f}; "
@@ -85,7 +86,7 @@ def gstar_values():
 def higgs_floor():
     print("[floor] min |Phi| at distance >= L from the points (N=100, m=16):")
     cfg = make_shell_config(100, 16.0)
-    scale = cfg.m * math.log(cfg.N) / math.sqrt(cfg.N)
+    scale = cfg.diagnostics["residue_target"]
     print(f"  measured floor = {analysis.higgs_floor(cfg):.4f};  quarter-scale/2 = {scale / 8:.4f}")
 
 

@@ -11,16 +11,11 @@ resulting weighted-norm behavior.  Output is a JSON table on stdout.
 
 import argparse
 import json
-import math
 
 import numpy as np
 
 from magbag import glued
 from magbag.shell import make_shell_config
-
-
-# Ray samples evaluated per phi_theta call; memory is O(_RAY_CHUNK * N).
-_RAY_CHUNK = 4096
 
 
 def profile_zero_radii(cfg):
@@ -29,10 +24,7 @@ def profile_zero_radii(cfg):
     p = cfg.points[0]
     r = cfg.residues[0]
     ds = np.linspace(1e-4 * cfg.L, 0.9999 * cfg.L, 200000)
-    ext = np.concatenate([
-        glued.phi_theta(p + ds[lo : lo + _RAY_CHUNK, None] * np.array([1.0, 0.0, 0.0]), cfg)
-        for lo in range(0, len(ds), _RAY_CHUNK)
-    ])
+    ext = glued.phi_theta(p + ds[:, None] * np.array([1.0, 0.0, 0.0]), cfg)
     coeff = glued.ball_higgs(ds, r, glued.chi(8.0 * ds / cfg.L - 1.0), ext)
     flips = np.nonzero(np.diff(np.sign(coeff)) != 0)[0]
     return [float(0.5 * (ds[i] + ds[i + 1]) / cfg.L) for i in flips]
@@ -40,7 +32,6 @@ def profile_zero_radii(cfg):
 
 def survey_row(N, m):
     cfg = make_shell_config(N, m)
-    u = m * math.log(N) / math.sqrt(N)
     zeros = profile_zero_radii(cfg)
     (gstar1, _, _), (gstar2, _, _) = glued.gstar_doubling(cfg, 4, 32, 4, 16)
     return {
@@ -48,10 +39,10 @@ def survey_row(N, m):
         "m": m,
         "R": cfg.R,
         "L": cfg.L,
-        "residue_target": u,
-        "r_min": float(cfg.residues.min()),
-        "r_max": float(cfg.residues.max()),
-        "rL_min": float(cfg.residues.min() * cfg.L),
+        "residue_target": cfg.diagnostics["residue_target"],
+        "r_min": cfg.diagnostics["r_min"],
+        "r_max": cfg.diagnostics["r_max"],
+        "rL_min": cfg.diagnostics["Lr_min"],
         "rL_needed_for_positive_profile": 16.0 / 3.0,
         "profile_zero_radii_over_L": zeros,
         "gstar_coarse": gstar1,

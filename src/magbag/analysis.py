@@ -16,7 +16,7 @@ import numpy as np
 from . import glued
 from .monopole import ScaledMonopole, ps_evaluator, ps_higgs_norm
 from .operators import _stencil_points, fd_curvature
-from .shell import InvalidParameterError, _check_count, _squared_distances
+from .shell import InvalidParameterError, _check_count, _table_blocks
 from .su2 import cross
 
 
@@ -422,14 +422,14 @@ def higgs_floor(cfg):
 
     Sampled where the minimum lives, on spheres of radius L x {1, 1.05,
     1.2, 1.5, 2} around each point, plus the origin spheres of radius
-    R / 2, R + 2L and 2R.
+    R / 2, R + 2L and 2R; each radius factor is one pass over N x 256 points.
     """
     dirs = fibonacci_sphere(256)
     floor = np.inf
     for fac in (1.0, 1.05, 1.2, 1.5, 2.0):
-        for i in range(cfg.N):
-            d = _squared_distances(cfg.points[i] + fac * cfg.L * dirs, cfg.points)
-            d = np.sqrt(d, out=d)
+        x = (cfg.points[:, None, :] + fac * cfg.L * dirs).reshape(-1, 3)
+        for _, d2, _ in _table_blocks(x, cfg.points):
+            d = np.sqrt(d2, out=d2)
             keep = np.min(d, axis=1) >= cfg.L * (1 - 1e-12)
             if keep.any():
                 floor = min(floor, float(glued._higgs_from_distances(d[keep], cfg).min()))

@@ -108,8 +108,6 @@ def _output(out):
 def cmd_place(cfg):
     from .shell import make_shell_config, write_points_csv
 
-    _require(cfg.n >= 8, f"charge must be at least 8, got n={cfg.n}")
-    _check_m(cfg.m)
     shell = make_shell_config(cfg.n, cfg.m)
     with _output(cfg.out) as fh:
         write_points_csv(shell, fh)

@@ -29,7 +29,7 @@ from .monopole import (
     coth_minus_inv,
     inv_minus_csch,
 )
-from .shell import _check_count, _row_blocks, _squared_distances
+from .shell import _check_count, _row_blocks, _table_blocks
 from .su2 import bracket, cross, form_norm, star_real_wedge, wedge_dual
 
 
@@ -75,13 +75,25 @@ def chi_prime(t):
 # ---------------------------------------------------------------------------
 # Exterior harmonic data
 
+def _point_rows(x, cfg, reduce):
+    """reduce(d) at points x (..., 3), shaped x.shape[:-1]: d (b, N), which it
+    may overwrite, is a `_table_blocks` row block of distances to the shell."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape[:-1])
+    for rows, d2, _ in _table_blocks(x.reshape(-1, 3), cfg.points):
+        out.reshape(-1)[rows] = reduce(np.sqrt(d2, out=d2))
+    return out
+
+
 def phi_theta(x, cfg):
     """1 - sum_p 1/|x - p| at points x (..., 3)."""
-    d = _squared_distances(x, cfg.points)
-    np.sqrt(d, out=d)
-    if np.any(d == 0.0):
-        raise SingularEvaluationError("phi_theta evaluated on a shell point")
-    return 1.0 - np.sum(1.0 / d, axis=-1)
+
+    def reduce(d):
+        if np.any(d == 0.0):
+            raise SingularEvaluationError("phi_theta evaluated on a shell point")
+        return 1.0 - np.sum(np.reciprocal(d, out=d), axis=1)
+
+    return _point_rows(x, cfg, reduce)[()]
 
 
 def grad_phi_theta(x, cfg):
@@ -234,11 +246,8 @@ def _higgs_from_distances(d_all, cfg):
 def higgs_norm(x, cfg):
     """|Phi| at points x (..., 3): ball-chart coefficient within distance L
     of a shell point, |phi_theta| outside.  Continuous across the switch."""
-    x = np.asarray(x, dtype=float)
-    flat = np.atleast_2d(x.reshape(-1, 3))
-    d = _squared_distances(flat, cfg.points)
-    out = _higgs_from_distances(np.sqrt(d, out=d), cfg)
-    return out.reshape(x.shape[:-1]) if x.ndim > 1 else float(out[0])
+    out = _point_rows(x, cfg, lambda d: _higgs_from_distances(d, cfg))
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -255,18 +264,15 @@ def _direction_table(dirs, points):
     """(|p|, G) for unit directions (B, 3) and sources (N, 3): G = |u - p_hat|^2.
 
     G is summed coordinate by coordinate, which keeps it accurate where u
-    points at p, and built in place block by block, through one block of
-    work space.  A source at the origin has p_hat = 0 and enters only
+    points at p, and copied in from the `_table_blocks` of the directions
+    against p_hat.  A source at the origin has p_hat = 0 and enters only
     through |p| = 0.
     """
-    dirs = np.asarray(dirs, dtype=float)
     pn = np.linalg.norm(points, axis=1)
-    phat = np.asfortranarray(points / np.where(pn > 0.0, pn, 1.0)[:, None])
+    phat = points / np.where(pn > 0.0, pn, 1.0)[:, None]
     G = np.empty((len(dirs), len(phat)))
-    size, blocks = _row_blocks(*G.shape)
-    work = np.empty((size, len(phat)))
-    for rows in blocks:
-        _squared_distances(dirs[rows], phat, out=G[rows], work=work[: rows.stop - rows.start])
+    for rows, d2, _ in _table_blocks(dirs, phat):
+        G[rows] = d2
     return pn, G
 
 
@@ -446,7 +452,7 @@ def transverse_decay(cfgs):
     `annulus_maxima(cfg, 8, 64)`.  Returns the arrays x and y and the
     coefficients (slope, intercept) of their affine least-squares fit.
     """
-    x = np.array([float(cfg.residues.min() * cfg.L) for cfg in cfgs])
+    x = np.array([cfg.diagnostics["Lr_min"] for cfg in cfgs])
     y = np.array([math.log(annulus_maxima(cfg, 8, 64)[0].max()) for cfg in cfgs])
     return x, y, np.polyfit(x, y, 1)
 

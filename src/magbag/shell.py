@@ -87,7 +87,7 @@ def _check_charge(N):
     if isinstance(N, bool) or not isinstance(N, numbers.Integral):
         raise InvalidParameterError(f"charge N must be an integer, got {N!r}")
     if N < 8:
-        raise InvalidParameterError(f"need N >= 8, got {N}")
+        raise InvalidParameterError(f"charge N must be at least 8, got {N}")
     return int(N)
 
 
@@ -106,10 +106,10 @@ def place_points(N, R):
     return _layout(N, R)[5]
 
 
-# Row blocks of the pairwise table hold about this many float64 entries
+# Row blocks of a distance table hold about this many float64 entries
 # (512 kB).  A block and its work array then stay in a core's 2 MB L2 cache
-# through every pass over them, and the shell assembly needs O(N) memory plus
-# those two arrays at any N (tracemalloc peak 1.5 MB at N = 4800).
+# through every pass over them, and a table over N sources needs O(N) memory
+# plus those two arrays (tracemalloc peak 1.5 MB for the shell at N = 4800).
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -148,33 +148,38 @@ def pairwise_distances(points):
     return np.sqrt(d, out=d)
 
 
+def _table_blocks(x, sources):
+    """Row blocks (rows, d2, spare): d2 the rows `rows`, one of `_row_blocks`,
+    of the `_squared_distances` of points x (n, 3) to sources (N, 3), and
+    spare an array of d2's shape the caller may overwrite.  Both are views
+    of two buffers allocated once per call: a block is valid until the next
+    is drawn."""
+    x = np.asarray(x, dtype=float)
+    cols = np.asfortranarray(sources, dtype=float)
+    size, blocks = _row_blocks(len(x), len(cols))
+    buf = np.empty((size, len(cols)))
+    work = np.empty_like(buf)
+    for rows in blocks:
+        k = rows.stop - rows.start
+        yield rows, _squared_distances(x[rows], cols, out=buf[:k], work=work[:k]), work[:k]
+
+
 def _distance_blocks(points):
     """Row blocks (rows, d, d_min, spare) of `pairwise_distances`.
 
-    `rows` is the slice of points the block covers, one of `_row_blocks`,
-    and d its distances with an infinite diagonal, so that 1/d vanishes
-    there and d_min = d.min() is the smallest separation.  d and `spare`,
-    an array of d's shape the caller may overwrite, are views of two
-    buffers allocated once and reused by every block: each block is valid
-    only until the next is drawn.  Non-finite and coincident points raise.
+    The `_table_blocks` of the points against themselves, d with an
+    infinite diagonal, so that 1/d vanishes there and d_min = d.min() is
+    the smallest separation.  Non-finite and coincident points raise.
     """
     points = np.asarray(points, dtype=float)
     if not np.isfinite(points).all():
         raise InvalidConfigurationError("non-finite point coordinates")
-    n = len(points)
-    size, blocks = _row_blocks(n, n)
-    cols = np.asfortranarray(points)
-    buf = np.empty((size, n))
-    work = np.empty_like(buf)
-    for rows in blocks:
-        k = rows.stop - rows.start
-        d = _squared_distances(cols[rows], cols, out=buf[:k], work=work[:k])
-        i = np.arange(k)
-        d[i, rows.start + i] = np.inf
+    for rows, d, spare in _table_blocks(points, points):
+        np.fill_diagonal(d[:, rows], np.inf)
         d_min = float(d.min())
         if d_min == 0.0:
             raise InvalidConfigurationError("coincident points in the configuration")
-        yield rows, np.sqrt(d, out=d), math.sqrt(d_min), work[:k]
+        yield rows, np.sqrt(d, out=d), math.sqrt(d_min), spare
 
 
 def _residues_and_separation(points):
@@ -338,8 +343,7 @@ def coulomb_sums(points, x, L):
     S1 = sum 1/|x-q| and S2 = sum 1/|x-q|^2 over points distinct from x;
     S3 = sum 1/(|x-q|+L) and S4 = sum 1/(|x-q|+L)^2 over all points.
     """
-    points = np.asarray(points, dtype=float)
-    d = np.linalg.norm(points - np.asarray(x, dtype=float), axis=1)
+    d = np.sqrt(_squared_distances(x, points))
     scale = max(1.0, float(d.max(initial=1.0)))
     away = d > 1e-12 * scale
     s1 = float(np.sum(1.0 / d[away]))

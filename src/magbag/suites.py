@@ -209,7 +209,7 @@ def theorems_suite():
     vals = [flux_charge(s * cfg.R, cfg, quad) for s in (1.5, 2.0, 4.0)]
     out.append(_check("flux_r_independence", max(vals) - min(vals), 1e-3))
     geometry = theorem_report(cfg)
-    scale = cfg.m * math.log(cfg.N) / math.sqrt(cfg.N)
+    scale = cfg.diagnostics["residue_target"]
     for name, bound in (
         ("shell_sphere_mean", constants.C_MEAN_AT_R * scale),
         ("interior_max_half_radius", constants.C_INTERIOR * scale),

@@ -22,7 +22,7 @@ from magbag import glued
 from magbag.glued import annulus_points, higgs_norm, residual_fields
 from magbag.monopole import ScaledMonopole, SingularEvaluationError, _hedgehog_form
 from magbag.operators import apply_D
-from magbag.shell import band_sizes, choose_band_count
+from magbag.shell import _squared_distances, band_sizes, choose_band_count
 from magbag.su2 import form_norm
 
 # Levi-Civita symbol, EPS[i, j, k] = sign of the permutation (i, j, k).
@@ -365,7 +365,7 @@ def whole_direction_table(dirs, points):
     """(|p|, G) of `glued._direction_table` with G built in one (B, N) pass."""
     pn = np.linalg.norm(points, axis=1)
     phat = points / np.where(pn > 0.0, pn, 1.0)[:, None]
-    return pn, glued._squared_distances(dirs, phat)
+    return pn, _squared_distances(dirs, phat)
 
 
 def _whole_sphere_squared_distances(table, r):

@@ -502,5 +502,8 @@ def test_theorem_report(cfg100):
     assert rep["outer_small_higgs_radius"] == 0.0
 
 
-def test_higgs_floor_value(cfg100):
+def test_higgs_floor_value(cfg100, monkeypatch):
+    assert higgs_floor(cfg100) == 0.08250524421097039
+    # 100-row blocks straddle each point's 256 sphere rows
+    monkeypatch.setattr(shell, "_BLOCK_ELEMENTS", 100 * 100)
     assert higgs_floor(cfg100) == 0.08250524421097039

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magbag import glued
+from magbag import glued, shell
 from magbag.analysis import fibonacci_sphere
 from magbag.glued import (
     ChartViolationError,
@@ -107,17 +107,63 @@ def test_phi_theta_singular(cfg100):
 
 
 @pytest.mark.parametrize("N", [25, 100, 256])
-def test_distance_tables_equal_difference_oracle(N):
+def test_distance_tables_equal_difference_oracle(N, monkeypatch):
     cfg = make_shell_config(N, 16.0)
-    rng = np.random.default_rng(N)
-    near = cfg.points[rng.integers(0, N, 300)] + rng.normal(size=(300, 3)) * cfg.L / 3
+    _distance_tables_equal_difference_oracle(cfg)
+    # 7-row blocks, the last of them short
+    monkeypatch.setattr(shell, "_BLOCK_ELEMENTS", 7 * N)
+    _distance_tables_equal_difference_oracle(cfg)
+
+
+def _distance_tables_equal_difference_oracle(cfg):
+    rng = np.random.default_rng(cfg.N)
+    near = cfg.points[rng.integers(0, cfg.N, 300)] + rng.normal(size=(300, 3)) * cfg.L / 3
     far = rng.normal(size=(300, 3)) * 2.0 * cfg.R
     X = np.concatenate([near, far])
     d = difference_distances(X, cfg.points)
     assert np.array_equal(phi_theta(X, cfg), 1.0 - np.sum(1.0 / d, axis=-1))
     X = np.concatenate([X, cfg.points[:3]])  # the core value 0 at a shell point
-    assert np.array_equal(higgs_norm(X, cfg),
-                          glued._higgs_from_distances(difference_distances(X, cfg.points), cfg))
+    want = glued._higgs_from_distances(difference_distances(X, cfg.points), cfg)
+    assert np.array_equal(higgs_norm(X, cfg), want)
+
+    # one point, a (2, 5) batch and no points keep their shapes and types
+    one = phi_theta(X[0], cfg)
+    assert type(one) is np.float64 and one == 1.0 - np.sum(1.0 / d[0])
+    one = higgs_norm(X[0], cfg)
+    assert type(one) is float and one == want[0]
+    assert np.array_equal(phi_theta(X[:10].reshape(2, 5, 3), cfg),
+                          (1.0 - np.sum(1.0 / d[:10], axis=-1)).reshape(2, 5))
+    assert np.array_equal(higgs_norm(X[:10].reshape(2, 5, 3), cfg), want[:10].reshape(2, 5))
+    for f in (phi_theta, higgs_norm):
+        none = f(np.zeros((0, 3)), cfg)
+        assert type(none) is np.ndarray and none.shape == (0,)
+
+    dirs = np.vstack([cfg.points[:9] / cfg.R, fibonacci_sphere(4 * cfg.N + 3)])
+    got, whole = glued._direction_table(dirs, cfg.points), whole_direction_table(dirs, cfg.points)
+    assert np.array_equal(got[0], whole[0]) and np.array_equal(got[1], whole[1])
+
+    # Coulomb sums at a shell point, from the (N, 3) differences
+    p = cfg.points[5]
+    d = difference_distances(p, cfg.points)
+    away = d[d > 1e-12 * max(1.0, float(d.max()))]
+    assert shell.coulomb_sums(cfg.points, p, cfg.L) == (
+        float(np.sum(1.0 / away)), float(np.sum(1.0 / away**2)),
+        float(np.sum(1.0 / (d + cfg.L))), float(np.sum(1.0 / (d + cfg.L) ** 2)))
+
+
+def test_point_evaluators_memory_is_bounded():
+    # one (20000, 1600) distance table alone takes 256 MB; the row blocks
+    # take two buffers of 512 kB
+    cfg = make_shell_config(1600, 16.0)
+    X = np.random.default_rng(0).normal(size=(20000, 3)) * cfg.R
+    tracemalloc.start()
+    try:
+        phi_theta(X, cfg)
+        higgs_norm(X, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 # --- eta and the gauge primitive -------------------------------------------

@@ -87,7 +87,7 @@ def test_survey_row_keys():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the 200000-sample ray is evaluated in chunks, not as one (samples, N, 3) array
+    # the 200000-sample ray goes through phi_theta's row blocks, not one (samples, N) table
     assert peak <= 64e6
     assert row["profile_zero_radii_over_L"] == [0.16763482417412084]
     assert set(row) == {

@@ -1,7 +1,9 @@
+import ast
 import io
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,11 +164,25 @@ def test_squared_distances_into_buffers_equal_allocating_call():
     out, work = np.empty((2, 4, 5, 37))
     got = shell._squared_distances(x, np.asfortranarray(pts), out=out, work=work)
     assert got is out and np.array_equal(got, want)
-    # ragged last block: views of a larger buffer, as `_distance_blocks` passes them
+    # ragged last block: views of a larger buffer, as `_table_blocks` passes them
     buf, work = np.empty((2, 10, 37))
     want = shell._squared_distances(pts[30:], pts)
     got = shell._squared_distances(pts[30:], pts, out=buf[:7], work=work[:7])
     assert np.shares_memory(got, buf) and np.array_equal(got, want)
+
+
+def test_only_shell_builds_distance_tables():
+    # every other table of points against sources is drawn from `_table_blocks`,
+    # which picks its block size; tests and their oracles are exempt
+    root = Path(__file__).resolve().parents[1]
+    users = {
+        path.relative_to(root).as_posix()
+        for path in [*root.glob("src/magbag/*.py"), *root.glob("scripts/*.py")]
+        for node in ast.walk(ast.parse(path.read_text()))
+        if "_squared_distances" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                    getattr(node, "name", None))
+    }
+    assert users == {"src/magbag/shell.py"}
 
 
 def test_distance_blocks_reuse_one_buffer(monkeypatch):

@@ -16,7 +16,7 @@ import numpy as np
 from . import glued
 from .monopole import ScaledMonopole, ps_evaluator, ps_higgs_norm
 from .operators import _stencil_points, fd_curvature
-from .shell import InvalidParameterError, _check_count, _table_blocks
+from .shell import InvalidParameterError, _check_count, _row_blocks, _table_blocks
 from .su2 import cross
 
 
@@ -103,9 +103,10 @@ def write_profile_csv(rows, fh):
 # ---------------------------------------------------------------------------
 # Critical radii
 
-# Relative slack of `_sphere_bounds`: it covers the rounding of the distances
-# and of the N-term Coulomb sum, so the computed sphere values never leave
-# the bounds (checked in the tests).
+# Relative slack of `_sphere_bounds`: it covers the rounding of the distances,
+# of the N-term Coulomb sum and of the packing bound's N-term sum (each off by
+# at most about N eps relative), so the computed sphere values never leave the
+# bounds (checked in the tests).
 _FLOOR_SLACK = 1e-9
 
 
@@ -116,47 +117,65 @@ def _sphere_bounds(field):
     Every sample x of the sphere has |r - |p|| <= |x - p| <= r + |p| for
     each source p.  The core's |Phi| grows with the distance to its centre
     c, so it lies between ps_higgs_norm(|r - |c||) and ps_higgs_norm(r + |c|).
-    For the glued pair let delta = min_p |r - |p||: if delta >= L no sample
-    lies in a ball, and N / (r + max|p|) <= sum_p 1/|x - p| <= N / delta
-    puts |Phi| = |1 - sum_p 1/|x - p|| between 1 - N / delta and
-    max(1 - N / (r + max|p|), N / delta - 1); otherwise the bounds are -inf
-    and +inf.
+
+    For the glued pair let delta = min_p |r - |p||.  If delta < L a sample
+    may lie in a ball, and the bounds are -inf and +inf.  Otherwise |Phi| =
+    |1 - sum_p 1/|x - p||, and N / (r + max|p|) <= sum_p 1/|x - p| <= S+(r)
+    puts |Phi| between 1 - S+ and max(1 - N / (r + max|p|), S+ - 1), where
+    S+ is a spherical-cap packing bound:
+
+    - With s the configuration's min_separation and p_lo, p_hi the least
+      and greatest |p|, any two sources satisfy |p - q|^2 = (|p| - |q|)^2
+      + 4 |p| |q| sin^2(theta/2), so their directions are at least alpha
+      apart, sin^2(alpha/2) >= (s^2 - (p_hi - p_lo)^2) / (4 p_hi^2).
+    - The caps of angular radius alpha/2 about the source directions are
+      disjoint.  Comparing areas, at most sin^2((gamma + alpha/2)/2) /
+      sin^2(alpha/4) directions lie within angle gamma of a unit vector u,
+      so the k-th nearest to u is at least gamma_k = 2 asin(sqrt(k)
+      sin(alpha/4)) - alpha/2 away (gamma_1 = 0).  N sin^2(alpha/4) <= 1,
+      so the asin is defined.
+    - A sample x = r u has |x - p|^2 = (r - |p|)^2 + 4 r |p| sin^2(angle/2)
+      >= delta^2 + 4 r p_lo sin^2(angle/2), so sum_p 1/|x - p| <= S+(r) =
+      sum_k (delta^2 + 4 r p_lo sin^2(gamma_k/2))^(-1/2) <= N / delta.
+
+    sin(gamma_k/2) = sin(asin(sqrt(k) sin(alpha/4)) - alpha/4) is taken as
+    sin(alpha/4) (k - 1) / (sqrt(k) cos(alpha/4) + sqrt(1 - k sin^2(alpha/4))),
+    and sin^2(alpha/4) as sin^2(alpha/2) / (2 (1 + cos(alpha/2))): neither
+    form cancels.  S+ is summed in `_row_blocks` over the radii, so no
+    (radii, N) table is built.
     """
     lo, hi = 1.0 - _FLOOR_SLACK, 1.0 + _FLOOR_SLACK
     if isinstance(field, ScaledMonopole):
         cn = np.linalg.norm(field.center[None], axis=1)[0]
         return lambda r: (ps_higgs_norm(np.abs(r - cn), field.scale) * lo,
                           ps_higgs_norm(np.add(r, cn), field.scale) * hi)
-    gap, far = _radial_gap(field.points)
+    gap, far = glued._radial_gap(field.points)
+    pn = np.linalg.norm(field.points, axis=1)
+    p_lo, p_hi = pn.min(), pn.max()
+    sin2_half = np.clip((field.min_separation**2 - (p_hi - p_lo) ** 2) / (4.0 * p_hi**2), 0.0, 1.0)
+    sin2_quarter = sin2_half / (2.0 * (1.0 + math.sqrt(1.0 - sin2_half)))
+    k = np.arange(1.0, field.N + 1.0)
+    sin_gamma = math.sqrt(sin2_quarter) * (k - 1.0) / (
+        np.sqrt(k) * math.sqrt(1.0 - sin2_quarter) + np.sqrt(np.maximum(1.0 - k * sin2_quarter, 0.0)))
+    weights = 4.0 * p_lo * sin_gamma**2  # |x - p_k|^2 >= delta^2 + r weights[k]
 
     def bounds(r):
+        r = np.asarray(r, dtype=float)
         delta = gap(r)
         inside = delta < field.L
-        with np.errstate(divide="ignore"):
-            coulomb = field.N / delta
-        floor = np.where(inside, -np.inf, 1.0 - coulomb * hi)
-        ceiling = np.maximum(1.0 - field.N / (r + far) * lo, coulomb * hi - 1.0)
+        flat_r, flat_delta = r.reshape(-1), delta.reshape(-1)
+        packing = np.empty(flat_r.shape)  # S+
+        for rows in _row_blocks(len(flat_r), len(weights))[1]:
+            t = np.multiply.outer(flat_r[rows], weights)
+            t += flat_delta[rows, None] ** 2
+            with np.errstate(divide="ignore"):  # delta = 0: inside, bounds replaced
+                packing[rows] = np.sum(np.reciprocal(np.sqrt(t, out=t), out=t), axis=1)
+        packing = packing.reshape(r.shape)
+        floor = np.where(inside, -np.inf, 1.0 - packing * hi)
+        ceiling = np.maximum(1.0 - field.N / (r + far) * lo, packing * hi - 1.0)
         return floor, np.where(inside, np.inf, ceiling)
 
     return bounds
-
-
-def _radial_gap(points):
-    """(r -> min_p |r - |p||, max_p |p|); the function takes radii of any shape.
-
-    |p| is rounded as the direction table rounds it.  The rounded |r - |p||
-    is monotone in |p| on either side of r, so the minimum over every point
-    is attained next to r in the sorted |p|.
-    """
-    pn = np.sort(np.linalg.norm(points, axis=1))
-
-    def gap(r):
-        r = np.asarray(r, dtype=float)
-        i = np.searchsorted(pn, r)
-        below = np.abs(r - pn[np.maximum(i - 1, 0)])
-        return np.minimum(below, np.abs(r - pn[np.minimum(i, len(pn) - 1)]))
-
-    return gap, pn[-1]
 
 
 def _bisect(fn, lo, hi, resolution):
@@ -194,6 +213,11 @@ def critical_radii(eps, field, quad, r_max=None, n_scan=400):
       evaluated, and skips every radius where `_sphere_bounds` certifies a
       minimum above eps, so the result equals that of a scan of every
       sphere.
+
+    The bounds hold on the whole sphere, not only at the sampled
+    directions.  For the glued pair they come, outside the ball band, from
+    a spherical-cap packing bound on sum_p 1/|x - p|; only the spheres
+    where they cannot decide a threshold are evaluated.
 
     The scan takes an integer n_scan >= 2 radii up to a finite r_max > 0.
     """

@@ -300,11 +300,48 @@ def sphere_sweep(dirs, points, reduce):
     return sweep
 
 
+def _radial_gap(points):
+    """(r -> min_p |r - |p||, max_p |p|); the function takes radii of any shape.
+
+    |p| is rounded as the direction table rounds it.  The rounded |r - |p||
+    is monotone in |p| on either side of r, so the minimum over every point
+    is attained next to r in the sorted |p|.
+    """
+    pn = np.sort(np.linalg.norm(points, axis=1))
+
+    def gap(r):
+        r = np.asarray(r, dtype=float)
+        i = np.searchsorted(pn, r)
+        below = np.abs(r - pn[np.maximum(i - 1, 0)])
+        return np.minimum(below, np.abs(r - pn[np.minimum(i, len(pn) - 1)]))
+
+    return gap, pn[-1]
+
+
 def sphere_higgs_norm(dirs, cfg):
     """The function r -> higgs_norm(r * dirs, cfg) for unit directions (B, 3):
-    a `sphere_sweep` reducing each block by `_higgs_from_distances`."""
-    return sphere_sweep(dirs, cfg.points,
-                        lambda r, d2, pn, G: _higgs_from_distances(np.sqrt(d2, out=d2), cfg))
+    a `sphere_sweep` reducing each block by `_higgs_from_distances`.
+
+    A sphere whose gap delta = min_p |r - |p|| clears L has no sample in a
+    ball, and each block reduces straight to |phi_theta|, with no
+    nearest-point pass: exactly what `_higgs_from_distances` returns when
+    no row is near.
+    """
+    gap, _ = _radial_gap(cfg.points)
+    # The sweep rounds d^2 = fl(fl(r |p|) G) + fl(t^2), t = fl(r - |p|) with
+    # |t| >= delta.  Both terms are >= 0 and rounding is monotone, so d^2 >=
+    # fl(t^2) >= t^2 (1 - u), and d = fl(sqrt(d^2)) >= |t| (1 - u)^(3/2)
+    # > delta (1 - 2u), u = eps / 2.  Hence delta > fl(L (1 + 2 eps)) >=
+    # L (1 + 4u)(1 - u) gives d > L (1 + 4u)(1 - u)(1 - 2u) > L on every row.
+    clear = cfg.L * (1.0 + 2.0 * np.finfo(float).eps)
+
+    def reduce(r, d2, pn, G):
+        d = np.sqrt(d2, out=d2)
+        if gap(r) > clear:
+            return np.abs(1.0 - np.sum(np.reciprocal(d, out=d), axis=1))
+        return _higgs_from_distances(d, cfg)
+
+    return sphere_sweep(dirs, cfg.points, reduce)
 
 
 def sphere_flux_density(dirs, cfg):

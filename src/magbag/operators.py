@@ -241,13 +241,28 @@ def _check_box(box):
         )
 
 
-def _apply_D_blocks(h_pair, bg_pair, x, sign):
-    """`apply_D` at points x (n, 3), in blocks of `_BLOCK_ELEMENTS // 63` rows
-    (the 7-point stencil of 3 x 3 tables per row)."""
-    first, second = np.empty((len(x), 3, 3)), np.empty((len(x), 3))
-    for rows in _row_blocks(len(x), 63)[1]:
-        first[rows], second[rows] = apply_D(h_pair, bg_pair, x[rows], sign=sign)
-    return first, second
+def _grid_nodes(axes, flat):
+    """The axis indices and the points (n, 3) of flat indices into the grid
+    axes[0] x axes[1] x axes[2]."""
+    ijk = np.unravel_index(flat, tuple(len(axis) for axis in axes))
+    return ijk, np.stack([axis[i] for axis, i in zip(axes, ijk)], axis=-1)
+
+
+def _pairing(pair, d_pair, bg_pair, axes, flat, sign):
+    """sum <pair, apply_D(d_pair, sign)> over the grid nodes of flat indices.
+
+    Both are evaluated in blocks of `_BLOCK_ELEMENTS // 63` nodes (the
+    7-point stencil of 3 x 3 tables per node); their products fill one
+    (n, 3, 3) and one (n, 3) table, each summed once, as one batch would.
+    """
+    first, second = np.empty((len(flat), 3, 3)), np.empty((len(flat), 3))
+    for rows in _row_blocks(len(flat), 63)[1]:
+        pts = _grid_nodes(axes, flat[rows])[1]
+        a, e = pair(pts)
+        Da, De = apply_D(d_pair, bg_pair, pts, sign=sign)
+        np.multiply(a, Da, out=first[rows])
+        np.multiply(e, De, out=second[rows])
+    return float(np.sum(first) + np.sum(second))
 
 
 def adjointness_gap(q_pair, q2_pair, bg_pair, box, n_nodes=64):
@@ -263,9 +278,10 @@ def adjointness_gap(q_pair, q2_pair, bg_pair, box, n_nodes=64):
     Returns (gap, scale) with scale the magnitude of the first integral.
 
     The n_nodes^3 grid is scanned in blocks of `_BLOCK_ELEMENTS // 9` rows,
-    keeping only each pair's supported rows, and `apply_D` runs in blocks of
-    `_BLOCK_ELEMENTS // 63` rows; no table spans the whole grid.  Both
-    pairings are summed over the whole supports, as one batch would.
+    keeping only the grid indices of each pair's support; each pairing then
+    evaluates its pair and `apply_D` in blocks over its support.  No table
+    spans the whole grid.  Both pairings are summed over the whole
+    supports, as one batch would.
     """
     _check_count(n_nodes=n_nodes)
     if n_nodes < 3:
@@ -277,11 +293,10 @@ def adjointness_gap(q_pair, q2_pair, bg_pair, box, n_nodes=64):
         step = (hi - lo) / n_nodes
         axes.append(lo + step * (np.arange(n_nodes) + 0.5))
         vol *= step
-    grid_shape = (n_nodes, n_nodes, n_nodes)
-    kept1, kept2 = [], []  # (points, alpha, eta) on supp q and supp q2, per block
+    kept1, kept2 = [], []  # flat node indices on supp q and supp q2, per block
     for rows in _row_blocks(n_nodes**3, 9)[1]:
-        ijk = np.unravel_index(np.arange(rows.start, rows.stop), grid_shape)
-        pts = np.stack([axis[i] for axis, i in zip(axes, ijk)], axis=-1)
+        flat = np.arange(rows.start, rows.stop)
+        ijk, pts = _grid_nodes(axes, flat)
         a1, e1 = q_pair(pts)
         a2, e2 = q2_pair(pts)
         # squared magnitudes, read only for where they vanish
@@ -292,13 +307,8 @@ def adjointness_gap(q_pair, q2_pair, bg_pair, box, n_nodes=64):
             on_edge |= (i == 0) | (i == n_nodes - 1)
         if np.any((mag1 + mag2)[on_edge] != 0.0):
             raise ValueError("pair support touches the quadrature box boundary")
-        supp1, supp2 = mag1 > 0, mag2 > 0
-        kept1.append((pts[supp1], a1[supp1], e1[supp1]))
-        kept2.append((pts[supp2], a2[supp2], e2[supp2]))
-    pts1, a1, e1 = (np.concatenate(parts) for parts in zip(*kept1))
-    pts2, a2, e2 = (np.concatenate(parts) for parts in zip(*kept2))
-    Dq = _apply_D_blocks(q_pair, bg_pair, pts2, 1.0)
-    Ddq2 = _apply_D_blocks(q2_pair, bg_pair, pts1, -1.0)
-    total1 = vol * float(np.sum(a2 * Dq[0]) + np.sum(e2 * Dq[1]))
-    total2 = vol * float(np.sum(Ddq2[0] * a1) + np.sum(Ddq2[1] * e1))
+        kept1.append(flat[mag1 > 0])
+        kept2.append(flat[mag2 > 0])
+    total1 = vol * _pairing(q2_pair, q_pair, bg_pair, axes, np.concatenate(kept2), 1.0)
+    total2 = vol * _pairing(q_pair, q2_pair, bg_pair, axes, np.concatenate(kept1), -1.0)
     return abs(total1 - total2), abs(total1)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from magbag import analysis, shell
+from magbag import analysis, glued, shell
 from magbag.analysis import (
     SphereQuadrature,
     critical_radii,
@@ -191,9 +191,10 @@ CORES = [
 ]
 
 
-@pytest.mark.parametrize("N", [32, 100, 256])
-@pytest.mark.parametrize("m", [2.0, 16.0])
-def test_critical_radii_glued_equal_full_scan(N, m):
+@pytest.mark.parametrize(
+    "m, N", [(m, N) for N in (32, 100, 256) for m in (2.0, 16.0)] + [(2.0, 1600)]
+)
+def test_critical_radii_glued_equal_full_scan(m, N):
     cfg = make_shell_config(N, m)
     quad = SphereQuadrature(128)
     for eps in (0.05, 0.5, 0.8):
@@ -233,12 +234,32 @@ def test_critical_radii_branches_equal_full_scan(field, eps, kwargs, branch):
     assert branch(*got, np.linspace(r_max / 400, r_max, 400))
 
 
-@pytest.mark.parametrize(
-    "field", [make_shell_config(32, 2.0), make_shell_config(100, 16.0), PS] + CORES
-)
+# Glued pairs after the original six fields, so that their case ids stay.
+BOUNDED_FIELDS = [make_shell_config(32, 2.0), make_shell_config(100, 16.0), PS] + CORES + [
+    make_shell_config(256, 16.0), make_shell_config(1600, 2.0)
+]
+
+
+def _bound_test_sphere(field):
+    """The sphere function of `field` over 512 lattice directions and, for a
+    glued pair, the directions of its first 64 shell points, where the
+    nearest source term attains its bound 1 / delta."""
+    dirs = SphereQuadrature(512).points
+    if not isinstance(field, ScaledMonopole):
+        through = field.points[:64]
+        dirs = np.vstack([dirs, through / np.linalg.norm(through, axis=1)[:, None]])
+    return analysis._sphere_fn(field, dirs)
+
+
+def _glued_radii(cfg, rng):
+    """200 radii across the scan window and four just clear of the balls."""
+    clear = cfg.R + cfg.L * np.array([-2.0, -(1 + 1e-12), 1 + 1e-12, 2.0])
+    return np.concatenate([rng.uniform(0.01, 4.0 * cfg.R, 200), clear])
+
+
+@pytest.mark.parametrize("field", BOUNDED_FIELDS)
 def test_sphere_floor_bounds_the_sampled_minimum(field):
-    quad = SphereQuadrature(512)
-    sphere = analysis._sphere_fn(field, quad.points)
+    sphere = _bound_test_sphere(field)
     bounds = analysis._sphere_bounds(field)
     rng = np.random.default_rng(3)
     if isinstance(field, ScaledMonopole):
@@ -246,7 +267,7 @@ def test_sphere_floor_bounds_the_sampled_minimum(field):
         radii = np.concatenate([rng.uniform(0.01, 40.0, 200), cn + rng.uniform(-1e-3, 1e-3, 20)])
         band = []
     else:
-        radii = rng.uniform(0.01, 4.0 * field.R, 200)
+        radii = _glued_radii(field, rng)
         band = field.R + field.L * rng.uniform(-0.999, 0.999, 20)  # samples in a ball
     for r in np.concatenate([radii, band]):
         assert bounds(r)[0] <= sphere(r).min()
@@ -259,7 +280,7 @@ def test_sphere_floor_bounds_the_sampled_minimum(field):
 def test_radial_gap_equals_min_over_every_point(N, m):
     cfg = make_shell_config(N, m)
     pn = np.linalg.norm(cfg.points, axis=1)
-    gap, far = analysis._radial_gap(cfg.points)
+    gap, far = glued._radial_gap(cfg.points)
     radii = np.concatenate([np.random.default_rng(5).uniform(0.0, 2.0 * cfg.R, 300), pn,
                             np.nextafter(pn, 0.0), np.nextafter(pn, np.inf)])
     want = np.array([np.min(np.abs(r - pn)) for r in radii])
@@ -267,12 +288,9 @@ def test_radial_gap_equals_min_over_every_point(N, m):
     assert far == pn.max()
 
 
-@pytest.mark.parametrize(
-    "field", [make_shell_config(32, 2.0), make_shell_config(100, 16.0), PS] + CORES
-)
+@pytest.mark.parametrize("field", BOUNDED_FIELDS)
 def test_sphere_ceiling_bounds_the_sampled_maximum(field):
-    quad = SphereQuadrature(512)
-    sphere = analysis._sphere_fn(field, quad.points)
+    sphere = _bound_test_sphere(field)
     bounds = analysis._sphere_bounds(field)
     rng = np.random.default_rng(4)
     if isinstance(field, ScaledMonopole):
@@ -280,7 +298,7 @@ def test_sphere_ceiling_bounds_the_sampled_maximum(field):
         band = []
         top = field.scale  # the sup of |Phi|
     else:
-        radii = rng.uniform(0.01, 4.0 * field.R, 200)
+        radii = _glued_radii(field, rng)
         band = field.R + field.L * rng.uniform(-0.999, 0.999, 20)  # samples in a ball
         top = 1.0  # the limit of |Phi| at infinity
     for r in np.concatenate([radii, band]):
@@ -290,38 +308,75 @@ def test_sphere_ceiling_bounds_the_sampled_maximum(field):
     assert sum(bounds(r)[1] < top for r in radii) > 100
 
 
+@pytest.mark.parametrize("N, m", [(32, 2.0), (100, 16.0), (256, 16.0), (1600, 2.0)])
+def test_sphere_bounds_are_no_looser_than_the_coulomb_bounds(N, m):
+    # the packing sum S+ never exceeds the Coulomb sum N / delta, so the
+    # floor and the ceiling built on it are never looser
+    cfg = make_shell_config(N, m)
+    radii = np.linspace(4.0 * cfg.R / 2000, 4.0 * cfg.R, 2000)
+    floor, ceiling = analysis._sphere_bounds(cfg)(radii)
+    gap, far = glued._radial_gap(cfg.points)
+    delta = gap(radii)
+    lo, hi = 1.0 - analysis._FLOOR_SLACK, 1.0 + analysis._FLOOR_SLACK
+    with np.errstate(divide="ignore"):
+        coulomb = cfg.N / delta
+    inside = delta < cfg.L
+    assert np.all(floor >= np.where(inside, -np.inf, 1.0 - coulomb * hi))
+    old_ceiling = np.maximum(1.0 - cfg.N / (radii + far) * lo, coulomb * hi - 1.0)
+    assert np.all(ceiling <= np.where(inside, np.inf, old_ceiling))
+
+
+def test_sphere_bounds_memory_is_bounded():
+    cfg = make_shell_config(4800, 16.0)
+    radii = np.linspace(4.0 * cfg.R / 400, 4.0 * cfg.R, 400)
+    tracemalloc.start()
+    try:
+        analysis._sphere_bounds(cfg)(radii)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (400, N) table of the packing sums would take 15 MB
+    assert peak < 2e6
+
+
+def _counted_critical_radii(monkeypatch, *args):
+    """critical_radii(*args) and the radii of the spheres it evaluated."""
+    calls = []
+    sphere_fn = analysis._sphere_fn
+
+    def counted(field, dirs):
+        sphere = sphere_fn(field, dirs)
+        return lambda r: calls.append(r) or sphere(r)
+
+    monkeypatch.setattr(analysis, "_sphere_fn", counted)
+    got = critical_radii(*args)
+    monkeypatch.undo()
+    return got, calls
+
+
 @pytest.mark.parametrize("N, m, full_walk", [(100, 2.0, 400), (256, 16.0, 418)])
 def test_critical_radii_ceiling_skips_spheres(N, m, full_walk, monkeypatch):
     # eps near 1: the max first reaches eps far out, and every sphere before
     # that used to be evaluated (full_walk evaluations with the bisections)
     cfg = make_shell_config(N, m)
     quad = SphereQuadrature(256)
-    calls = []
-    sphere_fn = analysis._sphere_fn
-
-    def counted(field, dirs):
-        sphere = sphere_fn(field, dirs)
-        return lambda r: calls.append(r) or sphere(r)
-
-    monkeypatch.setattr(analysis, "_sphere_fn", counted)
-    got = critical_radii(0.95, cfg, quad)
+    got, calls = _counted_critical_radii(monkeypatch, 0.95, cfg, quad)
     assert len(calls) < full_walk
-    monkeypatch.undo()
     assert got == critical_radii_full_scan(0.95, cfg, quad)
 
 
 def test_critical_radii_evaluates_few_spheres(cfg100, monkeypatch):
-    # a scan of every sphere evaluates all 400 of them, then bisects
-    calls = []
-    sphere_fn = analysis._sphere_fn
+    # a scan of every sphere evaluates all 400 of them, then bisects; the
+    # Coulomb bounds N / delta alone leave 48 of them undecided
+    _, calls = _counted_critical_radii(monkeypatch, 0.5, cfg100, SphereQuadrature(1024))
+    assert 0 < len(calls) <= 4
 
-    def counted(field, dirs):
-        sphere = sphere_fn(field, dirs)
-        return lambda r: calls.append(r) or sphere(r)
 
-    monkeypatch.setattr(analysis, "_sphere_fn", counted)
-    critical_radii(0.5, cfg100, SphereQuadrature(1024))
-    assert 0 < len(calls) <= 64
+def test_critical_radii_evaluates_few_spheres_at_large_charge(monkeypatch):
+    # the Coulomb bounds N / delta alone leave 102 spheres undecided here
+    cfg = make_shell_config(1600, 16.0)
+    _, calls = _counted_critical_radii(monkeypatch, 0.5, cfg, SphereQuadrature(2048))
+    assert 0 < len(calls) <= 4
 
 
 def test_core_sphere_off_centre_matches_pointwise():

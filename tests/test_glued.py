@@ -478,10 +478,13 @@ def _dirs_through(points, B):
 @pytest.mark.parametrize("name", ["cfg25", "cfg100"])
 def test_sphere_higgs_norm_equals_whole_table(name, request):
     cfg = request.getfixturevalue(name)
+    edge = 1.0 + np.array([-1.0, 1.0]) * 2.0**-40
     radii = np.concatenate([
-        [0.1 * cfg.R, cfg.R],
+        [0.1 * cfg.R, 0.5 * cfg.R, cfg.R],
         cfg.R + cfg.L * np.linspace(-1.2, 1.2, 7),  # the ball band
-        [3.0 * cfg.R],
+        # either side of the edge where every row clears the balls
+        cfg.R + cfg.L * np.concatenate([-edge, edge, [-2.0, 2.0]]),
+        [2.0 * cfg.R, 3.0 * cfg.R],
     ])
     for B in _block_counts(cfg.N):
         dirs = _dirs_through(cfg.points, B)

@@ -397,6 +397,6 @@ def test_adjointness_gap_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # scan blocks of 7281 nodes plus the supported rows; whole-grid tables
-    # at 64^3 nodes need about 131 MB
-    assert peak <= 40e6
+    # the support's grid indices plus one product table per pairing; whole-grid
+    # tables at 64^3 nodes need about 131 MB
+    assert peak <= 8e6

@@ -14,6 +14,7 @@ invocation.
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import numbers
@@ -46,7 +47,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser():
+    """The parser, built once per process: parsing leaves it unchanged, and
+    each parse starts from a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="magbag",
         description="Shell monopole configurations and verification suites",

@@ -111,16 +111,18 @@ def grad_phi_theta(x, cfg):
 _STRING_TOL = 16.0 * np.finfo(float).eps
 
 
-def _alpha_weight(s, Dn, Dxq):
+def _alpha_weight(s, Dn, Dxq, work=None):
     """1 / (s (|D| s + D.(x-q))), the factor with alpha_pq = weight * (w x D).
 
     Arguments are s = |x-q|, Dn = |D| = |p-q| and Dxq = D.(x-q), broadcast
-    together.  The bracket vanishes only on the ray from q away from p
-    (x = q included), where the primitive is singular; evaluation there
-    raises.
+    together.  Given `work`, a float array of their broadcast shape, the
+    weight is written over Dxq (then an array of that shape too) and `work`
+    holds the scratch, so no array is allocated.  The bracket vanishes only
+    on the ray from q away from p (x = q included), where the primitive is
+    singular; evaluation there raises.
     """
-    Dns = Dn * s
-    t = np.asarray(Dns + Dxq)
+    Dns = np.multiply(Dn, s, out=work)
+    t = np.asarray(Dns + Dxq) if work is None else np.add(Dxq, Dns, out=Dxq)
     # _STRING_TOL is a power of two, so scaling the product is exact
     Dns *= _STRING_TOL
     if np.any(t <= Dns):
@@ -138,7 +140,8 @@ def _eta_alpha_sums(X, p_idx, cfg):
     eta_pq = -(2 w.D + |w|^2) / (|x-q| |D| (|D| + |x-q|)), the difference
     1/|x-q| - 1/|D| without its cancellation.  Since w x D is linear in D,
     sum_q alpha_pq = w x sum_q weight_q D.  Rows are taken in the shell's
-    row blocks of the (B, N - 1) tables, so memory stays bounded at any N.
+    row blocks of the (B, N - 1) tables, each block's tables written into
+    five buffers allocated once per call, so memory stays bounded at any N.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     p = cfg.points[p_idx]
@@ -147,13 +150,20 @@ def _eta_alpha_sums(X, p_idx, cfg):
     Dn = np.sqrt(DD)
     eta = np.empty(len(X))
     alpha = np.empty((len(X), 3))
-    for rows in _row_blocks(len(X), len(D))[1]:
+    size, blocks = _row_blocks(len(X), len(D))
+    buffers = np.empty((5, size, len(D)))
+    for rows in blocks:
+        wD, shift, s, u, v = buffers[:, :rows.stop - rows.start]
         w = X[rows] - p  # (b, 3)
-        wD = w @ D.T  # (b, Nq)
-        shift = 2.0 * wD + np.einsum("bk,bk->b", w, w)[:, None]  # |x-q|^2 - |D|^2
-        s = np.sqrt(DD + shift)
-        eta[rows] = -np.sum(shift / (s * Dn * (Dn + s)), axis=1)
-        alpha[rows] = cross(w, _alpha_weight(s, Dn, DD + wD) @ D)
+        np.matmul(w, D.T, out=wD)
+        np.multiply(wD, 2.0, out=shift)
+        shift += np.einsum("bk,bk->b", w, w)[:, None]  # |x-q|^2 - |D|^2
+        np.sqrt(np.add(DD, shift, out=s), out=s)
+        np.multiply(s, Dn, out=u)
+        u *= np.add(Dn, s, out=v)
+        eta[rows] = -np.sum(np.divide(shift, u, out=u), axis=1)
+        wD += DD  # D.(x-q)
+        alpha[rows] = cross(w, _alpha_weight(s, Dn, wD, work=v) @ D)
     return eta, alpha
 
 

@@ -5,9 +5,11 @@ at polar angle k*pi/K carrying n_k equally spaced points, with the excess
 over N removed round-robin over the bands (largest longitude first within
 a band).  Each point gets a Coulomb residue r_p = 1 - sum_q 1/|p-q|, the
 asymptotic Higgs scale of the core glued there.  `make_shell_config` sums it
-band by band (`_ring_residues`): nearby bands pair by pair, and each distant
-band as a whole latitude ring in Gauss's closed form.  `residues` sums any
-point set pair by pair.
+from whole latitude rings (`_ring_residues`): a point's own ring in closed
+form, each distant ring as its mean in Gauss's closed form, each nearby ring
+as a trigonometric interpolant through a few samples, and then subtracts the
+points the layout dropped pair by pair.  `residues` sums any point set pair
+by pair.
 """
 
 import math
@@ -38,13 +40,24 @@ def band_sizes(K):
 
 
 def choose_band_count(N):
-    """Smallest K whose band populations sum to at least N."""
+    """Smallest K whose band populations sum to at least N.
+
+    The search starts at ceil(sqrt(pi N) / 2) - 1: the populations sum to
+    less than sum_k 2K sin(k pi / K) = 2K cot(pi / 2K) < 4K^2 / pi, so no
+    smaller K reaches N.
+    """
     if N < 8:
         raise InvalidParameterError(f"shell layout needs N >= 8, got N={N}")
-    K = 2
+    K = max(2, math.ceil(math.sqrt(math.pi * N) / 2) - 1)
     while band_sizes(K).sum() < N:
         K += 1
     return K
+
+
+def _ragged(counts):
+    """(owner, index): for each g in order, owner g and index 0..counts[g]-1."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
 
 
 def _layout(N, R):
@@ -65,8 +78,7 @@ def _layout(N, R):
             keep[b] -= 1  # largest surviving longitude goes first
             excess -= 1
         b = (b + 1) % (K - 1)
-    band = np.repeat(np.arange(K - 1), keep)
-    j = np.arange(N) - np.repeat(np.cumsum(keep) - keep, keep)
+    band, j = _ragged(keep)
     phi, points = _band_points(R, K, sizes, band, j)
     return K, sizes, np.array(keep), band + 1, phi, points
 
@@ -121,8 +133,10 @@ def _row_blocks(n_rows, row_entries):
     return min(step, n_rows), [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
-def _squared_distances(x, points, out=None, work=None):
-    """|x - p|^2 for points x (..., 3) and sources p (N, 3), shape (..., N).
+def _squared_distances(x, points, out=None, work=None, paired=False):
+    """|x - p|^2 for points x (..., 3) and sources p (N, 3), shape (..., N);
+    with `paired`, x and p are both (N, 3) and row i of each makes pair i,
+    shape (N,).
 
     Summed coordinate by coordinate, ((dx^2 + dy^2) + dz^2): the order in
     which np.linalg.norm reduces a last axis of length 3, without its
@@ -133,10 +147,11 @@ def _squared_distances(x, points, out=None, work=None):
     """
     x = np.asarray(x, dtype=float)
     points = np.asarray(points, dtype=float)
-    d2 = np.subtract.outer(x[..., 0], points[:, 0], out=out)
+    subtract = np.subtract if paired else np.subtract.outer
+    d2 = subtract(x[..., 0], points[:, 0], out=out)
     d2 *= d2
     for k in (1, 2):
-        work = np.subtract.outer(x[..., k], points[:, k], out=work)
+        work = subtract(x[..., k], points[:, k], out=work)
         work *= work
         d2 += work
     return d2
@@ -192,17 +207,9 @@ def _residues_and_separation(points):
     return r_p, min_sep
 
 
-# A far ring's aliasing may reach this fraction of its ring term: half an ulp
-# of 1, so leaving the aliasing out costs no more than rounding the term.
+# A ring's left-out Fourier modes may reach this fraction of its ring term:
+# half an ulp of 1, so leaving them out costs no more than rounding the term.
 _ALIAS_TOL = 2.0**-53
-
-
-# numpy buffers a broadcasting ufunc whose rows hold fewer than about a third
-# of its buffer (8192 elements by default), and its outer differences then
-# take ~2 ns per entry instead of ~0.5 ns (numpy 2.4, x86-64).  Most near runs
-# are shorter than that; a 1024-element buffer keeps runs of 342 or more
-# columns unbuffered.  The residues are the same bits at the default size.
-_RUN_BUFSIZE = 1024
 
 
 def _band_chords(R, K):
@@ -216,9 +223,9 @@ def _band_chords(R, K):
 
 
 def _ring_plan(K, sizes):
-    """near (K-1, K-1) bool: near[a, b] when the points of band b are summed
-    pair by pair for the points of band a; the other band pairs are far and
-    take the ring term n_b / AGM(d_max, d_min) of `_band_chords`.
+    """J (K-1, K-1) int: the form ring b, the n_b points of band b taken
+    whole, takes at the points of band a: 0 on the diagonal, 1 for a far
+    ring and an odd number >= 3 of samples for a near one.
 
     The rule.  Let x lie on band a and q run over the n_b equally spaced
     points of band b, psi the longitude between them.  With
@@ -235,19 +242,38 @@ def _ring_plan(K, sizes):
 
         sum_q 1/|x - q| = n_b c_0 + 2 n_b sum_{k>=1} c_{k n_b} cos(k n_b psi_0),
 
-    and the aliasing sum is at most 2 rho^n_b / (1 - rho^n_b) of the ring
-    term n_b c_0.  A pair is far when that bound is <= `_ALIAS_TOL`.  rho
-    does not depend on R, so the plan depends on the layout alone.  Band a
-    itself (rho = 1) is always near; its neighbours a +- 1 are made near,
-    so every pair closer than 2R sin(pi/K), the nearest any far pair can
-    be, is summed pair by pair.  Some near pair is closer than that (checked
-    at every N from 8 to 3000 and at every 97th N up to 20000), so the
-    smallest separation is exact.
+    a sum of period 2 pi / n_b in the longitude of x whose mode k is at most
+    A^k of the ring term n_b c_0, with A = rho^n_b.  The three forms:
+
+    - own ring, b = a (J = 0): a full ring gives each of its points the
+      same sum, in closed form (`_own_rings`);
+    - far ring (J = 1), when all modes k >= 1 together, at most
+      2 A / (1 - A) of the ring term, are within `_ALIAS_TOL` of it: the
+      ring term n_b / AGM(d_max, d_min) alone (`_ring_terms`);
+    - near ring, any other: the trigonometric interpolant through J equally
+      spaced samples of one period (`_ring_spectra`).  Its modes
+      |k| <= M = (J-1)/2 are each the true mode plus the modes k + j J it
+      aliases, so it is within twice the modes |k| > M of the sum,
+      4 A^(M+1) / (1 - A) of the ring term, and J is the smallest odd count
+      that brings this within `_ALIAS_TOL`.
+
+    rho does not depend on R, so the plan depends on the layout alone.
     """
     d_max, d_min = _band_chords(1.0, K)
     alias = ((d_max - d_min) / (d_max + d_min)) ** sizes
-    band = np.arange(K - 1)
-    return (2.0 * alias > _ALIAS_TOL * (1.0 - alias)) | (np.abs(band[:, None] - band) <= 1)
+    J = np.ones(alias.shape, dtype=int)
+    np.fill_diagonal(J, 0)
+    near = (J == 1) & (2.0 * alias > _ALIAS_TOL * (1.0 - alias))
+    A = alias[near]
+
+    def ok(m):
+        return 4.0 * A**m <= _ALIAS_TOL * (1.0 - A)
+
+    m = np.ceil(np.log(0.25 * _ALIAS_TOL * (1.0 - A)) / np.log(A))
+    m += ~ok(m)  # the logarithms' rounding, either way
+    m -= ok(m - 1)
+    J[near] = 2 * m - 1
+    return J
 
 
 def _agm(a, b):
@@ -270,62 +296,156 @@ def _ring_terms(R, K, sizes, far):
     return ring
 
 
+def _own_rings(R, K, sizes):
+    """For the first len(sizes) bands, the sum of 1/|p - q| over the other
+    points q of p's full ring.  A ring of n points and radius a has chords
+    2 a sin(pi k / n), so the sum is (1/(2a)) sum_{k=1}^{n-1} csc(pi k / n)."""
+    band, k = _ragged(sizes - 1)
+    csc = np.reciprocal(np.sin(np.pi * (k + 1) / sizes[band]))
+    radius = R * np.sin(np.arange(1, len(sizes) + 1) * np.pi / K)
+    return np.add.reduceat(csc, np.cumsum(sizes - 1) - (sizes - 1)) / (2.0 * radius)
+
+
+def _ring_spectra(R, K, sizes, a, b, J):
+    """(sum n_a,): band by band, the coefficients E_f, f < n_a, of the
+    cosine series sum_f E_f cos(2 pi f i / n_a) that sums the near rings b
+    whole at longitude index i of band a, for the band pairs (a, b) with
+    their `_ring_plan` sample counts J.
+
+    Ring b's sum f(phi) at longitude phi on band a is even with period
+    2 pi / n_b.  Its samples at phi_s = 2 pi s / (J n_b) take each value of
+    the grid g_t, t < J n_b, once: point j of ring b lies
+    psi = 2 pi (s - J j) / (J n_b) from phi_s, so f(phi_s) sums the g_t with
+    t = s (mod J), g_t = 1 / sqrt(d_min^2 + 4 a_a a_b sin^2(pi t / (J n_b))),
+    a_a and a_b the ring radii (the chord free of cancellation).  Since
+    f(phi_{J-s}) = f(phi_s), only s <= (J-1)/2 are summed, one row of n_b
+    values each.  A value takes four arrays (its row, column, angle and
+    value), so blocks of about `_BLOCK_ELEMENTS` / 4 values hold one
+    table's memory.  The interpolant's mode k, C_k cos(k n_b phi), is
+    cos(2 pi f i / n_a) at the longitudes of band a with f = k n_b mod n_a,
+    the phase reduced in integers.
+    """
+    n = sizes[b]
+    m = (J + 1) // 2
+    theta = np.arange(1, K) * np.pi / K
+    radius = R * np.sin(theta)
+    c2 = 4.0 * radius[a] * radius[b]
+    h2 = (2.0 * R * np.sin(0.5 * (theta[a] - theta[b]))) ** 2 / c2  # d_min^2 / c2
+    # row (pair, s) holds g_t c2^(1/2) at t = s + J j, the angle
+    # pi t / (J n_b) = pi s / (J n_b) + j pi / n_b taken with |j| <= n_b / 2,
+    # so that the nearest points' small angles are accurate
+    pair, s = _ragged(m)
+    length = n[pair]
+    phase = np.pi * s / (J * n)[pair]
+    step = np.pi / length
+    samples = np.empty(len(pair))
+    ends = np.cumsum(length)
+    block = _BLOCK_ELEMENTS // 4
+    cuts = np.searchsorted(ends, np.arange(block, ends[-1], block), side="right")
+    for lo, hi in zip([0, *cuts], [*cuts, len(pair)]):
+        row, j = _ragged(length[lo:hi])
+        row += lo
+        j -= length[row] // 2
+        g = np.sin(phase[row] + step[row] * j)
+        g *= g
+        g += h2[pair[row]]
+        np.reciprocal(np.sqrt(g, out=g), out=g)
+        samples[lo:hi] = np.add.reduceat(g, np.cumsum(length[lo:hi]) - length[lo:hi])
+    samples /= np.sqrt(c2[pair])
+
+    # C_k = (2 - [k = 0]) / J sum_{s < J} f(phi_s) cos(2 pi k s / J), k < m,
+    # summed over the rows (pair, s)
+    row, k = _ragged(m[pair])
+    p, s = pair[row], s[row]
+    w = (2 - (s == 0)) * (2 - (k == 0)) / J[p] * np.cos(2.0 * np.pi * (k * s % J[p]) / J[p])
+    f = (np.cumsum(sizes) - sizes)[a[p]] + k * n[p] % sizes[a[p]]
+    return np.bincount(f, w * samples[row], minlength=sizes.sum())
+
+
+def _cosine_series(sizes, spectra):
+    """(sum n_a,): band by band, sum_f E_f cos(2 pi f i / n_a) at every
+    longitude index i < n_a, from `spectra` as `_ring_spectra` lays them
+    out, for nondecreasing band sizes.  The constant E_0 is added apart; the
+    rest takes one FFT per run of equal sizes."""
+    start = np.cumsum(sizes) - sizes
+    out = np.repeat(spectra[start], sizes)
+    wave = spectra.copy()
+    wave[start] = 0.0
+    lo = 0
+    for size, bands in zip(*(v.tolist() for v in np.unique(sizes, return_counts=True))):
+        hi = lo + size * bands
+        out[lo:hi] += np.fft.fft(wave[lo:hi].reshape(bands, size)).real.ravel()
+        lo = hi
+    return out
+
+
+def _ring_separation(K, sizes, keep, points):
+    """The smallest separation of the layout `points` (band sizes n_b,
+    survivor counts `keep`).
+
+    It is taken over three sets of pairs: points next to each other in the
+    table, the last and first points of each full band, and each point
+    with the two kept points of the next band on either side of its
+    longitude, in row blocks of the table.  They hold every pair of
+    neighbours within a band and between adjacent bands.  Bands two or more
+    apart are at least 2R sin(pi/K) apart, farther than neighbours within a
+    band, so this is the brute-force minimum bit for bit.  Coincident points
+    raise.
+    """
+    start = np.cumsum(keep) - keep
+    full = np.flatnonzero(keep == sizes)
+    wrap = _squared_distances(points[start[full] + sizes[full] - 1], points[start[full]], paired=True)
+    d2_min = float(wrap.min(initial=np.inf))
+    for rows in _row_blocks(len(points) - 1, 16)[1]:
+        after = _squared_distances(points[rows], points[rows.start + 1:rows.stop + 1], paired=True)
+        p = np.arange(rows.start, rows.stop)
+        a = np.searchsorted(start, p, side="right")  # the band after p's
+        p, a = p[a < K - 1], a[a < K - 1]
+        j = (p - start[a - 1]) * sizes[a] // sizes[a - 1]  # the point at or before p's longitude
+        d2_min = min(d2_min, float(after.min()))
+        for q in (np.minimum(j, keep[a] - 1), np.where(j + 1 < keep[a], j + 1, 0)):
+            pairs = _squared_distances(np.take(points, p, axis=0), np.take(points, start[a] + q, axis=0),
+                                       paired=True)
+            d2_min = min(d2_min, float(pairs.min(initial=np.inf)))
+    if d2_min == 0.0:
+        raise InvalidConfigurationError("coincident points in the configuration")
+    return math.sqrt(d2_min)
+
+
 def _ring_residues(R, K, sizes, keep, points):
     """(r_p, smallest separation) of `points`, the layout `_layout(N, R)`
     with band sizes n_b and survivor counts `keep`, from latitude rings.
 
-    The points of each band a (of consecutive bands with the same near
-    bands together) are summed pair by pair against the near bands of
-    `_ring_plan`, in row blocks of one contiguous run of near bands at a
-    time; a run's columns are never split, so the sums do not depend on
-    `_BLOCK_ELEMENTS`.  Each far band b adds its whole ring's
-    n_b / AGM(d_max, d_min), less the points the layout dropped from it.
-    The separation is the smallest over the near pairs, which hold every
-    pair that could attain it, so it equals `_residues_and_separation`'s
-    bit for bit; the residues agree with it to rounding.  Coincident points
-    raise.
+    Each point sees every ring whole, in the form `_ring_plan` gives it,
+    and the points the layout dropped are then subtracted pair by pair.
+    Whole rings are mirror images under z -> -z: band K-2-a sees from ring
+    K-2-b what band a sees from ring b, so only the bands a <= K-2-a are
+    summed.  The residues agree with `_residues_and_separation` to
+    rounding, and the separation (`_ring_separation`) equals it bit for bit.
+    A layout with no far ring takes `_residues_and_separation` itself.
     """
-    near = _ring_plan(K, sizes)
-    far = ~near
-    ring = np.repeat(_ring_terms(R, K, sizes, far).sum(axis=1), keep)
-    lost_band = np.repeat(np.arange(K - 1), sizes - keep)
-    lost_j = np.concatenate([np.arange(k, n) for k, n in zip(keep, sizes)])
-    lost = np.asfortranarray(_band_points(R, K, sizes, lost_band, lost_j)[1])
-
-    cols = np.asfortranarray(points)
-    start = np.concatenate([[0], np.cumsum(keep)])
-    # bands [a0, a1) share their near bands, which hold all of them in one run
-    a0s = np.flatnonzero(np.concatenate([[True], np.any(near[1:] != near[:-1], axis=1)]))
-    buf = np.empty(max(_BLOCK_ELEMENTS, len(points)))
-    work = np.empty_like(buf)
-    r_p = np.empty(len(points))
-    d2_min = math.inf
-    bufsize = np.setbufsize(_RUN_BUFSIZE)
-    try:
-        for a0, a1 in zip(a0s, [*a0s[1:], K - 1]):
-            own = slice(start[a0], start[a1])
-            rows = cols[own]
-            total = np.zeros(len(rows))
-            edges = np.flatnonzero(np.diff(np.concatenate([[0], near[a0], [0]])))
-            for b0, b1 in edges.reshape(-1, 2):
-                run = cols[start[b0]:start[b1]]
-                c = len(run)
-                for blk in _row_blocks(len(rows), c)[1]:
-                    k = blk.stop - blk.start
-                    d = _squared_distances(rows[blk], run, out=buf[:k * c].reshape(k, c),
-                                           work=work[:k * c].reshape(k, c))
-                    if b0 <= a0 < b1:
-                        i = np.arange(k)
-                        d[i, start[a0] - start[b0] + blk.start + i] = np.inf
-                    d2_min = min(d2_min, float(d.min()))
-                    total[blk] += np.sum(np.reciprocal(np.sqrt(d, out=d), out=d), axis=1)
-            d = np.sqrt(_squared_distances(rows, lost[far[a0, lost_band]]))
-            r_p[own] = 1.0 - (total + (ring[own] - np.sum(1.0 / d, axis=1)))
-    finally:
-        np.setbufsize(bufsize)
-    if d2_min == 0.0:
-        raise InvalidConfigurationError("coincident points in the configuration")
-    return r_p, math.sqrt(d2_min)
+    J = _ring_plan(K, sizes)
+    far = J == 1
+    if not far.any():
+        # no far ring (N < 99): one pass over all pairs costs less than the rings
+        return _residues_and_separation(points)
+    half = K // 2
+    J[half:] = 0
+    far[half:] = False
+    a, b = np.nonzero(J > 1)
+    north = sizes[:half]
+    spectra = _ring_spectra(R, K, sizes, a, b, J[a, b])[:north.sum()]
+    start = np.cumsum(north) - north
+    spectra[start] += _ring_terms(R, K, sizes, far)[:half].sum(axis=1) + _own_rings(R, K, north)
+    band, i = _ragged(keep)
+    total = _cosine_series(north, spectra)[start[np.minimum(band, K - 2 - band)] + i]
+    lost_band, j = _ragged(sizes - keep)
+    lost = _band_points(R, K, sizes, lost_band, keep[lost_band] + j)[1]
+    dropped = np.zeros(len(points))
+    for _, d2, _ in _table_blocks(lost, points):
+        for row in np.reciprocal(np.sqrt(d2, out=d2), out=d2):
+            dropped += row  # one dropped point at a time, so no sum depends on the blocks
+    return 1.0 - (total - dropped), _ring_separation(K, sizes, keep, points)
 
 
 def residues(points):

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magbag import analysis, glued, shell
 from magbag.analysis import (
@@ -416,6 +418,13 @@ def test_flux_charge_values(cfg100, cfg25):
     assert max(vals) - min(vals) < 1e-3
     with pytest.raises(InvalidParameterError):
         flux_charge(0.5 * cfg100.R, cfg100, quad)
+
+
+@given(st.integers(min_value=8, max_value=600), st.floats(min_value=1.5, max_value=256.0))
+@settings(max_examples=10, deadline=None)
+def test_flux_quantisation_at_any_charge(N, m):
+    cfg = make_shell_config(N, m)
+    assert flux_charge(2 * cfg.R, cfg, SphereQuadrature(16384)) == pytest.approx(N, abs=1e-4)
 
 
 @pytest.mark.parametrize("r", [math.nan, math.inf])

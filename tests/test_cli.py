@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import magbag
 from magbag.cli import main
 
 
@@ -208,3 +213,29 @@ def test_config_out_may_be_null(tmp_path, capsys):
     cfgfile.write_text(json.dumps({"n": 64, "out": None}))
     assert run_cli(["place", "--config", str(cfgfile)]) == 0
     assert len(capsys.readouterr().out.strip().split("\n")) == 65
+
+
+def _fresh_process(argv, out):
+    """Exit code of `magbag.cli` run with argv in a new interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(magbag.__file__).resolve().parents[1])}
+    cmd = [sys.executable, "-m", "magbag.cli", *argv, "--out", str(out)]
+    return subprocess.run(cmd, env=env, capture_output=True, timeout=300).returncode
+
+
+def test_repeated_calls_match_fresh_processes(tmp_path):
+    # main reuses one parser; a flag given to one call must not reach the
+    # next, so the third and fourth calls fall back to m = 16, r-min = 0.5
+    # and 32 steps
+    calls = [
+        ["place", "--n", "64", "--m", "2"],
+        ["profile", "--n", "100", "--m", "81", "--quad", "256", "--r-min", "1", "--steps", "3"],
+        ["place", "--n", "64"],
+        ["profile", "--n", "100", "--quad", "256"],
+        ["verify", "--suite", "algebra"],
+    ]
+    for i, argv in enumerate(calls):
+        here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+        assert main([*argv, "--out", str(here)]) == _fresh_process(argv, fresh) == 0
+        assert here.read_bytes() == fresh.read_bytes()
+    assert (tmp_path / "here0").read_bytes() != (tmp_path / "here2").read_bytes()
+    assert len((tmp_path / "here3").read_text().splitlines()) == 1 + 32

@@ -248,6 +248,35 @@ def test_eta_alpha_sums_match_per_source_oracles():
         assert np.max(np.abs(eta - terms.sum(axis=0)) / scale) <= 1e-12
 
 
+def test_eta_alpha_sums_reuse_their_buffers(monkeypatch):
+    # 7-row blocks, the last ragged, in buffers reused from block to block,
+    # give the one-block sums: eta bit for bit, and alpha to rounding, as
+    # BLAS may sum the (rows, N - 1) @ (N - 1, 3) product in an order that
+    # depends on the row count
+    cfg = make_shell_config(32, 16.0)
+    rng = np.random.default_rng(3)
+    X = cfg.points[3] + rng.uniform(-0.2, 0.2, (100, 3)) * cfg.L
+    eta, alpha = glued._eta_alpha_sums(X, 3, cfg)
+    monkeypatch.setattr(shell, "_BLOCK_ELEMENTS", 7 * 31)
+    eta_blocked, alpha_blocked = glued._eta_alpha_sums(X, 3, cfg)
+    assert np.array_equal(eta, eta_blocked)
+    np.testing.assert_allclose(alpha_blocked, alpha, rtol=1e-13, atol=0)
+
+
+def test_eta_alpha_sums_memory_is_bounded():
+    # five (rows, N - 1) block buffers, allocated once per call; a fresh
+    # temporary per step of each block held six or more at once
+    cfg = make_shell_config(1600, 16.0)
+    X = cfg.points[5] + np.random.default_rng(0).normal(size=(2048, 3)) * 0.2 * cfg.L
+    tracemalloc.start()
+    try:
+        glued._eta_alpha_sums(X, 5, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * 8 * _BLOCK_ELEMENTS
+
+
 def test_alpha_fd_exterior_derivative():
     # defining property: d(alpha) = *d(eta), checked componentwise by fd
     p = np.array([0.0, 0.0, 0.0])
@@ -336,6 +365,23 @@ def test_chart_overlap_norm_identity(cfg100):
     chart_norm = np.linalg.norm(phi, axis=1)
     ext_norm = np.abs(phi_theta(X, cfg100))
     assert np.max(np.abs(chart_norm - ext_norm) / ext_norm) < 1e-12
+
+
+@given(st.integers(min_value=8, max_value=600), st.floats(min_value=1.5, max_value=256.0),
+       st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=20, deadline=None)
+def test_chart_overlap_identity_at_any_charge(N, m, seed):
+    # where chi = 0 the ball chart's |phi| is r_p - 1/d - sum_q eta_pq, which
+    # is |phi_theta| exactly when r_p = 1 - sum_q 1/|p - q|: the identity
+    # checks the residues to rounding (absolutely, as phi_theta has zeros)
+    cfg = make_shell_config(N, m)
+    rng = np.random.default_rng(seed)
+    i = int(rng.integers(N))
+    dirs = rng.normal(size=(50, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    X = cfg.points[i] + rng.uniform(3 * cfg.L / 16, 0.999 * cfg.L, 50)[:, None] * dirs
+    _, phi = glued.ball_fields(X, i, cfg)
+    assert np.max(np.abs(np.linalg.norm(phi, axis=1) - np.abs(phi_theta(X, cfg)))) <= 1e-12
 
 
 def test_chart_boundary_lower_bound(cfg100):

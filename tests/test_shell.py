@@ -67,6 +67,16 @@ def test_choose_band_count():
         choose_band_count(7)
 
 
+def test_choose_band_count_equals_linear_search():
+    # the search from K = 2 up, over band sums taken once
+    sums = [0, 0] + [int(band_sizes(K).sum()) for K in range(2, 200)]
+    for N in range(8, 20001):
+        K = 2
+        while sums[K] < N:
+            K += 1
+        assert choose_band_count(N) == K
+
+
 def test_band_count_tracks_equal_area_estimate():
     for N in (64, 100, 200, 400, 700, 1024):
         K = choose_band_count(N)
@@ -205,12 +215,10 @@ def test_residues_catch_a_twin_in_another_block(monkeypatch):
 
 
 # (N, block budget): one block, five equal blocks, 25 blocks and a ragged 7-row
-# one; the blocked runs reuse one buffer across every block.  The one-block
-# configuration also runs at numpy's default ufunc buffer size.
+# one; the blocked runs reuse one buffer across every block.
 @pytest.mark.parametrize("N, budget", [(8, 8 * 8), (100, 100 * 20), (257, 257 * 10)])
 def test_blocked_tables_equal_difference_oracle(N, budget, monkeypatch):
     monkeypatch.setattr(shell, "_BLOCK_ELEMENTS", N * N)
-    monkeypatch.setattr(shell, "_RUN_BUFSIZE", 8192)
     one_block = make_shell_config(N, 16.0)
     monkeypatch.undo()
     monkeypatch.setattr(shell, "_BLOCK_ELEMENTS", budget)
@@ -265,7 +273,7 @@ def test_ring_term_matches_elliptic_integral():
     import mpmath
 
     R, K, sizes, _, _ = _ring_layout(4800, 16.0)
-    far = ~shell._ring_plan(K, sizes)
+    far = shell._ring_plan(K, sizes) == 1
     ring = shell._ring_terms(R, K, sizes, far)
     d_max, d_min = shell._band_chords(R, K)
     worst = 0.0
@@ -281,7 +289,7 @@ def test_far_rings_within_their_aliasing_bound():
     # every point of band a against the whole ring b, the dropped points
     # included; 8 ulps cover the rounded coordinates and the row sums
     R, K, sizes, keep, points = _ring_layout(4800, 16.0)
-    far = ~shell._ring_plan(K, sizes)
+    far = shell._ring_plan(K, sizes) == 1
     ring = shell._ring_terms(R, K, sizes, far)
     d_max, d_min = shell._band_chords(1.0, K)
     band = np.repeat(np.arange(K - 1), keep)
@@ -299,13 +307,57 @@ def test_far_rings_within_their_aliasing_bound():
 
 
 def test_ring_plan_near_field_work_is_sub_quadratic():
-    # near pairs are the O(N^{3/2}) part of the layout's residues; the
+    # the pairs of a point and its own or a near ring number O(N^{3/2}); the
     # brute-force pass takes all N^2
     N = 4800
     K, sizes, keep, *_ = shell._layout(N, 1.0)
-    near = shell._ring_plan(K, sizes)
+    near = shell._ring_plan(K, sizes) != 1
     assert all(near.diagonal(k).all() for k in (-1, 0, 1))
     assert keep @ near @ keep <= 0.3 * N * N
+
+
+@pytest.mark.parametrize("N", [4800, 51200])
+def test_ring_residue_work_is_linear(N):
+    # the ring path's work: grid values summed into samples, interpolation
+    # terms (the DFT's products and the longitudes of the cosine series) and
+    # dropped-point pairs, against the pair path's point-to-near-ring pairs,
+    # which grow as N^{3/2}.  The dropped pairs are N times the layout's
+    # excess over N (63 and 146 here, below 2.3 sqrt(N)), so they are the
+    # part that is not linear.
+    K, sizes, keep, *_ = shell._layout(N, 1.0)
+    J = shell._ring_plan(K, sizes)
+    pairs = keep @ (J != 1) @ keep
+    J[K // 2:] = 0  # the bands a <= K-2-a
+    a, b = np.nonzero(J > 1)
+    m = (J[a, b] + 1) // 2
+    linear = m @ sizes[b] + m @ m + sizes[:K // 2].sum()
+    dropped = N * (sizes.sum() - N)
+    assert linear <= 25 * N
+    assert linear + dropped <= 200 * N
+    assert pairs >= 1000 * N
+
+
+def test_sampled_rings_within_their_interpolation_bound():
+    # every longitude of band a against the whole ring b, the dropped points
+    # included, for every near ring; the sum over rounded coordinates is
+    # itself some 8 ulps off the layout's rings, hence the 12 ulps
+    R, K, sizes, _, _ = _ring_layout(4800, 16.0)
+    J = shell._ring_plan(K, sizes)
+    d_max, d_min = shell._band_chords(1.0, K)
+    rho = (d_max - d_min) / (d_max + d_min)
+    start = np.cumsum(sizes) - sizes
+    for b in range(K - 1):
+        a = np.flatnonzero(J[:, b] > 1)
+        spectra = shell._ring_spectra(R, K, sizes, a, np.full(len(a), b), J[a, b])
+        q = shell._band_points(R, K, sizes, np.full(sizes[b], b), np.arange(sizes[b]))[1]
+        for band, alias, M in zip(a, rho[a, b] ** sizes[b], (J[a, b] - 1) // 2):
+            n, i = sizes[band], np.arange(sizes[band])
+            got = np.cos(2 * np.pi * (np.outer(i, i) % n) / n) @ spectra[start[band]:][:n]
+            x = shell._band_points(R, K, sizes, np.full(n, band), i)[1]
+            want = np.sum(1.0 / difference_distances(x, q), axis=1)
+            bound = 4 * alias ** (M + 1) / (1 - alias)
+            assert bound <= 2.0**-53
+            assert np.all(np.abs(got - want) <= (bound + 12 * np.finfo(float).eps) * want.mean())
 
 
 def test_coulomb_sums_singleton():

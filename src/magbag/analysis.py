@@ -16,7 +16,13 @@ import numpy as np
 from . import glued
 from .monopole import ScaledMonopole, ps_evaluator, ps_higgs_norm
 from .operators import _stencil_points, fd_curvature
-from .shell import InvalidParameterError, _check_count, _row_blocks, _table_blocks
+from .shell import (
+    InvalidParameterError,
+    _check_count,
+    _row_blocks,
+    _table_blocks,
+    fibonacci_sphere,
+)
 from .su2 import cross
 
 
@@ -26,19 +32,6 @@ class NumericFailureError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # Spherical quadrature
-
-def fibonacci_sphere(M):
-    """M quasi-uniform unit vectors; equal weights 4 pi / M.
-
-    The z-offsets are symmetric, so odd zonal moments cancel exactly.
-    """
-    i = np.arange(M) + 0.5
-    z = 1.0 - 2.0 * i / M
-    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    golden = (1.0 + math.sqrt(5.0)) / 2.0
-    phi = 2.0 * np.pi * i / golden
-    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
-
 
 @dataclass(frozen=True)
 class SphereQuadrature:
@@ -64,7 +57,7 @@ def _sphere_fn(field, dirs):
     """
     if isinstance(field, ScaledMonopole):
         return glued.sphere_sweep(dirs, field.center[None],
-                                  lambda r, d2, pn, G: ps_higgs_norm(np.sqrt(d2[:, 0]), field.scale))
+                                  lambda r, d2: ps_higgs_norm(np.sqrt(d2[:, 0]), field.scale))
     return glued.sphere_higgs_norm(dirs, field)
 
 
@@ -291,7 +284,8 @@ def flux_charge(r, cfg, quad):
     """
     if not cfg.R + cfg.L < r < np.inf:
         raise InvalidParameterError("flux sphere must be finite and enclose the shell")
-    dens = glued.sphere_flux_density(quad.points, cfg)(r)
+    dirs = quad.points
+    dens = np.einsum("bk,bk->b", glued.grad_phi_theta(r * dirs, cfg), dirs)
     return float(r * r * quad.weight * dens.sum() / (4.0 * np.pi))
 
 

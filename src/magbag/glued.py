@@ -29,7 +29,7 @@ from .monopole import (
     coth_minus_inv,
     inv_minus_csch,
 )
-from .shell import _check_count, _row_blocks, _table_blocks
+from .shell import _check_count, _row_blocks, _table_blocks, fibonacci_sphere
 from .su2 import bracket, cross, form_norm, star_real_wedge, wedge_dual
 
 
@@ -97,13 +97,30 @@ def phi_theta(x, cfg):
 
 
 def grad_phi_theta(x, cfg):
-    """Gradient of phi_theta, sum_p (x-p)/|x-p|^3."""
+    """Gradient of phi_theta, sum_p (x-p)/|x-p|^3, at points x (..., 3).
+
+    Per `_table_blocks` row block, w = |x-p|^-3 goes into the spare array
+    and each component sums (x_k - p_k) w from the coordinate differences,
+    which carry no cancellation (x_k sum w - sum w p_k would lose digits
+    near a ball).  Each difference overwrites the block's squared distances:
+    x_k copied across, then p_k subtracted in place, which at N = 100 takes
+    about 70 % of the time of an outer subtraction (numpy buffers the
+    latter's short rows) and rounds the same.
+    """
     x = np.asarray(x, dtype=float)
-    diff = x[..., None, :] - cfg.points
-    d = np.linalg.norm(diff, axis=-1)
-    if np.any(d == 0.0):
-        raise SingularEvaluationError("grad_phi_theta evaluated on a shell point")
-    return np.sum(diff / d[..., None] ** 3, axis=-2)
+    flat = x.reshape(-1, 3)
+    out = np.empty(flat.shape)
+    for rows, d2, w in _table_blocks(flat, cfg.points):
+        if np.any(d2 == 0.0):
+            raise SingularEvaluationError("grad_phi_theta evaluated on a shell point")
+        np.sqrt(d2, out=w)
+        w *= d2
+        np.reciprocal(w, out=w)
+        for k in range(3):
+            np.copyto(d2, flat[rows, k, None])
+            d2 -= cfg.points[:, k]
+            out[rows, k] = np.einsum("bn,bn->b", d2, w)
+    return out.reshape(x.shape)
 
 
 # Where |D| s + D.(x-q) falls below this multiple of |D| s, rounding alone
@@ -201,7 +218,7 @@ def ball_fields(X, p_idx, cfg):
     # chi = 1 plateau is the (cancellation-free) smooth-core profile.
     core = np.where(d > 0, c * r * inv_minus_csch(s) + (1.0 - c) / safe, 0.0)
     a = _hedgehog_form(xhat, core)
-    a -= ((1.0 - c) * 1.0)[:, None, None] * alpha_sum[:, :, None] * xhat[:, None, :]
+    a -= (1.0 - c)[:, None, None] * alpha_sum[:, :, None] * xhat[:, None, :]
 
     higgs = np.where(d > 0, ball_higgs(d, r, c, r - 1.0 / safe - eta_sum), 0.0)
     phi = higgs[:, None] * xhat
@@ -264,38 +281,27 @@ def higgs_norm(x, cfg):
 # Origin-centred spheres r u over fixed unit directions u
 #
 # For a source p and radius r, |r u - p|^2 = (r - |p|)^2 + r |p| G with
-# G = |u - p/|p||^2, and (r u - p).u = (r - |p|) + |p| G / 2.  G depends only
-# on the directions and the sources, so one (B, N) table serves every radius
-# and no (B, N, 3) array is built.  G is the only (B, N) array kept: every
-# sphere function is a `sphere_sweep`, which works through G in blocks of
-# `_BLOCK_ELEMENTS // N` rows, in buffers of one block allocated once.
+# G = |u - p/|p||^2.  G depends only on the directions and the sources, so
+# one (B, N) table serves every radius, and every sphere function is a
+# `sphere_sweep` over it.
 
-def _direction_table(dirs, points):
-    """(|p|, G) for unit directions (B, 3) and sources (N, 3): G = |u - p_hat|^2.
+def sphere_sweep(dirs, points, reduce):
+    """The function r -> out (B,) on the spheres r u, u = dirs (B, 3), about
+    the sources `points` (N, 3).
 
-    G is summed coordinate by coordinate, which keeps it accurate where u
-    points at p, and copied in from the `_table_blocks` of the directions
-    against p_hat.  A source at the origin has p_hat = 0 and enters only
-    through |p| = 0.
+    G is built once here from the `_table_blocks` of the directions against
+    p/|p|, coordinate by coordinate, which keeps it accurate where u points
+    at p; a source at the origin enters only through |p| = 0.  G is the
+    only (B, N) array kept.  Each radius takes it in blocks of
+    `_BLOCK_ELEMENTS // N` rows: out[rows] = reduce(r, d2), with d2 =
+    |r u - p|^2 on those rows in a block buffer allocated once here, which
+    reduce may overwrite.
     """
     pn = np.linalg.norm(points, axis=1)
     phat = points / np.where(pn > 0.0, pn, 1.0)[:, None]
     G = np.empty((len(dirs), len(phat)))
     for rows, d2, _ in _table_blocks(dirs, phat):
         G[rows] = d2
-    return pn, G
-
-
-def sphere_sweep(dirs, points, reduce):
-    """The function r -> out (B,) on the spheres r u, u = dirs (B, 3), about
-    the sources `points` (N, 3).
-
-    The direction table is built once here, and each radius takes it in
-    blocks of `_BLOCK_ELEMENTS // N` rows: out[rows] = reduce(r, d2, pn, G),
-    with G the block's rows of the table, pn = |p| and d2 = |r u - p|^2 on
-    those rows in a block buffer allocated here, which reduce may overwrite.
-    """
-    pn, G = _direction_table(dirs, points)
     size, blocks = _row_blocks(*G.shape)
     buf = np.empty((size, len(pn)))
 
@@ -304,7 +310,7 @@ def sphere_sweep(dirs, points, reduce):
         for rows in blocks:
             d2 = np.multiply(r * pn, G[rows], out=buf[: rows.stop - rows.start])
             d2 += (r - pn) ** 2
-            out[rows] = reduce(r, d2, pn, G[rows])
+            out[rows] = reduce(r, d2)
         return out
 
     return sweep
@@ -313,7 +319,7 @@ def sphere_sweep(dirs, points, reduce):
 def _radial_gap(points):
     """(r -> min_p |r - |p||, max_p |p|); the function takes radii of any shape.
 
-    |p| is rounded as the direction table rounds it.  The rounded |r - |p||
+    |p| is rounded as `sphere_sweep` rounds it.  The rounded |r - |p||
     is monotone in |p| on either side of r, so the minimum over every point
     is attained next to r in the sorted |p|.
     """
@@ -345,38 +351,13 @@ def sphere_higgs_norm(dirs, cfg):
     # L (1 + 4u)(1 - u) gives d > L (1 + 4u)(1 - u)(1 - 2u) > L on every row.
     clear = cfg.L * (1.0 + 2.0 * np.finfo(float).eps)
 
-    def reduce(r, d2, pn, G):
+    def reduce(r, d2):
         d = np.sqrt(d2, out=d2)
         if gap(r) > clear:
             return np.abs(1.0 - np.sum(np.reciprocal(d, out=d), axis=1))
         return _higgs_from_distances(d, cfg)
 
     return sphere_sweep(dirs, cfg.points, reduce)
-
-
-def sphere_flux_density(dirs, cfg):
-    """The function r -> grad phi_theta(r u) . u at unit directions u = dirs (B, 3).
-
-    A `sphere_sweep`: each term (r u - p).u / |r u - p|^3 has the numerator
-    (r - |p|) + |p| G / 2; outside the shell both parts are non-negative,
-    so it carries no cancellation.  The cubes take a second block buffer,
-    allocated here.
-    """
-    n = len(cfg.points)
-    cube_buf = np.empty((_row_blocks(len(dirs), n)[0], n))
-
-    def density(r, d2, pn, G):
-        if np.any(d2 == 0.0):
-            raise SingularEvaluationError("flux density evaluated on a shell point")
-        cube = np.sqrt(d2, out=cube_buf[: len(d2)])
-        cube *= d2
-        # the numerator overwrites the block's squared distances
-        num = np.multiply(0.5 * pn, G, out=d2)
-        num += r - pn
-        num /= cube
-        return np.sum(num, axis=1)
-
-    return sphere_sweep(dirs, cfg.points, density)
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +451,6 @@ def annulus_points(cfg, p_idx, n_radial, n_angular):
 def _shell_grid(radii, n_angular):
     """Offsets (len(radii) n_angular, 3): each radius times a Fibonacci sphere
     of n_angular directions, radius-major."""
-    from .analysis import fibonacci_sphere
-
     return (radii[:, None, None] * fibonacci_sphere(n_angular)[None]).reshape(-1, 3)
 
 

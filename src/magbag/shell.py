@@ -118,6 +118,19 @@ def place_points(N, R):
     return _layout(N, R)[5]
 
 
+def fibonacci_sphere(M):
+    """M quasi-uniform unit vectors; equal weights 4 pi / M.
+
+    The z-offsets are symmetric, so odd zonal moments cancel exactly.
+    """
+    i = np.arange(M) + 0.5
+    z = 1.0 - 2.0 * i / M
+    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    golden = (1.0 + math.sqrt(5.0)) / 2.0
+    phi = 2.0 * np.pi * i / golden
+    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+
+
 # Row blocks of a distance table hold about this many float64 entries
 # (512 kB).  A block and its work array then stay in a core's 2 MB L2 cache
 # through every pass over them, and a table over N sources needs O(N) memory

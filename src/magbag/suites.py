@@ -21,6 +21,7 @@ from .analysis import (
     laplacian_identity,
     local_degree,
     ps_energy,
+    theorem_report,
 )
 from .monopole import ScaledMonopole, ps_evaluator
 from .operators import (
@@ -198,8 +199,6 @@ def lemma32_suite():
 
 
 def theorems_suite():
-    from .analysis import theorem_report
-
     cfg = make_shell_config(100, 16.0)
     quad = SphereQuadrature(16384)
     out = []

@@ -6,13 +6,13 @@ antiderivative and Gauss-Legendre quadrature for the gauge primitive, one
 source at a time for the glued tail sums, the singular abelian pair,
 multipole expansions for the far field, plain enumeration for the shell
 combinatorics, one point at a time for the shell layout, full (..., N, 3)
-difference arrays for distance tables, the weighted residual norm with
-`higgs_norm` weights on every sample and one residual call per support
-shell, the adjointness pairings over the union of both supports and over
-the whole quadrature grid in one batch, the origin-sphere |Phi| and flux
-density from whole (B, N) tables, critical radii from every sphere of the
-scan, and the su(2) kernels through `np.cross` and Levi-Civita
-contractions.
+difference arrays for distance tables and grad phi_theta, the weighted
+residual norm with `higgs_norm` weights on every sample and one residual
+call per support shell, the adjointness pairings over the union of both
+supports and over the whole quadrature grid in one batch, the origin-sphere
+|Phi| and flux density from whole (B, N) tables, critical radii from every
+sphere of the scan, and the su(2) kernels through `np.cross` and
+Levi-Civita contractions.
 """
 
 import numpy as np
@@ -174,6 +174,15 @@ def difference_distances(x, points):
     """|x - p| (..., N) for points x (..., 3) from the (..., N, 3) differences."""
     x = np.asarray(x, dtype=float)
     return np.linalg.norm(x[..., None, :] - points, axis=-1)
+
+
+def difference_grad_phi_theta(x, points):
+    """(sum_p (x - p)/|x - p|^3, sum_p |x - p|/|x - p|^3 per component), each
+    (..., 3), at points x (..., 3) from the (..., N, 3) differences."""
+    x = np.asarray(x, dtype=float)
+    diff = x[..., None, :] - points
+    cube = np.linalg.norm(diff, axis=-1)[..., None] ** 3
+    return np.sum(diff / cube, axis=-2), np.sum(np.abs(diff) / cube, axis=-2)
 
 
 def shell_coulomb_rows(points):
@@ -362,7 +371,7 @@ def whole_grid_adjointness_gap(q_pair, q2_pair, bg_pair, box, n_nodes=64, h=1e-4
 
 
 def whole_direction_table(dirs, points):
-    """(|p|, G) of `glued._direction_table` with G built in one (B, N) pass."""
+    """(|p|, G = |u - p/|p||^2) of `glued.sphere_sweep` in one (B, N) pass."""
     pn = np.linalg.norm(points, axis=1)
     phat = points / np.where(pn > 0.0, pn, 1.0)[:, None]
     return pn, _squared_distances(dirs, phat)
@@ -387,7 +396,10 @@ def whole_sphere_higgs_norm(dirs, cfg):
 
 
 def whole_sphere_flux_density(dirs, cfg):
-    """`glued.sphere_flux_density` from whole (B, N) tables at each radius."""
+    """The function r -> grad phi_theta(r u) . u at unit directions u = dirs
+    (B, 3), from whole (B, N) tables at each radius: each term
+    (r u - p).u / |r u - p|^3 has the numerator (r - |p|) + |p| G / 2, which
+    outside the shell carries no cancellation."""
     table = whole_direction_table(dirs, cfg.points)
     pn, G = table
 

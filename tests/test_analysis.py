@@ -416,6 +416,10 @@ def test_flux_charge_values(cfg100, cfg25):
     assert flux_charge(2 * cfg25.R, cfg25, quad) == pytest.approx(25.0, abs=1e-3)
     vals = [flux_charge(s * cfg100.R, cfg100, quad) for s in (1.5, 2.0, 4.0)]
     assert max(vals) - min(vals) < 1e-3
+    # to the bit, pinning the flux density grad phi_theta(r u) . u and its sum
+    assert [v.hex() for v in (flux_charge(2 * cfg25.R, cfg25, quad), *vals)] == [
+        "0x1.9000009610a6ep+4", "0x1.900000d26e7c4p+6", "0x1.9000006d7d5dcp+6",
+        "0x1.9000001d570aap+6"]
     with pytest.raises(InvalidParameterError):
         flux_charge(0.5 * cfg100.R, cfg100, quad)
 
@@ -450,9 +454,9 @@ def test_flux_charge_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the 13.1 MB direction table G plus two row-block buffers; whole
-    # (B, N) temporaries would need about 40 MB
-    assert peak <= 20e6
+    # the 16384 sphere points, their gradients and two row-block buffers of
+    # 512 kB; one whole (16384, 100) table alone would take 13.1 MB
+    assert peak <= 4e6
 
 
 def test_degree_of_map_identity_and_antipodal():

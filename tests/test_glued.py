@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +18,7 @@ from magbag.glued import (
     ChartViolationError,
     chi,
     chi_prime,
+    grad_phi_theta,
     higgs_norm,
     phi_theta,
     residual_fields,
@@ -30,10 +35,10 @@ from oracles import (
     alpha_quadrature,
     eta_pq,
     difference_distances,
+    difference_grad_phi_theta,
     higgs_norm_residual_sweep,
     multipole_far_field,
     per_shell_residual_sweep,
-    whole_direction_table,
     whole_sphere_flux_density,
     whole_sphere_higgs_norm,
 )
@@ -109,19 +114,27 @@ def test_phi_theta_singular(cfg100):
 @pytest.mark.parametrize("N", [25, 100, 256])
 def test_distance_tables_equal_difference_oracle(N, monkeypatch):
     cfg = make_shell_config(N, 16.0)
-    _distance_tables_equal_difference_oracle(cfg)
+    grad = _distance_tables_equal_difference_oracle(cfg)
     # 7-row blocks, the last of them short
     monkeypatch.setattr(shell, "_BLOCK_ELEMENTS", 7 * N)
-    _distance_tables_equal_difference_oracle(cfg)
+    assert np.array_equal(_distance_tables_equal_difference_oracle(cfg), grad)
 
 
 def _distance_tables_equal_difference_oracle(cfg):
+    """Checks the point evaluators against the difference oracles; returns
+    `grad_phi_theta` at the points checked."""
     rng = np.random.default_rng(cfg.N)
     near = cfg.points[rng.integers(0, cfg.N, 300)] + rng.normal(size=(300, 3)) * cfg.L / 3
     far = rng.normal(size=(300, 3)) * 2.0 * cfg.R
     X = np.concatenate([near, far])
     d = difference_distances(X, cfg.points)
     assert np.array_equal(phi_theta(X, cfg), 1.0 - np.sum(1.0 / d, axis=-1))
+    grad = grad_phi_theta(X, cfg)
+    want, scale = difference_grad_phi_theta(X, cfg.points)
+    assert np.all(np.abs(grad - want) <= 1e-14 * scale)
+    assert grad_phi_theta(X[0], cfg).shape == (3,)
+    assert np.array_equal(grad_phi_theta(X[:10].reshape(2, 5, 3), cfg), grad[:10].reshape(2, 5, 3))
+    assert grad_phi_theta(np.zeros((0, 3)), cfg).shape == (0, 3)
     X = np.concatenate([X, cfg.points[:3]])  # the core value 0 at a shell point
     want = glued._higgs_from_distances(difference_distances(X, cfg.points), cfg)
     assert np.array_equal(higgs_norm(X, cfg), want)
@@ -138,10 +151,6 @@ def _distance_tables_equal_difference_oracle(cfg):
         none = f(np.zeros((0, 3)), cfg)
         assert type(none) is np.ndarray and none.shape == (0,)
 
-    dirs = np.vstack([cfg.points[:9] / cfg.R, fibonacci_sphere(4 * cfg.N + 3)])
-    got, whole = glued._direction_table(dirs, cfg.points), whole_direction_table(dirs, cfg.points)
-    assert np.array_equal(got[0], whole[0]) and np.array_equal(got[1], whole[1])
-
     # Coulomb sums at a shell point, from the (N, 3) differences
     p = cfg.points[5]
     d = difference_distances(p, cfg.points)
@@ -149,6 +158,7 @@ def _distance_tables_equal_difference_oracle(cfg):
     assert shell.coulomb_sums(cfg.points, p, cfg.L) == (
         float(np.sum(1.0 / away)), float(np.sum(1.0 / away**2)),
         float(np.sum(1.0 / (d + cfg.L))), float(np.sum(1.0 / (d + cfg.L) ** 2)))
+    return grad
 
 
 def test_point_evaluators_memory_is_bounded():
@@ -160,6 +170,7 @@ def test_point_evaluators_memory_is_bounded():
     try:
         phi_theta(X, cfg)
         higgs_norm(X, cfg)
+        grad_phi_theta(X, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -332,8 +343,6 @@ def test_chart_core_region_is_rescaled_core(cfg100):
 def test_chart_overlap_flux_density(cfg100):
     # gauge-invariant curvature agreement on the overlap: the radial-frame
     # component of the ball-chart *F matches grad(phi_theta) at O(h^2)
-    from magbag.glued import grad_phi_theta
-
     i = 17
     p = cfg100.points[i]
     rng = np.random.default_rng(20)
@@ -489,23 +498,23 @@ def _point_sets():
 
 
 @pytest.mark.parametrize("name", ["centre", "seeded", "cfg25", "cfg100"])
-def test_sphere_flux_density_matches_gradient(name, request):
+def test_flux_density_matches_whole_table(name, request):
+    # the flux density of `flux_charge`, grad phi_theta(r u) . u
     cfg = request.getfixturevalue(name) if name.startswith("cfg") else _point_sets()[name]
     dirs = fibonacci_sphere(1024)
     outer = np.max(np.linalg.norm(cfg.points, axis=1)) + getattr(cfg, "L", 0.0)
+    whole = whole_sphere_flux_density(dirs, cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # a centre point divides by nothing
-        density = glued.sphere_flux_density(dirs, cfg)
         for r in (1.2 * outer + 0.5, 1.5 * outer + 1.0, 4.0 * outer + 2.0):
-            want = np.einsum("bi,bi->b", glued.grad_phi_theta(r * dirs, cfg), dirs)
-            assert np.max(np.abs(density(r) - want) / np.abs(want)) <= 1e-12
+            density = np.einsum("bi,bi->b", grad_phi_theta(r * dirs, cfg), dirs)
+            want = whole(r)
+            assert np.max(np.abs(density - want) / np.abs(want)) <= 1e-12
 
 
-def test_sphere_flux_density_singular_on_a_point(cfg25):
-    p = cfg25.points[4]
-    R = np.linalg.norm(p)
+def test_grad_phi_theta_singular_on_a_point(cfg25):
     with pytest.raises(SingularEvaluationError):
-        glued.sphere_flux_density((p / R)[None, :], cfg25)(R)
+        grad_phi_theta(cfg25.points[4], cfg25)
 
 
 def _block_counts(n_sources):
@@ -534,35 +543,28 @@ def test_sphere_higgs_norm_equals_whole_table(name, request):
     ])
     for B in _block_counts(cfg.N):
         dirs = _dirs_through(cfg.points, B)
-        got, want = glued._direction_table(dirs, cfg.points), whole_direction_table(dirs, cfg.points)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         with np.errstate(divide="ignore"):
             sphere, whole = glued.sphere_higgs_norm(dirs, cfg), whole_sphere_higgs_norm(dirs, cfg)
             for r in radii:
                 assert np.array_equal(sphere(r), whole(r))
 
 
-@pytest.mark.parametrize("name", ["centre", "seeded", "cfg25", "cfg100"])
-def test_sphere_flux_density_equals_whole_table(name, request):
-    cfg = request.getfixturevalue(name) if name.startswith("cfg") else _point_sets()[name]
-    outer = np.max(np.linalg.norm(cfg.points, axis=1)) + getattr(cfg, "L", 0.0)
-    for B in _block_counts(len(cfg.points)):
-        dirs = _dirs_through(cfg.points, B)
-        got, want = glued._direction_table(dirs, cfg.points), whole_direction_table(dirs, cfg.points)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        density = glued.sphere_flux_density(dirs, cfg)
-        whole = whole_sphere_flux_density(dirs, cfg)
-        for r in (1.2 * outer + 0.5, 4.0 * outer + 2.0):
-            assert np.array_equal(density(r), whole(r))
-
-
-def test_sphere_flux_density_singular_in_a_later_block(cfg25):
-    # the shell point's direction sits in the last of three row blocks
+def test_grad_phi_theta_singular_in_a_later_block(cfg25):
+    # the shell point sits in the last of three row blocks
     p = cfg25.points[4]
-    R = np.linalg.norm(p)
-    dirs = np.vstack([fibonacci_sphere(2 * (_BLOCK_ELEMENTS // 25) + 3), p / R])
+    X = np.vstack([2.0 * cfg25.R * fibonacci_sphere(2 * (_BLOCK_ELEMENTS // 25) + 3), p])
     with pytest.raises(SingularEvaluationError):
-        glued.sphere_flux_density(dirs, cfg25)(R)
+        grad_phi_theta(X, cfg25)
+
+
+def test_glued_takes_the_sphere_lattice_from_shell():
+    # evaluating glued never loads analysis, which imports glued; analysis
+    # still exports the lattice
+    code = ("import sys; import numpy as np; from magbag import glued; "
+            "glued._shell_grid(np.ones(2), 8); assert 'magbag.analysis' not in sys.modules")
+    env = {**os.environ, "PYTHONPATH": str(Path(glued.__file__).resolve().parents[1])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=300)
+    assert fibonacci_sphere is shell.fibonacci_sphere
 
 
 # --- residual ----------------------------------------------------------------

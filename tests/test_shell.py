@@ -195,6 +195,34 @@ def test_only_shell_builds_distance_tables():
     assert users == {"src/magbag/shell.py"}
 
 
+def _builds_difference_array(node):
+    """Whether node is `y[..., None, :] - points` (or `- cfg.points`): a
+    subtraction of the points from an operand indexed with None."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)):
+        return False
+    right = node.right
+    if "points" not in (getattr(right, "id", None), getattr(right, "attr", None)):
+        return False
+    index = getattr(node.left, "slice", None)
+    return index is not None and any(
+        isinstance(n, ast.Constant) and n.value is None for n in ast.walk(index))
+
+
+def test_no_difference_arrays_against_the_points():
+    # an (..., N, 3) array of differences to the shell points costs N times
+    # the memory of its rows; the distances and the gradient take their rows
+    # from `_table_blocks` instead
+    root = Path(__file__).resolve().parents[1]
+    found = [
+        f"{path.relative_to(root).as_posix()}:{node.lineno}"
+        for path in [*root.glob("src/magbag/*.py"), *root.glob("scripts/*.py")]
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _builds_difference_array(node)
+    ]
+    assert found == []
+    assert _builds_difference_array(ast.parse("x[..., None, :] - cfg.points").body[0].value)
+
+
 def test_distance_blocks_reuse_one_buffer(monkeypatch):
     monkeypatch.setattr(shell, "_BLOCK_ELEMENTS", 100 * 30)  # rows 30, 30, 30, 10
     pts = place_points(100, 100.0)

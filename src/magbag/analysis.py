@@ -20,7 +20,7 @@ from .shell import (
     InvalidParameterError,
     _check_count,
     _row_blocks,
-    _table_blocks,
+    _table_map,
     fibonacci_sphere,
 )
 from .su2 import cross
@@ -40,9 +40,12 @@ class SphereQuadrature:
     def __post_init__(self):
         _check_count(M=self.M)
 
-    @property
+    @functools.cached_property
     def points(self):
-        return fibonacci_sphere(self.M)
+        """The M lattice directions (M, 3), built on first use; read-only."""
+        pts = fibonacci_sphere(self.M)
+        pts.flags.writeable = False
+        return pts
 
     @property
     def weight(self):
@@ -443,14 +446,16 @@ def higgs_floor(cfg):
     R / 2, R + 2L and 2R; each radius factor is one pass over N x 256 points.
     """
     dirs = fibonacci_sphere(256)
+
+    def block_floor(rows, d2, _):
+        d = np.sqrt(d2, out=d2)
+        keep = np.min(d, axis=1) >= cfg.L * (1 - 1e-12)
+        return float(glued._higgs_from_distances(d[keep], cfg).min()) if keep.any() else np.inf
+
     floor = np.inf
     for fac in (1.0, 1.05, 1.2, 1.5, 2.0):
         x = (cfg.points[:, None, :] + fac * cfg.L * dirs).reshape(-1, 3)
-        for _, d2, _ in _table_blocks(x, cfg.points):
-            d = np.sqrt(d2, out=d2)
-            keep = np.min(d, axis=1) >= cfg.L * (1 - 1e-12)
-            if keep.any():
-                floor = min(floor, float(glued._higgs_from_distances(d[keep], cfg).min()))
+        floor = min(floor, *_table_map(x, cfg.points, block_floor))
     for rad in (0.5 * cfg.R, cfg.R + 2 * cfg.L, 2 * cfg.R):
         floor = min(floor, float(glued.higgs_norm(rad * fibonacci_sphere(1024), cfg).min()))
     return floor

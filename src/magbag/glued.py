@@ -29,7 +29,14 @@ from .monopole import (
     coth_minus_inv,
     inv_minus_csch,
 )
-from .shell import _check_count, _row_blocks, _table_blocks, fibonacci_sphere
+from .shell import (
+    _check_count,
+    _map_blocks,
+    _part_buffers,
+    _row_blocks,
+    _table_map,
+    fibonacci_sphere,
+)
 from .su2 import bracket, cross, form_norm, star_real_wedge, wedge_dual
 
 
@@ -77,11 +84,15 @@ def chi_prime(t):
 
 def _point_rows(x, cfg, reduce):
     """reduce(d) at points x (..., 3), shaped x.shape[:-1]: d (b, N), which it
-    may overwrite, is a `_table_blocks` row block of distances to the shell."""
+    may overwrite, is a `_table_map` row block of distances to the shell."""
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape[:-1])
-    for rows, d2, _ in _table_blocks(x.reshape(-1, 3), cfg.points):
-        out.reshape(-1)[rows] = reduce(np.sqrt(d2, out=d2))
+    flat = out.reshape(-1)
+
+    def block(rows, d2, _):
+        flat[rows] = reduce(np.sqrt(d2, out=d2))
+
+    _table_map(x.reshape(-1, 3), cfg.points, block)
     return out
 
 
@@ -99,7 +110,7 @@ def phi_theta(x, cfg):
 def grad_phi_theta(x, cfg):
     """Gradient of phi_theta, sum_p (x-p)/|x-p|^3, at points x (..., 3).
 
-    Per `_table_blocks` row block, w = |x-p|^-3 goes into the spare array
+    Per `_table_map` row block, w = |x-p|^-3 goes into the spare array
     and each component sums (x_k - p_k) w from the coordinate differences,
     which carry no cancellation (x_k sum w - sum w p_k would lose digits
     near a ball).  Each difference overwrites the block's squared distances:
@@ -110,7 +121,8 @@ def grad_phi_theta(x, cfg):
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1, 3)
     out = np.empty(flat.shape)
-    for rows, d2, w in _table_blocks(flat, cfg.points):
+
+    def block(rows, d2, w):
         if np.any(d2 == 0.0):
             raise SingularEvaluationError("grad_phi_theta evaluated on a shell point")
         np.sqrt(d2, out=w)
@@ -120,6 +132,8 @@ def grad_phi_theta(x, cfg):
             np.copyto(d2, flat[rows, k, None])
             d2 -= cfg.points[:, k]
             out[rows, k] = np.einsum("bn,bn->b", d2, w)
+
+    _table_map(flat, cfg.points, block)
     return out.reshape(x.shape)
 
 
@@ -289,28 +303,37 @@ def sphere_sweep(dirs, points, reduce):
     """The function r -> out (B,) on the spheres r u, u = dirs (B, 3), about
     the sources `points` (N, 3).
 
-    G is built once here from the `_table_blocks` of the directions against
+    G is built once here from the `_table_map` of the directions against
     p/|p|, coordinate by coordinate, which keeps it accurate where u points
     at p; a source at the origin enters only through |p| = 0.  G is the
     only (B, N) array kept.  Each radius takes it in blocks of
-    `_BLOCK_ELEMENTS // N` rows: out[rows] = reduce(r, d2), with d2 =
-    |r u - p|^2 on those rows in a block buffer allocated once here, which
-    reduce may overwrite.
+    `_BLOCK_ELEMENTS // N` rows, run by `shell._map_blocks`: out[rows] =
+    reduce(r, d2), with d2 = |r u - p|^2 on those rows in the block buffer
+    of the part that runs the block.  The parts' buffers are allocated once
+    here, not once per radius.  reduce may overwrite d2 and must write
+    nothing else that another block reads.
     """
     pn = np.linalg.norm(points, axis=1)
     phat = points / np.where(pn > 0.0, pn, 1.0)[:, None]
     G = np.empty((len(dirs), len(phat)))
-    for rows, d2, _ in _table_blocks(dirs, phat):
+
+    def fill(rows, d2, _):
         G[rows] = d2
+
+    _table_map(dirs, phat, fill)
     size, blocks = _row_blocks(*G.shape)
-    buf = np.empty((size, len(pn)))
+    buffers = _part_buffers(len(blocks), (size, len(pn)))
 
     def sweep(r):
         out = np.empty(len(G))
-        for rows in blocks:
-            d2 = np.multiply(r * pn, G[rows], out=buf[: rows.stop - rows.start])
-            d2 += (r - pn) ** 2
+        scale, shift = r * pn, (r - pn) ** 2
+
+        def block(rows, buf):
+            d2 = np.multiply(scale, G[rows], out=buf[: rows.stop - rows.start])
+            d2 += shift
             out[rows] = reduce(r, d2)
+
+        _map_blocks(blocks, block, buffers)
         return out
 
     return sweep

@@ -12,8 +12,10 @@ points the layout dropped pair by pair.  `residues` sums any point set pair
 by pair.
 """
 
+import contextvars
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,9 +135,27 @@ def fibonacci_sphere(M):
 
 # Row blocks of a distance table hold about this many float64 entries
 # (512 kB).  A block and its work array then stay in a core's 2 MB L2 cache
-# through every pass over them, and a table over N sources needs O(N) memory
-# plus those two arrays (tracemalloc peak 1.5 MB for the shell at N = 4800).
+# through every pass over them.  A serial table over N sources needs O(N)
+# memory plus those two arrays (tracemalloc peak 1.5 MB for the shell at
+# N = 4800); a block-parallel one (`_table_map`) gives each of its W parts,
+# W <= `_WORKERS`, its own, so W times them.
 _BLOCK_ELEMENTS = 1 << 16
+
+# The cores this process may run on, the most parts `_map_blocks` splits its
+# blocks into.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+_pool = None  # the thread pool of `_map_blocks`, made on first use
+
+
+def _forget_pool():
+    """Drop the pool in a forked child, where its threads do not exist."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _row_blocks(n_rows, row_entries):
@@ -144,6 +164,57 @@ def _row_blocks(n_rows, row_entries):
     fewer), and size, the most rows any of them holds."""
     step = max(1, _BLOCK_ELEMENTS // max(row_entries, 1))
     return min(step, n_rows), [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
+def _part_buffers(n_blocks, shape):
+    """An uninitialised float array (W, *shape), W = min(`_WORKERS`,
+    n_blocks) but at least 1: row i is part i's block buffers in
+    `_map_blocks`.  It is allocated here, in the calling thread: allocated
+    in the pool threads, the buffers came from per-thread malloc arenas,
+    which held on to them and raised the peak RSS of the benchmark's
+    `exterior` workload by another 1.1 MB (66.4-66.7 against 65.3-65.9
+    MB)."""
+    return np.empty((max(1, min(_WORKERS, n_blocks)), *shape))
+
+
+def _map_blocks(blocks, fn, buffers):
+    """[fn(rows, buffers[i]) for rows in blocks], in block order, over W =
+    len(buffers) parts: part i takes the blocks i, i + W, i + 2W, ... and
+    works in buffers[i] alone.
+
+    One part runs inline.  Otherwise the caller runs part 0 and pool
+    threads the others (numpy releases the GIL in the ufuncs that take a
+    block's time), each in a copy of the caller's context, so that numpy's
+    error state (a context variable) holds there too.  The call returns
+    once every part has ended and raises the exception of the first part
+    that raised, unchanged.  Every result is the serial one bit for bit as
+    long as fn writes only its own rows and reads nothing another block
+    writes.  fn must not call `_map_blocks` itself: a pool thread waiting
+    on the pool could wait forever.
+    """
+    global _pool
+    parts = len(buffers)
+    if parts == 1:
+        return [fn(rows, buffers[0]) for rows in blocks]
+
+    def part(i):
+        return [fn(rows, buffers[i]) for rows in blocks[i::parts]]
+
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor  # 4 ms to import: not at start-up
+
+        _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="magbag-blocks")
+    futures = [_pool.submit(contextvars.copy_context().run, part, i) for i in range(1, parts)]
+    try:
+        results = [part(0)]
+    finally:
+        for future in futures:
+            future.exception()  # waits; the parts may still write to the caller's arrays
+    results += [future.result() for future in futures]
+    out = [None] * len(blocks)
+    for i, res in enumerate(results):
+        out[i::parts] = res
+    return out
 
 
 def _squared_distances(x, points, out=None, work=None, paired=False):
@@ -176,20 +247,39 @@ def pairwise_distances(points):
     return np.sqrt(d, out=d)
 
 
-def _table_blocks(x, sources):
-    """Row blocks (rows, d2, spare): d2 the rows `rows`, one of `_row_blocks`,
-    of the `_squared_distances` of points x (n, 3) to sources (N, 3), and
-    spare an array of d2's shape the caller may overwrite.  Both are views
-    of two buffers allocated once per call: a block is valid until the next
-    is drawn."""
+def _table_plan(x, sources):
+    """(blocks, shape, table) for the `_squared_distances` of points x (n, 3)
+    to sources (N, 3): blocks the `_row_blocks` of the table, shape (2, b, N)
+    that of the buffers a block of at most b rows needs, and table(rows,
+    buffers) -> (d2, spare), the rows `rows` of the table and an array of
+    their shape the caller may overwrite, both views of `buffers`."""
     x = np.asarray(x, dtype=float)
     cols = np.asfortranarray(sources, dtype=float)
     size, blocks = _row_blocks(len(x), len(cols))
-    buf = np.empty((size, len(cols)))
-    work = np.empty_like(buf)
+
+    def table(rows, buffers):
+        buf, work = buffers[:, :rows.stop - rows.start]
+        return _squared_distances(x[rows], cols, out=buf, work=work), work
+
+    return blocks, (2, size, len(cols)), table
+
+
+def _table_blocks(x, sources):
+    """Row blocks (rows, d2, spare) of the `_table_plan` of points x (n, 3)
+    against sources (N, 3), one after another, in one pair of buffers
+    allocated once per call: a block is valid until the next is drawn."""
+    blocks, shape, table = _table_plan(x, sources)
+    buffers = np.empty(shape)
     for rows in blocks:
-        k = rows.stop - rows.start
-        yield rows, _squared_distances(x[rows], cols, out=buf[:k], work=work[:k]), work[:k]
+        yield rows, *table(rows, buffers)
+
+
+def _table_map(x, sources, fn):
+    """[fn(rows, d2, spare) for each block of `_table_blocks(x, sources)`]:
+    the blocks run by `_map_blocks`, each part in its own pair of buffers."""
+    blocks, shape, table = _table_plan(x, sources)
+    return _map_blocks(blocks, lambda rows, buffers: fn(rows, *table(rows, buffers)),
+                       _part_buffers(len(blocks), shape))
 
 
 def _distance_blocks(points):

@@ -205,7 +205,8 @@ def theorems_suite():
     for cfg_f in (make_shell_config(25, 16.0), cfg):
         val = flux_charge(2 * cfg_f.R, cfg_f, quad)
         out.append(_check(f"flux_charge_N{cfg_f.N}", abs(val - cfg_f.N), 1e-3))
-    vals = [flux_charge(s * cfg.R, cfg, quad) for s in (1.5, 2.0, 4.0)]
+    # s = 2 is the sphere of flux_charge_N100 just above
+    vals = [flux_charge(1.5 * cfg.R, cfg, quad), val, flux_charge(4.0 * cfg.R, cfg, quad)]
     out.append(_check("flux_r_independence", max(vals) - min(vals), 1e-3))
     geometry = theorem_report(cfg)
     scale = cfg.diagnostics["residue_target"]

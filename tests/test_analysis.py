@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magbag import analysis, glued, shell
+from magbag import analysis, glued, shell, suites
 from magbag.analysis import (
     SphereQuadrature,
     critical_radii,
@@ -53,6 +53,13 @@ def test_quadrature_size_must_be_a_positive_integer(M):
 
 def test_quadrature_accepts_numpy_integers():
     assert SphereQuadrature(np.int64(64)).points.shape == (64, 3)
+
+
+def test_quadrature_points_are_built_once_and_read_only():
+    quad = SphereQuadrature(512)
+    assert quad.points is quad.points and not quad.points.flags.writeable
+    assert np.array_equal(quad.points, fibonacci_sphere(512))
+    assert quad == SphereQuadrature(512) and hash(quad) == hash(SphereQuadrature(512))
 
 
 def test_quadrature_dipole_on_sphere():
@@ -459,6 +466,19 @@ def test_flux_charge_memory_is_bounded():
     assert peak <= 4e6
 
 
+def test_theorems_suite_takes_each_flux_once(monkeypatch):
+    # flux_charge_N100's sphere, s = 2, is also flux_r_independence's
+    calls = []
+
+    def counted(r, cfg, quad):
+        calls.append((r, cfg.N))
+        return flux_charge(r, cfg, quad)
+
+    monkeypatch.setattr(suites, "flux_charge", counted)
+    suites.theorems_suite()
+    assert len(calls) == 4 and len(set(calls)) == 4
+
+
 def test_degree_of_map_identity_and_antipodal():
     verts, faces = icosphere()
     assert len(faces) == 1280
@@ -575,3 +595,17 @@ def test_higgs_floor_value(cfg100, monkeypatch):
     # 100-row blocks straddle each point's 256 sphere rows
     monkeypatch.setattr(shell, "_BLOCK_ELEMENTS", 100 * 100)
     assert higgs_floor(cfg100) == 0.08250524421097039
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_block_parallel_sweeps_equal_the_serial_ones(workers, cfg100, monkeypatch):
+    # 50-row blocks (five or more per table) dealt to 1, 2 or 3 parts give
+    # the serial one-part profile and floor bit for bit
+    radii = cfg100.R * np.array([0.5, 1.0, 1.01, 1.5, 2.0])
+    quad = SphereQuadrature(500)
+    monkeypatch.setattr(shell, "_WORKERS", 1)
+    want = radial_profile(radii, cfg100, quad), higgs_floor(cfg100)
+    monkeypatch.setattr(shell, "_BLOCK_ELEMENTS", 50 * 100)
+    monkeypatch.setattr(shell, "_WORKERS", workers)
+    profile, floor = radial_profile(radii, cfg100, quad), higgs_floor(cfg100)
+    assert np.array_equal(profile, want[0]) and floor == want[1]

@@ -549,12 +549,56 @@ def test_sphere_higgs_norm_equals_whole_table(name, request):
                 assert np.array_equal(sphere(r), whole(r))
 
 
-def test_grad_phi_theta_singular_in_a_later_block(cfg25):
-    # the shell point sits in the last of three row blocks
-    p = cfg25.points[4]
-    X = np.vstack([2.0 * cfg25.R * fibonacci_sphere(2 * (_BLOCK_ELEMENTS // 25) + 3), p])
-    with pytest.raises(SingularEvaluationError):
-        grad_phi_theta(X, cfg25)
+def _raises_in_a_later_block(f, cfg):
+    """f raises its SingularEvaluationError, unchanged, at a shell point in
+    row block 1 (a pool thread's with two parts) or 2 (the caller's) of three."""
+    rows = _BLOCK_ELEMENTS // cfg.N
+    for block in (1, 2):
+        X = 2.0 * cfg.R * fibonacci_sphere(2 * rows + 3)
+        X[block * rows + 1] = cfg.points[4]
+        with pytest.raises(SingularEvaluationError,
+                           match=f"{f.__name__} evaluated on a shell point"):
+            f(X, cfg)
+
+
+def test_grad_phi_theta_singular_in_a_later_block(cfg25, monkeypatch):
+    monkeypatch.setattr(shell, "_WORKERS", 2)
+    _raises_in_a_later_block(grad_phi_theta, cfg25)
+
+
+def test_phi_theta_singular_in_a_later_block(cfg25, monkeypatch):
+    monkeypatch.setattr(shell, "_WORKERS", 2)
+    _raises_in_a_later_block(phi_theta, cfg25)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_block_parallel_evaluators_equal_the_serial_ones(workers, cfg100, monkeypatch):
+    # 13-row blocks, so that every input spans five or more of them, dealt
+    # to 1, 2 or 3 parts, give the serial one-part values bit for bit, with
+    # the threads switching as often as the interpreter allows
+    rng = np.random.default_rng(4)
+    near = cfg100.points[rng.integers(0, 100, 60)] + rng.normal(size=(60, 3)) * cfg100.L
+    X = np.concatenate([near, rng.normal(size=(40, 3)) * 2.0 * cfg100.R, cfg100.points[:2]])
+    dirs = fibonacci_sphere(100)
+    radii = [0.5 * cfg100.R, cfg100.R, cfg100.R + 0.5 * cfg100.L,  # the ball band
+             cfg100.R + 2.0 * cfg100.L, 2.0 * cfg100.R]  # clear of every ball
+    monkeypatch.setattr(shell, "_WORKERS", 1)
+
+    def evaluate():
+        sphere = glued.sphere_higgs_norm(dirs, cfg100)
+        return [phi_theta(X[:-2], cfg100), higgs_norm(X, cfg100), grad_phi_theta(X[:-2], cfg100),
+                *(sphere(r) for r in radii)]
+
+    want = evaluate()
+    monkeypatch.setattr(shell, "_BLOCK_ELEMENTS", 13 * 100)
+    monkeypatch.setattr(shell, "_WORKERS", workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = evaluate()
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_glued_takes_the_sphere_lattice_from_shell():

@@ -1,6 +1,11 @@
 import ast
 import io
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -182,8 +187,9 @@ def test_squared_distances_into_buffers_equal_allocating_call():
 
 
 def test_only_shell_builds_distance_tables():
-    # every other table of points against sources is drawn from `_table_blocks`,
-    # which picks its block size; tests and their oracles are exempt
+    # every other table of points against sources is drawn from `_table_plan`
+    # (through `_table_blocks` or `_table_map`), which picks its block size;
+    # tests and their oracles are exempt
     root = Path(__file__).resolve().parents[1]
     users = {
         path.relative_to(root).as_posix()
@@ -211,7 +217,7 @@ def _builds_difference_array(node):
 def test_no_difference_arrays_against_the_points():
     # an (..., N, 3) array of differences to the shell points costs N times
     # the memory of its rows; the distances and the gradient take their rows
-    # from `_table_blocks` instead
+    # from `_table_map` instead
     root = Path(__file__).resolve().parents[1]
     found = [
         f"{path.relative_to(root).as_posix()}:{node.lineno}"
@@ -232,6 +238,116 @@ def test_distance_blocks_reuse_one_buffer(monkeypatch):
     assert not np.shares_memory(first, spare)
     for _, d, _, work in blocks[1:]:
         assert np.shares_memory(d, first) and np.shares_memory(work, spare)
+
+
+def _dealt(rows, buf):
+    return rows.start, int(buf[0]), threading.get_ident()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_blocks_deals_every_wth_block_to_a_part(workers, monkeypatch):
+    # seven blocks; part i works in buffer row i on blocks i, i + W, ...; the
+    # caller runs part 0 and each other part runs on one pool thread
+    monkeypatch.setattr(shell, "_WORKERS", workers)
+    blocks = [slice(lo, lo + 3) for lo in range(0, 21, 3)]
+    buffers = shell._part_buffers(len(blocks), (1,))
+    assert buffers.shape == (workers, 1)
+    buffers[:, 0] = np.arange(workers)
+    got = shell._map_blocks(blocks, _dealt, buffers)
+    assert [start for start, _, _ in got] == list(range(0, 21, 3))
+    assert [part for _, part, _ in got] == [j % workers for j in range(7)]
+    threads = [{t for _, part, t in got if part == i} for i in range(workers)]
+    assert threads[0] == {threading.get_ident()}
+    assert all(len(t) == 1 and t != threads[0] for t in threads[1:])
+    assert shell._part_buffers(1, (1,)).shape == (1, 1)  # one block runs inline
+    assert shell._part_buffers(0, (1,)).shape == (1, 1)
+
+
+def _divide_in_block_1(rows, buf):
+    if rows.start == 1:
+        buf[0] = np.reciprocal(np.zeros(1))[0]
+    return buf[0]
+
+
+def test_map_blocks_parts_see_the_callers_error_state(monkeypatch):
+    # block 1 runs on a pool thread: the caller's errstate reaches it
+    monkeypatch.setattr(shell, "_WORKERS", 2)
+    blocks = [slice(0, 1), slice(1, 2)]
+    buffers = shell._part_buffers(2, (1,))
+    with np.errstate(divide="raise"):
+        with pytest.raises(FloatingPointError):
+            shell._map_blocks(blocks, _divide_in_block_1, buffers)
+    with np.errstate(divide="ignore"):
+        assert shell._map_blocks(blocks, _divide_in_block_1, buffers)[1] == np.inf
+
+
+def test_map_blocks_waits_for_every_part_when_the_caller_raises(monkeypatch):
+    monkeypatch.setattr(shell, "_WORKERS", 2)
+    done = []
+
+    def fn(rows, buf):
+        if rows.start == 0:
+            raise InvalidConfigurationError("block 0")
+        time.sleep(0.2)
+        done.append(rows.start)
+
+    with pytest.raises(InvalidConfigurationError, match="block 0"):
+        shell._map_blocks([slice(0, 1), slice(1, 2)], fn, shell._part_buffers(2, (1,)))
+    assert done == [1]
+
+
+def _run_fresh(code):
+    env = {**os.environ, "PYTHONPATH": str(Path(shell.__file__).resolve().parents[1])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=300)
+
+
+def test_import_starts_no_thread():
+    _run_fresh("import sys, threading; import magbag; "
+               "assert 'concurrent.futures' not in sys.modules, 'imported the pool'; "
+               "assert threading.active_count() == 1")
+
+
+def test_serial_kernels_start_no_thread():
+    # the exact-core spheres of one source fit one block, and the shell's
+    # residues and Lemma 3.1 sums run serially: none of them makes the pool;
+    # the first multi-block point evaluation does
+    _run_fresh(
+        "import sys, threading; import numpy as np\n"
+        "from magbag import analysis, glued, shell\n"
+        "mono = analysis.ScaledMonopole(center=np.zeros(3), scale=1.0)\n"
+        "analysis.critical_radii(0.5, mono, analysis.SphereQuadrature(1024))\n"
+        "cfg = shell.make_shell_config(4800, 16.0)\n"
+        "shell.coulomb_maxima(512)\n"
+        "assert 'concurrent.futures' not in sys.modules, 'imported the pool'\n"
+        "assert threading.active_count() == 1\n"
+        "shell._WORKERS = 2\n"
+        "glued.phi_theta(2.0 * cfg.R * analysis.fibonacci_sphere(100), cfg)\n"
+        "assert threading.active_count() == 2\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_makes_a_pool_of_its_own():
+    # the parent's pool threads do not exist in a forked child; a child
+    # that submitted to the parent's pool would wait forever
+    _run_fresh(
+        "import os, time; from magbag import analysis, glued, shell\n"
+        "shell._WORKERS = 2\n"
+        "cfg = shell.make_shell_config(100, 16.0)\n"
+        "X = 2.0 * cfg.R * analysis.fibonacci_sphere(5000)\n"
+        "want = glued.phi_theta(X, cfg)\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    os._exit(0 if (glued.phi_theta(X, cfg) == want).all() else 1)\n"
+        "for _ in range(300):\n"
+        "    done, status = os.waitpid(pid, os.WNOHANG)\n"
+        "    if done:\n"
+        "        break\n"
+        "    time.sleep(0.1)\n"
+        "else:\n"
+        "    os.kill(pid, 9)\n"
+        "    os.waitpid(pid, 0)\n"
+        "    raise SystemExit('the child hung')\n"
+        "assert status == 0, status\n")
 
 
 def test_residues_catch_a_twin_in_another_block(monkeypatch):

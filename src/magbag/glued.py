@@ -16,7 +16,9 @@ The tail sums over the other shell points use closed forms: eta_pq is the
 recentred Coulomb term 1/|x-q| - 1/|p-q| and alpha_pq the exact
 radial-gauge primitive (w x D) / (s (|D| s + D.(x-q))), with w = x-p,
 D = p-q, s = |x-q|.  Both are evaluated from the dot products w.D, |w|^2
-and |D|^2, which carry no cancellation inside a ball (|w| < L < |D|/2).
+and |D|^2, which carry no cancellation inside a ball (|w| < L < |D|/2 by
+2L < min_separation).  There D.(x-q) > |D|^2/2 and s < 3|D|/2, so the
+bracket |D| s + D.(x-q) > (4/3) |D| s never reaches alpha_pq's string.
 """
 
 import math
@@ -137,42 +139,19 @@ def grad_phi_theta(x, cfg):
     return out.reshape(x.shape)
 
 
-# Where |D| s + D.(x-q) falls below this multiple of |D| s, rounding alone
-# can produce it: x lies on the primitive's string, the ray from q away from p.
-_STRING_TOL = 16.0 * np.finfo(float).eps
-
-
-def _alpha_weight(s, Dn, Dxq, work=None):
-    """1 / (s (|D| s + D.(x-q))), the factor with alpha_pq = weight * (w x D).
-
-    Arguments are s = |x-q|, Dn = |D| = |p-q| and Dxq = D.(x-q), broadcast
-    together.  Given `work`, a float array of their broadcast shape, the
-    weight is written over Dxq (then an array of that shape too) and `work`
-    holds the scratch, so no array is allocated.  The bracket vanishes only
-    on the ray from q away from p (x = q included), where the primitive is
-    singular; evaluation there raises.
-    """
-    Dns = np.multiply(Dn, s, out=work)
-    t = np.asarray(Dns + Dxq) if work is None else np.add(Dxq, Dns, out=Dxq)
-    # _STRING_TOL is a power of two, so scaling the product is exact
-    Dns *= _STRING_TOL
-    if np.any(t <= Dns):
-        raise SingularEvaluationError("alpha_pq evaluated on its string behind q")
-    t *= s
-    return np.reciprocal(t, out=t)
-
-
 def _eta_alpha_sums(X, p_idx, cfg):
     """(sum_q eta_pq, sum_q alpha_pq) at points X (B, 3) of the ball around p.
 
-    With w = x-p and D = p-q, both sums come from the dot products w.D
-    (one matrix product per row block), |w|^2 and |D|^2:
-    |x-q|^2 = |D|^2 + 2 w.D + |w|^2, D.(x-q) = |D|^2 + w.D, and
-    eta_pq = -(2 w.D + |w|^2) / (|x-q| |D| (|D| + |x-q|)), the difference
-    1/|x-q| - 1/|D| without its cancellation.  Since w x D is linear in D,
-    sum_q alpha_pq = w x sum_q weight_q D.  Rows are taken in the shell's
-    row blocks of the (B, N - 1) tables, each block's tables written into
-    five buffers allocated once per call, so memory stays bounded at any N.
+    With w = x-p, D = p-q and s = |x-q|, both sums come from the dot
+    products w.D (one matrix product per row block), |w|^2 and |D|^2:
+    s^2 = |D|^2 + 2 w.D + |w|^2, D.(x-q) = |D|^2 + w.D, and
+    eta_pq = -(2 w.D + |w|^2) / (s |D| (|D| + s)), the difference
+    1/s - 1/|D| without its cancellation.  Since w x D is linear in D,
+    sum_q alpha_pq = w x sum_q D / (s (|D| s + D.(x-q))), whose bracket
+    needs no guard: |w| < L < |D|/2 gives D.(x-q) > |D|^2/2 and s < 3|D|/2,
+    so it exceeds (4/3) |D| s.  Rows are taken in the shell's row blocks of
+    the (B, N - 1) tables, each block's tables written into four buffers
+    allocated once per call, so memory stays bounded at any N.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     p = cfg.points[p_idx]
@@ -182,19 +161,22 @@ def _eta_alpha_sums(X, p_idx, cfg):
     eta = np.empty(len(X))
     alpha = np.empty((len(X), 3))
     size, blocks = _row_blocks(len(X), len(D))
-    buffers = np.empty((5, size, len(D)))
+    buffers = np.empty((4, size, len(D)))
     for rows in blocks:
-        wD, shift, s, u, v = buffers[:, :rows.stop - rows.start]
+        wD, shift, s, Dns = buffers[:, :rows.stop - rows.start]
         w = X[rows] - p  # (b, 3)
         np.matmul(w, D.T, out=wD)
         np.multiply(wD, 2.0, out=shift)
-        shift += np.einsum("bk,bk->b", w, w)[:, None]  # |x-q|^2 - |D|^2
+        shift += np.einsum("bk,bk->b", w, w)[:, None]  # s^2 - |D|^2
         np.sqrt(np.add(DD, shift, out=s), out=s)
-        np.multiply(s, Dn, out=u)
-        u *= np.add(Dn, s, out=v)
-        eta[rows] = -np.sum(np.divide(shift, u, out=u), axis=1)
+        np.multiply(s, Dn, out=Dns)
         wD += DD  # D.(x-q)
-        alpha[rows] = cross(w, _alpha_weight(s, Dn, wD, work=v) @ D)
+        wD += Dns
+        wD *= s
+        alpha[rows] = cross(w, np.reciprocal(wD, out=wD) @ D)
+        np.add(Dn, s, out=wD)
+        wD *= Dns
+        eta[rows] = -np.sum(np.divide(shift, wD, out=wD), axis=1)
     return eta, alpha
 
 

@@ -109,7 +109,7 @@ def ps_pair_batch(x, mono):
     return a, phi
 
 
-def ps_higgs_norm(d, r=1.0):
+def ps_higgs_norm(d, r):
     """|Higgs| of the smooth core at distance d from the center."""
     return r * coth_minus_inv(r * np.asarray(d, dtype=float))
 

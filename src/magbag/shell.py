@@ -67,22 +67,17 @@ def _layout(N, R):
 
     n_b are the full band sizes, keep the points each band keeps after the
     round-robin, and band (1-based), longitude and coordinates are given
-    point by point.
+    point by point.  The round-robin takes `rounds` points from every band
+    and one more from each of the first `rest`; it empties no band.
     """
     K = choose_band_count(N)
     sizes = band_sizes(K)
     # Band k keeps the longitude indices j < keep[k], at 2 pi j / n_k.
-    keep = sizes.tolist()
-    excess = sum(keep) - N
-    b = 0
-    while excess > 0:
-        if keep[b]:
-            keep[b] -= 1  # largest surviving longitude goes first
-            excess -= 1
-        b = (b + 1) % (K - 1)
+    rounds, rest = divmod(int(sizes.sum()) - N, K - 1)
+    keep = sizes - rounds - (np.arange(K - 1) < rest)
     band, j = _ragged(keep)
     phi, points = _band_points(R, K, sizes, band, j)
-    return K, sizes, np.array(keep), band + 1, phi, points
+    return K, sizes, keep, band + 1, phi, points
 
 
 def _band_points(R, K, sizes, band, j):
@@ -595,7 +590,9 @@ def coulomb_maxima(N):
 
 @dataclass(frozen=True)
 class ShellConfig:
-    """A complete bag configuration.  Treat all arrays as immutable."""
+    """A complete bag configuration.  Treat all arrays as immutable.  The
+    ball layer (`glued`) relies on `make_shell_config`'s check 2L <
+    min_separation: then no string of alpha_pq passes through a ball."""
 
     N: int
     m: float

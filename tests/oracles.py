@@ -203,13 +203,10 @@ def multipole_far_field(x, points):
     return 1.0 - len(points) / np.linalg.norm(x)
 
 
-def layout_loop(N, R):
-    """(bands, longitudes, points) of the shell layout, built point by point.
-
-    The excess over N is popped from per-band lists of longitude indices,
-    round-robin over the bands, and each point's coordinates are taken from
-    scalar sines and cosines.
-    """
+def round_robin_survivors(N):
+    """(K, band sizes, survivors) of the N-point layout: survivors[b] lists
+    the longitude indices band b keeps once the excess over N is popped
+    from per-band lists, round-robin over the bands, skipping empty ones."""
     K = choose_band_count(N)
     sizes = band_sizes(K)
     survivors = [list(range(n)) for n in sizes]
@@ -220,6 +217,16 @@ def layout_loop(N, R):
             survivors[b].pop()
             excess -= 1
         b = (b + 1) % (K - 1)
+    return K, sizes, survivors
+
+
+def layout_loop(N, R):
+    """(bands, longitudes, points) of the shell layout, built point by point.
+
+    The survivors are those of `round_robin_survivors`, and each point's
+    coordinates are taken from scalar sines and cosines.
+    """
+    K, sizes, survivors = round_robin_survivors(N)
     bands, longitudes, points = [], [], []
     for i, js in enumerate(survivors):
         theta = (i + 1) * np.pi / K

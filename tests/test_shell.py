@@ -35,6 +35,7 @@ from oracles import (
     brute_band_sizes,
     difference_distances,
     layout_loop,
+    round_robin_survivors,
     shell_coulomb_rows,
     write_points_csv_rows,
 )
@@ -123,6 +124,27 @@ def test_layout_matches_point_by_point_oracle(N, radius):
     assert np.array_equal(bands, want_bands)
     assert np.array_equal(lons, want_lons)
     assert np.array_equal(pts, want_pts)
+
+
+def test_layout_keeps_the_round_robin_survivors_at_every_N():
+    # the closed form against the round-robin loop, every N in 8..3000; the
+    # coordinates follow from the survivor counts as checked above
+    for N in range(8, 3001):
+        _, _, keep, *_ = shell._layout(N, 1.0)
+        assert keep.tolist() == [len(js) for js in round_robin_survivors(N)[2]]
+
+
+def test_round_robin_takes_fewer_points_per_band_than_the_smallest_holds():
+    # choose_band_count(N) = K only if sum n_k(K - 1) < N <= sum n_k(K), so
+    # the excess at K is at most sum n_k(K) - sum n_k(K - 1) - 1; spread
+    # round-robin over K - 1 bands it leaves no band empty, and the closed
+    # form of `_layout` never meets a band the loop would skip
+    prev = band_sizes(2).sum()
+    for K in range(3, 2001):
+        sizes = band_sizes(K)
+        most = sizes.sum() - prev - 1
+        assert -(-most // (K - 1)) < sizes.min()
+        prev = sizes.sum()
 
 
 @pytest.mark.parametrize("N, R", [(100.5, 10.0), (True, 10.0), (100, math.inf),

@@ -17,6 +17,15 @@ and the first-order operator on pairs (alpha, eta):
 with its formal adjoint obtained by phi -> -phi (`apply_D(..., sign=-1.0)`).
 The single end-to-end deformation identity test pins every sign above
 simultaneously.
+
+Only *F is formed, entry m from F_{jl} at the cyclic (j, l, m):
+(d_j a_l - d_l a_j) + [a_j, a_l].  This is (1/2)(F_{jl} - F_{lj}) to the
+bit: F_{lj} = -F_{jl} exactly, because fl(x - y) = -fl(y - x) and [a_l, a_j]
+is the negated difference of the same two products as [a_j, a_l]; so
+F_{jl} - F_{lj} = 2 F_{jl} and its half is F_{jl}, short of overflow.  As
+F is antisymmetric, |F|^2 = 2 |*F|^2.  `apply_D` adds the connection
+brackets only when the background connection has a nonzero entry: on a
+zero connection they are zeros, and adding them changes no value.
 """
 
 import functools
@@ -27,12 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .shell import InvalidParameterError, _check_count, _row_blocks
-from .su2 import bracket, hodge_star, wedge_dual
+from .su2 import _J, _L, bracket, hodge_star, wedge_dual
 
 
 @dataclass
 class Curvature:
-    F: np.ndarray  # (..., 3, 3, 3): [j, l, k]
     star_F: np.ndarray  # (..., 3, 3): [m, k]
     d_phi: np.ndarray  # (..., 3, 3): [j, k]
 
@@ -57,20 +65,24 @@ def _central_differences(pair_eval, x, h):
     dv[..., j, ...] = (v(x + h e_j) - v(x - h e_j)) / 2h; the 7-point
     stencil is evaluated in one batch."""
     lead = (slice(None),) * (np.ndim(x) - 1)  # the stencil axis follows the point axes
-    return [
-        ((v[(*lead, slice(0, 3))] - v[(*lead, slice(3, 6))]) / (2.0 * h), v[(*lead, 6)])
-        for v in pair_eval(_stencil_points(x, h))
-    ]
+    out = []
+    for v in pair_eval(_stencil_points(x, h)):
+        dv = v[(*lead, slice(0, 3))] - v[(*lead, slice(3, 6))]
+        dv /= 2.0 * h
+        out.append((dv, v[(*lead, 6)]))
+    return out
 
 
 def fd_curvature(pair_eval, x, h=1e-4):
-    """Curvature and covariant Higgs derivative at points x (..., 3)."""
+    """Curvature and covariant Higgs derivative at points x (..., 3).
+
+    (*F)_m is F_{jl} at its cyclic (j, l, m), (d_j a_l - d_l a_j) + [a_j, a_l].
+    """
     (da, a0), (dphi, phi0) = _central_differences(pair_eval, x, h)  # da[..., j, l, k] = d_j a_l
-    comm = bracket(a0[..., :, None, :], a0[..., None, :, :])  # [a_j, a_l]
-    F = da - np.swapaxes(da, -3, -2) + comm
-    star_F = 0.5 * hodge_star(F)
+    star_F = hodge_star(da)
+    star_F += bracket(a0[..., _J, :], a0[..., _L, :])
     d_phi = dphi + bracket(a0, phi0[..., None, :])
-    return Curvature(F=F, star_F=star_F, d_phi=d_phi)
+    return Curvature(star_F=star_F, d_phi=d_phi)
 
 
 def flat_bg(phi3=0.8):
@@ -102,9 +114,12 @@ def bump_pair(center, width, seed):
     center = np.asarray(center, dtype=float)
 
     def ev(pts):
-        pts = np.asarray(pts, dtype=float)
-        t = np.sum(((pts - center) / width) ** 2, axis=-1)
-        prof = np.where(t < 1.0, (1.0 - np.minimum(t, 1.0)) ** 8, 0.0)
+        d = (np.asarray(pts, dtype=float) - center) / width
+        d *= d
+        t = d[..., 0] + d[..., 1] + d[..., 2]  # np.sum's order over the last axis
+        inside = t < 1.0
+        prof = np.zeros(t.shape)
+        prof[inside] = (1.0 - t[inside]) ** 8
         return prof[..., None, None] * A, prof[..., None] * E
 
     return ev
@@ -119,12 +134,16 @@ def apply_D(h_pair, bg_pair, x, h=1e-4, sign=1.0):
     phi = sign * phi
     # d_alpha[..., j, l, k] = d_j alpha_l, d_eta[..., j, k] = d_j eta
     (d_alpha, alpha0), (d_eta, eta0) = _central_differences(h_pair, x, h)
-    cov = bracket(a[..., :, None, :], alpha0[..., None, :, :])
-    dA_alpha = d_alpha - np.swapaxes(d_alpha, -3, -2) + cov - np.swapaxes(cov, -3, -2)
+    dA_alpha = d_alpha - np.swapaxes(d_alpha, -3, -2)
+    dA_eta = d_eta
+    second = np.einsum("...jjk->...k", d_alpha)
+    if np.any(a):  # a zero connection's brackets are zeros
+        cov = bracket(a[..., :, None, :], alpha0[..., None, :, :])
+        dA_alpha = dA_alpha + cov - np.swapaxes(cov, -3, -2)
+        dA_eta = dA_eta + bracket(a, eta0[..., None, :])
+        second = second + bracket(a, alpha0).sum(axis=-2)
     star = 0.5 * hodge_star(dA_alpha)
-    dA_eta = d_eta + bracket(a, eta0[..., None, :])
     first = star - dA_eta + bracket(phi[..., None, :], alpha0)
-    second = np.einsum("...jjk->...k", d_alpha) + bracket(a, alpha0).sum(axis=-2)
     second = second + bracket(phi, eta0)
     return first, second
 
@@ -271,7 +290,8 @@ def adjointness_gap(q_pair, q2_pair, bg_pair, box, n_nodes=64):
 
     `box` is ((x0, x1), (y0, y1), (z0, z1)); both pairs must be supported
     strictly inside it (this is checked on the boundary shell of nodes), and
-    n_nodes >= 3 nodes per axis give that shell an interior.
+    n_nodes >= 3 nodes per axis give that shell an interior.  A pair's
+    support is the set of nodes where one of its entries is nonzero.
     The uniform midpoint rule converges super-algebraically on compactly
     supported smooth integrands.  Each pairing vanishes off its partner's
     support, so D q is evaluated on supp q2 and D^dag q2 on supp q.
@@ -297,18 +317,17 @@ def adjointness_gap(q_pair, q2_pair, bg_pair, box, n_nodes=64):
     for rows in _row_blocks(n_nodes**3, 9)[1]:
         flat = np.arange(rows.start, rows.stop)
         ijk, pts = _grid_nodes(axes, flat)
-        a1, e1 = q_pair(pts)
-        a2, e2 = q2_pair(pts)
-        # squared magnitudes, read only for where they vanish
-        mag1 = np.einsum("bjk,bjk->b", a1, a1) + np.einsum("bk,bk->b", e1, e1)
-        mag2 = np.einsum("bjk,bjk->b", a2, a2) + np.einsum("bk,bk->b", e2, e2)
+        # nodes with a nonzero entry: a sum of absolute values vanishes only
+        # where every term does, while squares below 1e-162 underflow
+        supp1, supp2 = (np.abs(a.reshape(-1, 9)) @ np.ones(9) + np.abs(e) @ np.ones(3) != 0.0
+                        for a, e in (q_pair(pts), q2_pair(pts)))
         on_edge = np.zeros(len(pts), dtype=bool)
         for i in ijk:
             on_edge |= (i == 0) | (i == n_nodes - 1)
-        if np.any((mag1 + mag2)[on_edge] != 0.0):
+        if np.any((supp1 | supp2)[on_edge]):
             raise ValueError("pair support touches the quadrature box boundary")
-        kept1.append(flat[mag1 > 0])
-        kept2.append(flat[mag2 > 0])
+        kept1.append(flat[supp1])
+        kept2.append(flat[supp2])
     total1 = vol * _pairing(q2_pair, q_pair, bg_pair, axes, np.concatenate(kept2), 1.0)
     total2 = vol * _pairing(q_pair, q2_pair, bg_pair, axes, np.concatenate(kept1), -1.0)
     return abs(total1 - total2), abs(total1)

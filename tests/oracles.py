@@ -13,6 +13,11 @@ supports and over the whole quadrature grid in one batch, the origin-sphere
 |Phi| and flux density from whole (B, N) tables, critical radii from every
 sphere of the scan, and the su(2) kernels through `np.cross` and
 Levi-Civita contractions.
+
+The deformation-operator kernels are also kept in the longer form they were
+first written in (the whole curvature table, connection brackets taken on
+every background, the `np.where` bump profile and one `fd_curvature` call
+per `ps_energy` radius); the package's kernels must match them to the bit.
 """
 
 import numpy as np
@@ -20,10 +25,10 @@ import numpy as np
 from magbag.analysis import _sphere_fn, fibonacci_sphere
 from magbag import glued
 from magbag.glued import annulus_points, higgs_norm, residual_fields
-from magbag.monopole import ScaledMonopole, SingularEvaluationError, _hedgehog_form
-from magbag.operators import apply_D
+from magbag.monopole import ScaledMonopole, SingularEvaluationError, _hedgehog_form, ps_evaluator
+from magbag.operators import _stencil_points, apply_D
 from magbag.shell import _squared_distances, band_sizes, choose_band_count
-from magbag.su2 import form_norm
+from magbag.su2 import bracket, form_norm, hodge_star
 
 # Levi-Civita symbol, EPS[i, j, k] = sign of the permutation (i, j, k).
 EPS = np.zeros((3, 3, 3))
@@ -326,6 +331,11 @@ def per_shell_residual_sweep(cfg, n_radial, n_angular, quad_radial, quad_angular
     return maxima, sup_term, integral ** (1.0 / 3.0)
 
 
+def _nonzero_nodes(a, e):
+    """Nodes where some entry of the pair's (n, 3, 3) and (n, 3) tables is nonzero."""
+    return np.count_nonzero(a.reshape(len(a), 9), axis=1) + np.count_nonzero(e, axis=1) > 0
+
+
 def union_support_pairings(q_pair, q2_pair, bg_pair, pts, vol, h=1e-4):
     """(int <q2, D q>, int <D^dag q2, q>) by the midpoint rule on nodes pts.
 
@@ -333,9 +343,7 @@ def union_support_pairings(q_pair, q2_pair, bg_pair, pts, vol, h=1e-4):
     """
     a1, e1 = q_pair(pts)
     a2, e2 = q2_pair(pts)
-    live = (np.sum(a1 * a1, axis=(1, 2)) + np.sum(e1 * e1, axis=1) > 0) | (
-        np.sum(a2 * a2, axis=(1, 2)) + np.sum(e2 * e2, axis=1) > 0
-    )
+    live = _nonzero_nodes(a1, e1) | _nonzero_nodes(a2, e2)
     Dq = apply_D(q_pair, bg_pair, pts[live], h)
     Ddq2 = apply_D(q2_pair, bg_pair, pts[live], h, sign=-1.0)
     total1 = vol * float(np.sum(a2[live] * Dq[0]) + np.sum(e2[live] * Dq[1]))
@@ -359,22 +367,88 @@ def whole_grid_adjointness_gap(q_pair, q2_pair, bg_pair, box, n_nodes=64, h=1e-4
     pts = np.stack([X, Y, Z], axis=-1).reshape(-1, 3)
     a1, e1 = q_pair(pts)
     a2, e2 = q2_pair(pts)
-    mag1 = np.einsum("bjk,bjk->b", a1, a1) + np.einsum("bk,bk->b", e1, e1)
-    mag2 = np.einsum("bjk,bjk->b", a2, a2) + np.einsum("bk,bk->b", e2, e2)
+    supp1, supp2 = _nonzero_nodes(a1, e1), _nonzero_nodes(a2, e2)
     grid_shape = (n_nodes, n_nodes, n_nodes)
     on_edge = np.zeros(grid_shape, dtype=bool)
     for axis in range(3):
         idx = [slice(None)] * 3
         idx[axis] = [0, -1]
         on_edge[tuple(idx)] = True
-    if np.any((mag1 + mag2).reshape(grid_shape)[on_edge] != 0.0):
+    if np.any((supp1 | supp2).reshape(grid_shape)[on_edge]):
         raise ValueError("pair support touches the quadrature box boundary")
-    supp1, supp2 = mag1 > 0, mag2 > 0
     Dq = apply_D(q_pair, bg_pair, pts[supp2], h)
     Ddq2 = apply_D(q2_pair, bg_pair, pts[supp1], h, sign=-1.0)
     total1 = vol * float(np.sum(a2[supp2] * Dq[0]) + np.sum(e2[supp2] * Dq[1]))
     total2 = vol * float(np.sum(Ddq2[0] * a1[supp1]) + np.sum(Ddq2[1] * e1[supp1]))
     return abs(total1 - total2), abs(total1)
+
+
+def _divided_central_differences(pair_eval, x, h):
+    """`operators._central_differences`, each difference divided into a new array."""
+    lead = (slice(None),) * (np.ndim(x) - 1)
+    return [
+        ((v[(*lead, slice(0, 3))] - v[(*lead, slice(3, 6))]) / (2.0 * h), v[(*lead, 6)])
+        for v in pair_eval(_stencil_points(x, h))
+    ]
+
+
+def full_table_fd_curvature(pair_eval, x, h=1e-4):
+    """(*F, d_A phi) of `operators.fd_curvature` through the whole (..., 3, 3, 3)
+    table F_{jl} = d_j a_l - d_l a_j + [a_j, a_l], with *F = (1/2) hodge_star(F)."""
+    (da, a0), (dphi, phi0) = _divided_central_differences(pair_eval, x, h)
+    comm = bracket(a0[..., :, None, :], a0[..., None, :, :])  # [a_j, a_l]
+    F = da - np.swapaxes(da, -3, -2) + comm
+    return 0.5 * hodge_star(F), dphi + bracket(a0, phi0[..., None, :])
+
+
+def bracket_apply_D(h_pair, bg_pair, x, h=1e-4, sign=1.0):
+    """`operators.apply_D` with the connection brackets taken on every background."""
+    a, phi = bg_pair(np.asarray(x, dtype=float))
+    phi = sign * phi
+    (d_alpha, alpha0), (d_eta, eta0) = _divided_central_differences(h_pair, x, h)
+    cov = bracket(a[..., :, None, :], alpha0[..., None, :, :])
+    dA_alpha = d_alpha - np.swapaxes(d_alpha, -3, -2) + cov - np.swapaxes(cov, -3, -2)
+    star = 0.5 * hodge_star(dA_alpha)
+    dA_eta = d_eta + bracket(a, eta0[..., None, :])
+    first = star - dA_eta + bracket(phi[..., None, :], alpha0)
+    second = np.einsum("...jjk->...k", d_alpha) + bracket(a, alpha0).sum(axis=-2)
+    return first, second + bracket(phi, eta0)
+
+
+def where_bump_pair(center, width, seed):
+    """`operators.bump_pair` with its profile taken at every point and masked
+    by `np.where`."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(3, 3))
+    E = rng.normal(size=3)
+    center = np.asarray(center, dtype=float)
+
+    def ev(pts):
+        pts = np.asarray(pts, dtype=float)
+        t = np.sum(((pts - center) / width) ** 2, axis=-1)
+        prof = np.where(t < 1.0, (1.0 - np.minimum(t, 1.0)) ** 8, 0.0)
+        return prof[..., None, None] * A, prof[..., None] * E
+
+    return ev
+
+
+def per_radius_ps_energy(r_max=40.0, n_radial=64):
+    """`analysis.ps_energy` with one `fd_curvature` call per radius."""
+    ev = ps_evaluator(ScaledMonopole(center=np.zeros(3), scale=1.0))
+    nodes, wts = np.polynomial.legendre.leggauss(n_radial)
+    radii = 0.5 * r_max * (nodes + 1.0)
+    w_r = 0.5 * r_max * wts
+    dirs = fibonacci_sphere(64)
+    E_F = 0.0
+    E_dphi = 0.0
+    for r, w in zip(radii, w_r):
+        star_F, d_phi = full_table_fd_curvature(ev, r * dirs)
+        f2 = np.sum(star_F**2, axis=(1, 2)).mean()
+        d2 = np.sum(d_phi**2, axis=(1, 2)).mean()
+        E_F += w * 4.0 * np.pi * r * r * f2
+        E_dphi += w * 4.0 * np.pi * r * r * d2
+    tail = 4.0 * np.pi / r_max
+    return E_F + tail, E_dphi + tail
 
 
 def whole_direction_table(dirs, points):

@@ -28,7 +28,7 @@ from magbag.glued import higgs_norm
 from magbag.monopole import ScaledMonopole, ps_evaluator, ps_higgs_norm
 from magbag.shell import InvalidParameterError, make_shell_config
 
-from oracles import critical_radii_full_scan, dirac_evaluator
+from oracles import critical_radii_full_scan, dirac_evaluator, per_radius_ps_energy
 
 PS = ScaledMonopole(center=np.zeros(3), scale=1.0)
 
@@ -502,6 +502,11 @@ def test_ps_energy():
     assert abs(E_F - E_d) / four_pi < 5e-3
     with pytest.raises(InvalidParameterError):
         ps_energy(r_max=10.0)
+
+
+def test_ps_energy_equals_one_call_per_radius():
+    # 16 radii per fd_curvature call, summed one at a time in the same order
+    assert ps_energy() == per_radius_ps_energy()
 
 
 @pytest.mark.parametrize("r_max", [math.nan, math.inf])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from magbag.glued import ball_evaluator
 from magbag.monopole import ScaledMonopole, ps_evaluator
 from magbag.operators import (
+    _stencil_points,
     adjointness_gap,
     apply_D,
     bump_pair,
@@ -22,7 +23,14 @@ from magbag.operators import (
 from magbag.shell import InvalidParameterError
 from magbag.su2 import bracket, form_norm, wedge_dual
 
-from oracles import dirac_evaluator, union_support_pairings, whole_grid_adjointness_gap
+from oracles import (
+    bracket_apply_D,
+    dirac_evaluator,
+    full_table_fd_curvature,
+    union_support_pairings,
+    where_bump_pair,
+    whole_grid_adjointness_gap,
+)
 
 ORIGIN = ScaledMonopole(center=np.zeros(3), scale=1.0)
 
@@ -45,7 +53,43 @@ def constant_pair(alpha, eta):
 
 def test_curvature_constant_background():
     cur = fd_curvature(constant_pair(np.zeros((3, 3)), [0, 0, 1.0]), np.zeros((1, 3)))
-    assert np.all(cur.F == 0) and np.all(cur.d_phi == 0)
+    assert np.all(cur.star_F == 0) and np.all(cur.d_phi == 0)
+
+
+def deformed_by(bg, q):
+    def ev(pts):
+        a, phi = bg(pts)
+        al, et = q(pts)
+        return a + al, phi + et
+
+    return ev
+
+
+def test_curvature_equals_the_full_table(cfg100):
+    # (*F)_m from its three cyclic entries gives the bits of (1/2) hodge_star(F):
+    # F_lj = -F_jl exactly, so F_jl - F_lj = 2 F_jl
+    rng = np.random.default_rng(31)
+    i = 11
+    ball = ball_evaluator(cfg100, i)
+    dirs = rng.normal(size=(300, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    # radii over the whole ball: the glued pair's tail sums switch on in part of it
+    x_ball = cfg100.points[i] + 0.9 * cfg100.L * rng.uniform(0.0, 1.0, size=(300, 1)) * dirs
+    x_core = rng.uniform(-3, 3, size=(300, 3))
+    q = bump_pair([0.2, 0.1, -0.3], 1.5, 32)
+    q_ball = bump_pair(cfg100.points[i] + 0.1 * cfg100.L, 0.5 * cfg100.L, 33)
+    cases = [
+        (ps_evaluator(ORIGIN), x_core),
+        (ball, x_ball),
+        (deformed_by(ps_evaluator(ORIGIN), q), x_core),
+        (deformed_by(ball, q_ball), x_ball),
+    ]
+    for ev, x in cases:
+        for h in (1e-4, 5e-5):
+            cur = fd_curvature(ev, x, h=h)
+            star_F, d_phi = full_table_fd_curvature(ev, x, h=h)
+            assert np.array_equal(cur.star_F, star_F)
+            assert np.array_equal(cur.d_phi, d_phi)
 
 
 def test_curvature_core_solves():
@@ -69,6 +113,36 @@ def test_curvature_abelian_flux_density():
 def test_apply_D_zero_pair():
     first, second = apply_D(constant_pair(np.zeros((3, 3)), np.zeros(3)), flat_bg(), np.zeros(3))
     assert np.all(first == 0) and np.all(second == 0)
+
+
+@pytest.mark.parametrize("background", ["flat", "core"])
+def test_apply_D_equals_the_unconditional_brackets(background):
+    # flat_bg's connection is zero, and apply_D skips its brackets
+    rng = np.random.default_rng(34)
+    bg = flat_bg() if background == "flat" else ps_evaluator(ORIGIN)
+    q = bump_pair([0.1, -0.2, 0.3], 1.5, 35)
+    x = rng.uniform(-2, 2, size=(500, 3))  # inside and outside the bump's support
+    for sign in (1.0, -1.0):
+        got = apply_D(q, bg, x, sign=sign)
+        want = bracket_apply_D(q, bg, x, sign=sign)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_bump_equals_the_where_profile():
+    rng = np.random.default_rng(36)
+    centre, width = np.array([0.5, -0.25, 0.125]), 2.0
+    q, want = bump_pair(centre, width, 37), where_bump_pair(centre, width, 37)
+    axis = -4.0 + (8.0 / 48) * (np.arange(48) + 0.5)
+    nodes = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    stencils = _stencil_points(rng.uniform(-3, 3, size=(400, 3)), 1e-4)
+    # one width from the centre along an axis: t = 1 exactly, the support's edge
+    edge = centre + width * np.concatenate([np.eye(3), -np.eye(3)])
+    assert np.all(np.sum(((edge - centre) / width) ** 2, axis=-1) == 1.0)
+    just_inside = np.nextafter(edge, centre)
+    for pts in (nodes, stencils, edge, just_inside, edge[0]):
+        got, ref = q(pts), want(pts)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+    assert np.all(q(edge)[1] == 0.0) and np.all(np.any(q(just_inside)[1] != 0.0, axis=-1))
 
 
 def test_apply_D_batched_equals_rows():
@@ -354,6 +428,17 @@ def test_adjointness_gap_rejects_support_on_the_boundary(centre):
     for pair in ((q, _suite_pairs()[0]), (_suite_pairs()[0], q)):
         with pytest.raises(ValueError, match="boundary"):
             adjointness_gap(*pair, flat_bg(), BOX, n_nodes=48)
+
+
+def test_adjointness_gap_rejects_an_underflowing_pair_on_the_boundary():
+    # 1e-170 squares to zero: the support is where an entry is nonzero
+    tiny = constant_pair(np.full((3, 3), 1e-170), np.full(3, 1e-170))
+    q = _suite_pairs()[0]
+    for pair in ((tiny, q), (q, tiny), (tiny, tiny)):
+        with pytest.raises(ValueError, match="boundary"):
+            adjointness_gap(*pair, flat_bg(), BOX, n_nodes=12)
+        with pytest.raises(ValueError, match="boundary"):
+            whole_grid_adjointness_gap(*pair, flat_bg(), BOX, n_nodes=12)
 
 
 @pytest.mark.parametrize("n_nodes", [0, 1, 2, -5, 2.0, 48.0, True, None, "48"])

@@ -4,9 +4,14 @@
 Prints every measured constant together with the margin actually frozen.
 The suite entries, the bag-geometry scalings, the transverse decay, the
 weighted-norm scaling and the Higgs floor are read from the functions the
-verification suites and acceptance tests call, so this script measures
-nothing they do not.  Rerun after any change to the
-field formulas; runtime is about ten seconds.
+verification suites and acceptance tests call.  Two sweeps measure on
+their own: `bogomolny_scale` takes its own 1000 uniform draws and keeps
+those in the radius-8 ball, where `ps_suite` keeps the first 1000 in-ball
+points of 3000 draws, and it reports max |*F - d phi| / h^2 rather than
+the suite's relative defect; `band_overshoot` takes the worst
+(sum n_k - N) / sqrt(N) over every N in 64..1024, where the test of
+BAND_SUM_C only bounds it at every seventh N.  Rerun after any change to
+the field formulas; runtime is about ten seconds.
 """
 
 import math

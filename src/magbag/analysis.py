@@ -19,8 +19,8 @@ from .operators import _stencil_points, fd_curvature
 from .shell import (
     InvalidParameterError,
     _check_count,
+    _check_positive,
     _row_blocks,
-    _table_map,
     fibonacci_sphere,
 )
 from .su2 import cross
@@ -145,9 +145,8 @@ def _sphere_bounds(field):
         cn = np.linalg.norm(field.center[None], axis=1)[0]
         return lambda r: (ps_higgs_norm(np.abs(r - cn), field.scale) * lo,
                           ps_higgs_norm(np.add(r, cn), field.scale) * hi)
-    gap, far = glued._radial_gap(field.points)
-    pn = np.linalg.norm(field.points, axis=1)
-    p_lo, p_hi = pn.min(), pn.max()
+    gap, pn = glued._radial_gap(field.points)
+    p_lo, p_hi = pn[0], pn[-1]
     sin2_half = np.clip((field.min_separation**2 - (p_hi - p_lo) ** 2) / (4.0 * p_hi**2), 0.0, 1.0)
     sin2_quarter = sin2_half / (2.0 * (1.0 + math.sqrt(1.0 - sin2_half)))
     k = np.arange(1.0, field.N + 1.0)
@@ -168,7 +167,7 @@ def _sphere_bounds(field):
                 packing[rows] = np.sum(np.reciprocal(np.sqrt(t, out=t), out=t), axis=1)
         packing = packing.reshape(r.shape)
         floor = np.where(inside, -np.inf, 1.0 - packing * hi)
-        ceiling = np.maximum(1.0 - field.N / (r + far) * lo, packing * hi - 1.0)
+        ceiling = np.maximum(1.0 - field.N / (r + p_hi) * lo, packing * hi - 1.0)
         return floor, np.where(inside, np.inf, ceiling)
 
     return bounds
@@ -221,8 +220,7 @@ def critical_radii(eps, field, quad, r_max=None, n_scan=400):
         raise InvalidParameterError("eps must lie in (0, 1)")
     if r_max is None:
         r_max = 40.0 if isinstance(field, ScaledMonopole) else 4.0 * field.R
-    if not 0 < r_max < np.inf:
-        raise InvalidParameterError("r_max must be positive and finite")
+    _check_positive(r_max=r_max)
     if not (isinstance(n_scan, (int, np.integer)) and n_scan >= 2):
         raise InvalidParameterError("n_scan must be an integer >= 2")
     resolution = 1e-3 * max(1.0, r_max / 40.0)
@@ -379,6 +377,7 @@ def ps_energy(r_max=40.0, n_radial=64):
     """
     if not 20 <= r_max < np.inf:
         raise InvalidParameterError("tail estimate needs a finite r_max >= 20")
+    _check_count(n_radial=n_radial)
     mono = ScaledMonopole(center=np.zeros(3), scale=1.0)
     ev = ps_evaluator(mono)
     nodes, wts = np.polynomial.legendre.leggauss(n_radial)
@@ -427,7 +426,7 @@ def theorem_report(cfg):
     interior = max(float(sphere(frac * cfg.R).max()) for frac in (0.1, 0.25, 0.5))
     spread = float(np.max(np.abs(np.linalg.norm(cfg.points, axis=1) - cfg.R)))
 
-    sphere_512 = glued.sphere_higgs_norm(fibonacci_sphere(512), cfg)
+    sphere_512 = _sphere_fn(cfg, fibonacci_sphere(512))
     radii = cfg.R + cfg.L * np.array([1.0, 1.5, 2.0, 3.0, 5.0])
     floor = min(float(np.min(sphere_512(r))) for r in radii)
     R_eps, _, _ = critical_radii(
@@ -446,19 +445,20 @@ def higgs_floor(cfg):
 
     Sampled where the minimum lives, on spheres of radius L x {1, 1.05,
     1.2, 1.5, 2} around each point, plus the origin spheres of radius
-    R / 2, R + 2L and 2R; each radius factor is one pass over N x 256 points.
+    R / 2, R + 2L and 2R; each radius factor is one `glued._point_rows`
+    pass over N x 256 points, and the origin spheres share one evaluator.
     """
     dirs = fibonacci_sphere(256)
 
-    def block_floor(rows, d2, _):
-        d = np.sqrt(d2, out=d2)
-        keep = np.min(d, axis=1) >= cfg.L * (1 - 1e-12)
-        return float(glued._higgs_from_distances(d[keep], cfg).min()) if keep.any() else np.inf
+    def reduce(d):
+        clear = np.min(d, axis=1) >= cfg.L * (1 - 1e-12)
+        return np.where(clear, glued._higgs_from_distances(d, cfg), np.inf)
 
     floor = np.inf
     for fac in (1.0, 1.05, 1.2, 1.5, 2.0):
-        x = (cfg.points[:, None, :] + fac * cfg.L * dirs).reshape(-1, 3)
-        floor = min(floor, *_table_map(x, cfg.points, block_floor))
+        x = cfg.points[:, None, :] + fac * cfg.L * dirs
+        floor = min(floor, float(glued._point_rows(x, cfg, reduce).min()))
+    sphere = _sphere_fn(cfg, fibonacci_sphere(1024))
     for rad in (0.5 * cfg.R, cfg.R + 2 * cfg.L, 2 * cfg.R):
-        floor = min(floor, float(glued.higgs_norm(rad * fibonacci_sphere(1024), cfg).min()))
+        floor = min(floor, float(sphere(rad).min()))
     return floor

@@ -28,8 +28,8 @@ import numpy as np
 from .monopole import (
     SingularEvaluationError,
     _hedgehog_form,
-    coth_minus_inv,
     inv_minus_csch,
+    ps_higgs_norm,
 )
 from .shell import (
     _check_count,
@@ -53,31 +53,28 @@ _PLATEAU_LO = 0.25  # chi = 1 at or below
 _PLATEAU_HI = 0.5  # chi = 0 at or above
 
 
+def _cutoff(t):
+    """(chi(t), chi'(t)) from one evaluation of g and h; the exact slope
+    chi' is zero on both plateaus."""
+    t = np.asarray(t, dtype=float)
+    c = np.where(t >= _PLATEAU_HI, 0.0, 1.0)
+    cp = np.zeros_like(t)
+    mid = (t > _PLATEAU_LO) & (t < _PLATEAU_HI)
+    tm = t[mid]
+    g = np.exp(-1.0 / (_PLATEAU_HI - tm))
+    h = np.exp(-1.0 / (tm - _PLATEAU_LO))
+    c[mid] = g / (g + h)
+    gp = -g / (_PLATEAU_HI - tm) ** 2
+    hp = h / (tm - _PLATEAU_LO) ** 2
+    cp[mid] = (gp * h - g * hp) / (g + h) ** 2
+    return c, cp
+
+
 def chi(t):
     """Smooth non-increasing cutoff: 1 on (-inf, 1/4], 0 on [1/2, inf), and
     g / (g + h) between, with g = exp(-1/(1/2 - t)) and h = exp(-1/(t - 1/4)).
     """
-    t = np.asarray(t, dtype=float)
-    out = np.where(t >= _PLATEAU_HI, 0.0, 1.0)
-    mid = (t > _PLATEAU_LO) & (t < _PLATEAU_HI)
-    tm = t[mid]
-    g = np.exp(-1.0 / (_PLATEAU_HI - tm))
-    h = np.exp(-1.0 / (tm - _PLATEAU_LO))
-    out[mid] = g / (g + h)
-    return out if out.ndim else float(out)
-
-
-def chi_prime(t):
-    """Exact derivative of the cutoff (zero on both plateaus)."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    mid = (t > _PLATEAU_LO) & (t < _PLATEAU_HI)
-    tm = t[mid]
-    g = np.exp(-1.0 / (_PLATEAU_HI - tm))
-    h = np.exp(-1.0 / (tm - _PLATEAU_LO))
-    gp = -g / (_PLATEAU_HI - tm) ** 2
-    hp = h / (tm - _PLATEAU_LO) ** 2
-    out[mid] = (gp * h - g * hp) / (g + h) ** 2
+    out = _cutoff(t)[0]
     return out if out.ndim else float(out)
 
 
@@ -222,11 +219,11 @@ def ball_fields(X, p_idx, cfg):
 
 
 def ball_higgs(d, r, c, ext):
-    """Ball-chart Higgs coefficient c r coth_minus_inv(r d) + (1 - c) ext at
+    """Ball-chart Higgs coefficient c ps_higgs_norm(d, r) + (1 - c) ext at
     distance d from a shell point of residue r: the core blended into the
     exterior coefficient ext (phi_theta, = r - 1/d - sum_q eta_pq in the
     ball) by the cutoff c = chi(8 d / L - 1)."""
-    return c * (r * coth_minus_inv(r * d)) + (1.0 - c) * ext
+    return c * ps_higgs_norm(d, r) + (1.0 - c) * ext
 
 
 def ball_evaluator(cfg, p_idx):
@@ -322,7 +319,8 @@ def sphere_sweep(dirs, points, reduce):
 
 
 def _radial_gap(points):
-    """(r -> min_p |r - |p||, max_p |p|); the function takes radii of any shape.
+    """(r -> min_p |r - |p||, the radii |p| in ascending order); the function
+    takes radii of any shape.
 
     |p| is rounded as `sphere_sweep` rounds it.  The rounded |r - |p||
     is monotone in |p| on either side of r, so the minimum over every point
@@ -336,7 +334,7 @@ def _radial_gap(points):
         below = np.abs(r - pn[np.maximum(i - 1, 0)])
         return np.minimum(below, np.abs(r - pn[np.minimum(i, len(pn) - 1)]))
 
-    return gap, pn[-1]
+    return gap, pn
 
 
 def sphere_higgs_norm(dirs, cfg):
@@ -369,16 +367,16 @@ def sphere_higgs_norm(dirs, cfg):
 # Explicit residual
 
 def _ball_residual(X, owner, cfg):
-    """(live, gT, gL, |Phi|) of the glued pair on the balls around the shell points.
+    """(live, xh, gT, gL, |Phi|) of the glued pair on the balls around the shell points.
 
     Row i of X (B, 3) is evaluated in the ball of point owner[i]; a scalar
     owner serves every row.  `live` marks the rows on the cutoff transition
-    shell, where chi' != 0 or 0 < chi < 1; gT, gL and |Phi| are returned for
-    those rows only.  Everywhere else g = 0.  |Phi| is |`ball_higgs`| with
-    the exterior part r_p - 1/d - eta from the residual's own tail sum, so
-    this is `higgs_norm`.  The tail sums run once per run of equal owners
-    among the live rows, so a ball's sums see the same rows as in a call of
-    its own.
+    shell, where chi' != 0 or 0 < chi < 1; xh (the unit vector from the
+    owner to the sample), gT, gL and |Phi| are returned for those rows only.
+    Everywhere else g = 0.  |Phi| is |`ball_higgs`| with the exterior part
+    r_p - 1/d - eta from the residual's own tail sum, so this is
+    `higgs_norm`.  The tail sums run once per run of equal owners among the
+    live rows, so a ball's sums see the same rows as in a call of its own.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     owner = np.broadcast_to(owner, len(X))
@@ -388,13 +386,12 @@ def _ball_residual(X, owner, cfg):
     d = np.linalg.norm(w, axis=1)
     if np.any(d == 0.0):
         raise SingularEvaluationError("residual evaluated at a shell point")
-    t = 8.0 * d / L - 1.0
-    c = chi(t)
-    cp = chi_prime(t) * (8.0 / L)  # radial derivative of chi_p
+    c, cp = _cutoff(8.0 * d / L - 1.0)
+    cp *= 8.0 / L  # radial derivative of chi_p
     live = (cp != 0.0) | ((c > 0.0) & (c < 1.0))
     if not np.any(live):
         empty = np.zeros((0, 3, 3))
-        return live, empty, empty, np.zeros(0)
+        return live, np.zeros((0, 3)), empty, empty, np.zeros(0)
 
     dl, cl, cpl, rl = d[live], c[live], cp[live], r[live]
     xh = w[live] / dl[:, None]
@@ -421,7 +418,7 @@ def _ball_residual(X, owner, cfg):
     gL -= coeff[:, :, None] * xh[:, None, :]
 
     higgs = np.abs(ball_higgs(dl, rl, cl, rl - 1.0 / dl - eta_sum))
-    return live, gT, gL, higgs
+    return live, xh, gT, gL, higgs
 
 
 def residual_fields(X, p_idx, cfg):
@@ -437,7 +434,7 @@ def residual_fields(X, p_idx, cfg):
         gL = chi (chi - 1) *(A_p ^ A_p) - ( *(dchi ^ alpha) + (Q - eta) dchi ) sh
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    live, gT_l, gL_l, _ = _ball_residual(X, p_idx, cfg)
+    live, _, gT_l, gL_l, _ = _ball_residual(X, p_idx, cfg)
     gT = np.zeros((len(X), 3, 3))
     gL = np.zeros((len(X), 3, 3))
     gT[live] = gT_l
@@ -492,11 +489,11 @@ _ROW_BUDGET = 1 << 15  # sample rows of one block of the residual sweep
 
 
 def _grid_residuals(cfg, shells, offsets):
-    """(points, owners, `_ball_residual` output) on p + offsets (n, 3) for
-    every shell point p in `shells`, in one call; rows are ordered by shell."""
+    """(owners, `_ball_residual` output) on p + offsets (n, 3) for every
+    shell point p in `shells`, in one call; rows are ordered by shell."""
     pts = (cfg.points[shells][:, None, :] + offsets).reshape(-1, 3)
     owner = np.repeat(shells, len(offsets))
-    return pts, owner, _ball_residual(pts, owner, cfg)
+    return owner, _ball_residual(pts, owner, cfg)
 
 
 def _residual_sweep(cfg, n_radial, n_angular, quad=None):
@@ -533,10 +530,8 @@ def _residual_sweep(cfg, n_radial, n_angular, quad=None):
     step = max(1, _ROW_BUDGET // sum(len(g) for g in grids))
     for first in range(0, cfg.N, step):
         shells = np.arange(first, min(first + step, cfg.N))
-        pts, owner, (live, gT, gL, higgs) = _grid_residuals(cfg, shells, grids[0])
+        owner, (live, xh, gT, gL, higgs) = _grid_residuals(cfg, shells, grids[0])
         owner = owner[live]
-        xh = pts[live] - cfg.points[owner]
-        xh /= np.linalg.norm(xh, axis=1)[:, None]
         inner = np.abs(np.einsum("bk,bmk->bm", xh, gL)).max(axis=1)
         for row, vals in zip(maxima, (form_norm(gT), form_norm(gL), inner)):
             np.maximum.at(row, owner, vals)
@@ -545,7 +540,7 @@ def _residual_sweep(cfg, n_radial, n_angular, quad=None):
         if quad is None:
             continue
 
-        _, _, (live, gTq, _, higgs_q) = _grid_residuals(cfg, shells, grids[1])
+        _, (live, _, gTq, _, higgs_q) = _grid_residuals(cfg, shells, grids[1])
         # |[sh, gT]| = |gT| for transverse parts in su(2).
         dens = np.zeros(live.shape)
         dens[live] = (form_norm(gTq) / higgs_q) ** 3

@@ -10,6 +10,7 @@ from math import factorial
 
 import numpy as np
 
+from .shell import InvalidParameterError, _check_positive
 from .su2 import eps_table
 
 # Below this argument the profiles are summed from their Taylor series.
@@ -34,8 +35,9 @@ class ScaledMonopole:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not np.isfinite(self.center).all():
+            raise InvalidParameterError(f"center must be finite, got {self.center!r}")
+        _check_positive(scale=self.scale)
 
 
 # Bernoulli numbers B_2, B_4, ..., B_24 as (numerator, denominator).
@@ -99,13 +101,10 @@ def ps_pair_batch(x, mono):
     r = mono.scale
     safe = np.where(d > 0, d, 1.0)
     xhat = w / safe[..., None]
-    s = r * d
-    higgs = r * coth_minus_inv(s)
-    conn = r * inv_minus_csch(s)
     # Removable singularity: both profiles vanish linearly at the center.
     zero = d == 0
-    a = _hedgehog_form(xhat, np.where(zero, 0.0, conn))
-    phi = np.where(zero, 0.0, higgs)[..., None] * xhat
+    a = _hedgehog_form(xhat, np.where(zero, 0.0, r * inv_minus_csch(r * d)))
+    phi = np.where(zero, 0.0, ps_higgs_norm(d, r))[..., None] * xhat
     return a, phi
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shell import InvalidParameterError, _check_count, _row_blocks
+from .shell import InvalidParameterError, _check_count, _check_positive, _row_blocks
 from .su2 import _J, _L, bracket, hodge_star, wedge_dual
 
 
@@ -106,8 +106,7 @@ def bump_pair(center, width, seed):
     quadrature-friendly at its support edge.  The width must be finite and
     positive.
     """
-    if not (isinstance(width, numbers.Real) and math.isfinite(width) and width > 0):
-        raise InvalidParameterError(f"bump width must be finite and positive, got {width!r}")
+    _check_positive(width=width)
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(3, 3))
     E = rng.normal(size=3)
@@ -134,15 +133,15 @@ def apply_D(h_pair, bg_pair, x, h=1e-4, sign=1.0):
     phi = sign * phi
     # d_alpha[..., j, l, k] = d_j alpha_l, d_eta[..., j, k] = d_j eta
     (d_alpha, alpha0), (d_eta, eta0) = _central_differences(h_pair, x, h)
-    dA_alpha = d_alpha - np.swapaxes(d_alpha, -3, -2)
+    star = hodge_star(d_alpha)  # 0.5 * hodge_star(d_alpha - d_alpha^T) to the bit, as for *F
     dA_eta = d_eta
     second = np.einsum("...jjk->...k", d_alpha)
     if np.any(a):  # a zero connection's brackets are zeros
         cov = bracket(a[..., :, None, :], alpha0[..., None, :, :])
-        dA_alpha = dA_alpha + cov - np.swapaxes(cov, -3, -2)
+        dA_alpha = d_alpha - np.swapaxes(d_alpha, -3, -2) + cov - np.swapaxes(cov, -3, -2)
+        star = 0.5 * hodge_star(dA_alpha)
         dA_eta = dA_eta + bracket(a, eta0[..., None, :])
         second = second + bracket(a, alpha0).sum(axis=-2)
-    star = 0.5 * hodge_star(dA_alpha)
     first = star - dA_eta + bracket(phi[..., None, :], alpha0)
     second = second + bracket(phi, eta0)
     return first, second

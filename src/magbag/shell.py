@@ -107,11 +107,17 @@ def _check_count(**counts):
             raise InvalidParameterError(f"{name} must be an integer >= 1, got {n!r}")
 
 
+def _check_positive(**values):
+    """Raises unless every value is a finite real number (bools excluded) > 0."""
+    for name, x in values.items():
+        if isinstance(x, bool) or not (isinstance(x, numbers.Real) and math.isfinite(x) and x > 0):
+            raise InvalidParameterError(f"{name} must be finite and positive, got {x!r}")
+
+
 def place_points(N, R):
     """The N shell points, ordered by (band, longitude)."""
     N = _check_charge(N)
-    if not (isinstance(R, numbers.Real) and math.isfinite(R) and R > 0):
-        raise InvalidParameterError(f"radius must be finite and positive, got {R!r}")
+    _check_positive(radius=R)
     return _layout(N, R)[5]
 
 

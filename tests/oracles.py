@@ -313,7 +313,7 @@ def per_shell_residual_sweep(cfg, n_radial, n_angular, quad_radial, quad_angular
     integral = 0.0
     for p_idx in range(cfg.N):
         pts = annulus_points(cfg, p_idx, n_radial, n_angular)
-        live, gT, gL, higgs = glued._ball_residual(pts, p_idx, cfg)
+        live, _, gT, gL, higgs = glued._ball_residual(pts, p_idx, cfg)
         xh = pts[live] - cfg.points[p_idx]
         xh /= np.linalg.norm(xh, axis=1)[:, None]
         inner = np.abs(np.einsum("bk,bmk->bm", xh, gL)).max(axis=1)
@@ -323,7 +323,7 @@ def per_shell_residual_sweep(cfg, n_radial, n_angular, quad_radial, quad_angular
             sup_term = max(sup_term, float(np.max(inner / higgs**2, initial=0.0)))
 
         qpts = cfg.points[p_idx] + q_radii[:, None, None] * q_dirs[None, :, :]
-        live, gTq, _, higgs_q = glued._ball_residual(qpts.reshape(-1, 3), p_idx, cfg)
+        live, _, gTq, _, higgs_q = glued._ball_residual(qpts.reshape(-1, 3), p_idx, cfg)
         dens = np.zeros(quad_radial * quad_angular)
         dens[live] = (form_norm(gTq) / higgs_q) ** 3
         dens = dens.reshape(quad_radial, quad_angular)

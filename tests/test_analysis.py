@@ -173,6 +173,7 @@ def test_critical_radii_rejects_bad_eps():
         {"r_max": -5.0},
         {"r_max": math.inf},
         {"r_max": math.nan},
+        {"r_max": True},
         {"n_scan": 0},
         {"n_scan": 1},
         {"n_scan": 2.5},
@@ -289,12 +290,12 @@ def test_sphere_floor_bounds_the_sampled_minimum(field):
 def test_radial_gap_equals_min_over_every_point(N, m):
     cfg = make_shell_config(N, m)
     pn = np.linalg.norm(cfg.points, axis=1)
-    gap, far = glued._radial_gap(cfg.points)
+    gap, radii_sorted = glued._radial_gap(cfg.points)
     radii = np.concatenate([np.random.default_rng(5).uniform(0.0, 2.0 * cfg.R, 300), pn,
                             np.nextafter(pn, 0.0), np.nextafter(pn, np.inf)])
     want = np.array([np.min(np.abs(r - pn)) for r in radii])
     assert np.array_equal(gap(radii), want)
-    assert far == pn.max()
+    assert np.array_equal(radii_sorted, np.sort(pn))
 
 
 @pytest.mark.parametrize("field", BOUNDED_FIELDS)
@@ -324,14 +325,14 @@ def test_sphere_bounds_are_no_looser_than_the_coulomb_bounds(N, m):
     cfg = make_shell_config(N, m)
     radii = np.linspace(4.0 * cfg.R / 2000, 4.0 * cfg.R, 2000)
     floor, ceiling = analysis._sphere_bounds(cfg)(radii)
-    gap, far = glued._radial_gap(cfg.points)
+    gap, pn = glued._radial_gap(cfg.points)
     delta = gap(radii)
     lo, hi = 1.0 - analysis._FLOOR_SLACK, 1.0 + analysis._FLOOR_SLACK
     with np.errstate(divide="ignore"):
         coulomb = cfg.N / delta
     inside = delta < cfg.L
     assert np.all(floor >= np.where(inside, -np.inf, 1.0 - coulomb * hi))
-    old_ceiling = np.maximum(1.0 - cfg.N / (radii + far) * lo, coulomb * hi - 1.0)
+    old_ceiling = np.maximum(1.0 - cfg.N / (radii + pn[-1]) * lo, coulomb * hi - 1.0)
     assert np.all(ceiling <= np.where(inside, np.inf, old_ceiling))
 
 
@@ -509,6 +510,12 @@ def test_ps_energy_equals_one_call_per_radius():
     assert ps_energy() == per_radius_ps_energy()
 
 
+@pytest.mark.parametrize("n_radial", [True, 2.5, 0])
+def test_ps_energy_rejects_bad_radial_count(n_radial):
+    with pytest.raises(InvalidParameterError, match="n_radial"):
+        ps_energy(n_radial=n_radial)
+
+
 @pytest.mark.parametrize("r_max", [math.nan, math.inf])
 def test_ps_energy_rejects_non_finite_r_max(r_max):
     with pytest.raises(InvalidParameterError, match="finite"):
@@ -593,6 +600,19 @@ def test_theorem_report(cfg100):
     assert rep["zeros_on_shell_sphere"] <= 1e-9 * cfg100.R
     # no sampled sphere minimum dips below half the floor at this charge
     assert rep["outer_small_higgs_radius"] == 0.0
+    assert {k: v.hex() for k, v in rep.items()} == {
+        "shell_sphere_mean": "0x1.c2d13a3f46648p-1",
+        "interior_max_half_radius": "0x1.c87af81fb4a5cp-1",
+        "zeros_on_shell_sphere": "0x1.0000000000000p-43",
+        "outer_small_higgs_radius": "0x0.0p+0",
+    }
+
+
+@pytest.mark.parametrize("N, m, want", [(256, 16.0, "0x1.688131f42532cp-2"),
+                                        (1600, 2.0, "0x1.e6357e7751764p-3")])
+def test_higgs_floor_pins(N, m, want):
+    # (100, 16) is pinned by test_higgs_floor_value
+    assert higgs_floor(make_shell_config(N, m)).hex() == want
 
 
 def test_higgs_floor_value(cfg100, monkeypatch):

@@ -19,7 +19,6 @@ from magbag.analysis import fibonacci_sphere
 from magbag.glued import (
     ChartViolationError,
     chi,
-    chi_prime,
     grad_phi_theta,
     higgs_norm,
     phi_theta,
@@ -65,8 +64,9 @@ def test_chi_prime_matches_fd():
     ts = np.linspace(0.26, 0.49, 41)
     h = 1e-6
     fd = (chi(ts + h) - chi(ts - h)) / (2 * h)
-    np.testing.assert_allclose(chi_prime(ts), fd, atol=1e-6)
-    assert np.all(chi_prime(ts) <= 0)
+    slope = glued._cutoff(ts)[1]
+    np.testing.assert_allclose(slope, fd, atol=1e-6)
+    assert np.all(slope <= 0)
 
 
 def test_chi_p_radii(cfg100):
@@ -778,7 +778,7 @@ def test_ball_residual_higgs_matches_higgs_norm(N):
     n_live = 0
     for p_idx in range(0, N, max(1, N // 32)):
         pts = glued.annulus_points(cfg, p_idx, 8, 64)
-        live, gT, gL, higgs = glued._ball_residual(pts, p_idx, cfg)
+        live, _, gT, gL, higgs = glued._ball_residual(pts, p_idx, cfg)
         want = higgs_norm(pts[live], cfg)
         worst = max(worst, float(np.max(np.abs(higgs - want) / np.maximum(1.0, want))))
         n_live += int(live.sum())

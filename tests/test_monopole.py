@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,6 +14,7 @@ from magbag.monopole import (
     ps_evaluator,
 )
 from magbag.operators import fd_curvature
+from magbag.shell import InvalidParameterError
 from magbag.su2 import alg_norm, bracket, form_norm
 
 from oracles import dirac_evaluator
@@ -75,6 +78,14 @@ def test_core_far_field_approaches_unit():
 def test_scale_requires_positive():
     with pytest.raises(ValueError):
         ScaledMonopole(center=np.zeros(3), scale=0.0)
+
+
+@pytest.mark.parametrize("center, scale", [(np.zeros(3), True), (np.zeros(3), math.inf),
+                                           (np.zeros(3), math.nan), (np.zeros(3), "1"),
+                                           ([0.0, math.nan, 0.0], 1.0), ([math.inf, 0, 0], 1.0)])
+def test_scaled_monopole_rejects_bad_input(center, scale):
+    with pytest.raises(InvalidParameterError):
+        ScaledMonopole(center=center, scale=scale)
 
 
 def test_abelian_pair_values():

@@ -468,7 +468,7 @@ def test_adjointness_gap_rejects_bad_box(box):
         adjointness_gap(q1, q2, flat_bg(), box, n_nodes=12)
 
 
-@pytest.mark.parametrize("width", [0, 0.0, -1.0, math.nan, math.inf, None, "1"])
+@pytest.mark.parametrize("width", [0, 0.0, -1.0, math.nan, math.inf, None, "1", True])
 def test_bump_pair_rejects_bad_width(width):
     with pytest.raises(InvalidParameterError, match="width"):
         bump_pair([0, 0, 0], width, 1)

@@ -148,7 +148,7 @@ def test_round_robin_takes_fewer_points_per_band_than_the_smallest_holds():
 
 
 @pytest.mark.parametrize("N, R", [(100.5, 10.0), (True, 10.0), (100, math.inf),
-                                  (100, math.nan), (100, 0.0), (100, -1.0)])
+                                  (100, math.nan), (100, 0.0), (100, -1.0), (8, True)])
 def test_place_points_rejects_bad_input(N, R):
     with pytest.raises(InvalidParameterError):
         place_points(N, R)
@@ -208,19 +208,40 @@ def test_squared_distances_into_buffers_equal_allocating_call():
     assert np.shares_memory(got, buf) and np.array_equal(got, want)
 
 
-def test_only_shell_builds_distance_tables():
-    # every other table of points against sources is drawn from `_table_plan`
-    # (through `_table_blocks` or `_table_map`), which picks its block size;
-    # tests and their oracles are exempt
+def _modules_naming(name):
+    """The modules of src/magbag/ and scripts/ that define, import, call or
+    otherwise name `name`; tests and their oracles are exempt."""
     root = Path(__file__).resolve().parents[1]
-    users = {
+    return {
         path.relative_to(root).as_posix()
         for path in [*root.glob("src/magbag/*.py"), *root.glob("scripts/*.py")]
         for node in ast.walk(ast.parse(path.read_text()))
-        if "_squared_distances" in (getattr(node, "id", None), getattr(node, "attr", None),
-                                    getattr(node, "name", None))
+        if name in (getattr(node, "id", None), getattr(node, "attr", None),
+                    getattr(node, "name", None))
     }
-    assert users == {"src/magbag/shell.py"}
+
+
+def test_only_shell_builds_distance_tables():
+    # every other table of points against sources is drawn from `_table_plan`
+    # (through `_table_blocks` or `_table_map`), which picks its block size
+    assert _modules_naming("_squared_distances") == {"src/magbag/shell.py"}
+
+
+def test_only_the_glued_module_maps_shell_tables():
+    # every per-point reducer over the shell sits beside `glued._point_rows`
+    assert _modules_naming("_table_map") == {"src/magbag/shell.py", "src/magbag/glued.py"}
+
+
+def test_core_higgs_is_written_once():
+    # r coth_minus_inv(r d) is `ps_higgs_norm`; every other module calls that
+    assert _modules_naming("coth_minus_inv") == {"src/magbag/monopole.py"}
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "src/magbag/monopole.py").read_text())
+    callers = [
+        fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "coth_minus_inv"
+    ]
+    assert callers == ["ps_higgs_norm"]
 
 
 def _builds_difference_array(node):

@@ -59,7 +59,8 @@ def _sphere_fn(field, dirs):
     either is a `glued.sphere_sweep` over one direction table built here.
     """
     if isinstance(field, ScaledMonopole):
-        return glued.sphere_sweep(dirs, field.center[None],
+        center = field.center[None]
+        return glued.sphere_sweep(dirs, center, np.linalg.norm(center, axis=1),
                                   lambda r, d2: ps_higgs_norm(np.sqrt(d2[:, 0]), field.scale))
     return glued.sphere_higgs_norm(dirs, field)
 
@@ -145,7 +146,7 @@ def _sphere_bounds(field):
         cn = np.linalg.norm(field.center[None], axis=1)[0]
         return lambda r: (ps_higgs_norm(np.abs(r - cn), field.scale) * lo,
                           ps_higgs_norm(np.add(r, cn), field.scale) * hi)
-    gap, pn = glued._radial_gap(field.points)
+    gap, pn = glued._radial_gap(np.linalg.norm(field.points, axis=1))
     p_lo, p_hi = pn[0], pn[-1]
     sin2_half = np.clip((field.min_separation**2 - (p_hi - p_lo) ** 2) / (4.0 * p_hi**2), 0.0, 1.0)
     sin2_quarter = sin2_half / (2.0 * (1.0 + math.sqrt(1.0 - sin2_half)))

@@ -53,17 +53,24 @@ _PLATEAU_LO = 0.25  # chi = 1 at or below
 _PLATEAU_HI = 0.5  # chi = 0 at or above
 
 
-def _cutoff(t):
-    """(chi(t), chi'(t)) from one evaluation of g and h; the exact slope
-    chi' is zero on both plateaus."""
+def _blend(t):
+    """(chi(t), mid, t[mid], g, h): mid marks the t strictly between the
+    plateaus, and g, h are taken there."""
     t = np.asarray(t, dtype=float)
     c = np.where(t >= _PLATEAU_HI, 0.0, 1.0)
-    cp = np.zeros_like(t)
     mid = (t > _PLATEAU_LO) & (t < _PLATEAU_HI)
     tm = t[mid]
     g = np.exp(-1.0 / (_PLATEAU_HI - tm))
     h = np.exp(-1.0 / (tm - _PLATEAU_LO))
     c[mid] = g / (g + h)
+    return c, mid, tm, g, h
+
+
+def _cutoff(t):
+    """(chi(t), chi'(t)), the slope from `_blend`'s g and h; the exact
+    slope chi' is zero on both plateaus."""
+    c, mid, tm, g, h = _blend(t)
+    cp = np.zeros_like(c)
     gp = -g / (_PLATEAU_HI - tm) ** 2
     hp = h / (tm - _PLATEAU_LO) ** 2
     cp[mid] = (gp * h - g * hp) / (g + h) ** 2
@@ -74,7 +81,7 @@ def chi(t):
     """Smooth non-increasing cutoff: 1 on (-inf, 1/4], 0 on [1/2, inf), and
     g / (g + h) between, with g = exp(-1/(1/2 - t)) and h = exp(-1/(t - 1/4)).
     """
-    out = _cutoff(t)[0]
+    out = _blend(t)[0]
     return out if out.ndim else float(out)
 
 
@@ -278,9 +285,9 @@ def higgs_norm(x, cfg):
 # one (B, N) table serves every radius, and every sphere function is a
 # `sphere_sweep` over it.
 
-def sphere_sweep(dirs, points, reduce):
+def sphere_sweep(dirs, points, pn, reduce):
     """The function r -> out (B,) on the spheres r u, u = dirs (B, 3), about
-    the sources `points` (N, 3).
+    the sources `points` (N, 3) of norms pn = np.linalg.norm(points, axis=1).
 
     G is built once here from the `_table_map` of the directions against
     p/|p|, coordinate by coordinate, which keeps it accurate where u points
@@ -292,7 +299,6 @@ def sphere_sweep(dirs, points, reduce):
     here, not once per radius.  reduce may overwrite d2 and must write
     nothing else that another block reads.
     """
-    pn = np.linalg.norm(points, axis=1)
     phat = points / np.where(pn > 0.0, pn, 1.0)[:, None]
     G = np.empty((len(dirs), len(phat)))
 
@@ -318,15 +324,15 @@ def sphere_sweep(dirs, points, reduce):
     return sweep
 
 
-def _radial_gap(points):
-    """(r -> min_p |r - |p||, the radii |p| in ascending order); the function
+def _radial_gap(pn):
+    """(r -> min_p |r - |p||, the radii |p| in ascending order) from the
+    norms pn of the points, as `sphere_sweep` takes them; the function
     takes radii of any shape.
 
-    |p| is rounded as `sphere_sweep` rounds it.  The rounded |r - |p||
-    is monotone in |p| on either side of r, so the minimum over every point
-    is attained next to r in the sorted |p|.
+    The rounded |r - |p|| is monotone in |p| on either side of r, so the
+    minimum over every point is attained next to r in the sorted |p|.
     """
-    pn = np.sort(np.linalg.norm(points, axis=1))
+    pn = np.sort(pn)
 
     def gap(r):
         r = np.asarray(r, dtype=float)
@@ -346,7 +352,8 @@ def sphere_higgs_norm(dirs, cfg):
     nearest-point pass: exactly what `_higgs_from_distances` returns when
     no row is near.
     """
-    gap, _ = _radial_gap(cfg.points)
+    pn = np.linalg.norm(cfg.points, axis=1)
+    gap, _ = _radial_gap(pn)
     # The sweep rounds d^2 = fl(fl(r |p|) G) + fl(t^2), t = fl(r - |p|) with
     # |t| >= delta.  Both terms are >= 0 and rounding is monotone, so d^2 >=
     # fl(t^2) >= t^2 (1 - u), and d = fl(sqrt(d^2)) >= |t| (1 - u)^(3/2)
@@ -360,7 +367,7 @@ def sphere_higgs_norm(dirs, cfg):
             return np.abs(1.0 - np.sum(np.reciprocal(d, out=d), axis=1))
         return _higgs_from_distances(d, cfg)
 
-    return sphere_sweep(dirs, cfg.points, reduce)
+    return sphere_sweep(dirs, cfg.points, pn, reduce)
 
 
 # ---------------------------------------------------------------------------
@@ -485,12 +492,35 @@ def transverse_decay(cfgs):
     return x, y, np.polyfit(x, y, 1)
 
 
-_ROW_BUDGET = 1 << 15  # sample rows of one block of the residual sweep
+def _band_rows(cfg, offsets):
+    """Indices of the rows o of offsets (n, 3) whose radius can reach the
+    open band (5L/32, 3L/16), the only rows of p + offsets on which
+    `_ball_residual` can find a live sample, whatever the shell point p.
+
+    A live sample has 1.25 < fl(8 d / L) < 1.5, so its computed distance d
+    lies strictly between 5L/32 and 3L/16.  With u = eps / 2, the sample
+    x = fl(p + o) gives w = fl(x - p) within u |o| + u (1 + u)(|p| + |o|)
+    of o per coordinate, and a computed norm lies within 3u of the exact
+    one.  So the computed |o| of a live row lies within 9u 5L/32 + 2u |p|
+    below the band and 10u 3L/16 + 3u |p| above it.  `make_shell_config`
+    accepts only points within 1e-12 R of radius R, so |p| < 2R, and the
+    slack 4 eps (R + L) covers both margins and the rounding of the band
+    edges themselves.  At (1600, 256), R/L = 1.2e5, it is 3.5e-9 of the
+    band width L/32.
+    """
+    rho = np.linalg.norm(offsets, axis=1)
+    slack = 4.0 * np.finfo(float).eps * (cfg.R + cfg.L)
+    return np.flatnonzero((rho > 5.0 * cfg.L / 32.0 - slack) & (rho < 3.0 * cfg.L / 16.0 + slack))
 
 
 def _grid_residuals(cfg, shells, offsets):
     """(owners, `_ball_residual` output) on p + offsets (n, 3) for every
-    shell point p in `shells`, in one call; rows are ordered by shell."""
+    shell point p in `shells`, in one call; rows are ordered by shell.
+
+    The sweep passes a grid's `_band_rows` alone: the other rows of the
+    grid have g = 0 at every shell point and are never formed.  Each
+    shell's live rows are the ones of the whole grid, in the same order,
+    so its tail sums see the same rows."""
     pts = (cfg.points[shells][:, None, :] + offsets).reshape(-1, 3)
     owner = np.repeat(shells, len(offsets))
     return owner, _ball_residual(pts, owner, cfg)
@@ -506,14 +536,22 @@ def _residual_sweep(cfg, n_radial, n_angular, quad=None):
     on the live samples only: elsewhere g = 0 and the sample adds exactly 0
     to either term.
 
-    The shells are taken in blocks of at most `_ROW_BUDGET` sample rows
-    (at least one shell), each grid of a block in one `_ball_residual`
-    call, so memory stays bounded at any N.  The grids are not merged into
-    one call: the tail sums of a shell then see exactly the rows of a
-    one-shell call, and a BLAS matrix product may round a row differently
-    in a block of another height.  Per-shell maxima and integrals are
-    reduced on each shell's own rows and combined shell by shell in index
-    order, so the results do not depend on the blocking.
+    Only each grid's `_band_rows` are formed, the offsets whose radius can
+    reach the transition band (5L/32, 3L/16) within a slack derived from
+    the rounding of fl(p + o) - p; the grids span [L/8, L/4], so about
+    three rows in four are never formed.  `_ball_residual`'s own liveness
+    test still decides every formed row.  The shells are taken in the
+    `_row_blocks` of a shell's band rows of both grids, each carrying the
+    18 entries of its gT and gL: blocks of about `_BLOCK_ELEMENTS // 18`
+    band rows (at least one shell), each grid of a block in one
+    `_ball_residual` call, so memory stays bounded at any N.  The grids
+    are not merged into one call: the tail sums of a shell then see
+    exactly the rows of a one-shell call, and a BLAS matrix product may
+    round a row differently in a block of another height.  Per-shell
+    maxima and integrals are reduced on each shell's own rows, the
+    quadrature densities scattered back onto the whole grid with zeros
+    elsewhere, and combined shell by shell in index order, so the results
+    do not depend on the blocking.
     """
     grids = [_annulus_offsets(cfg, n_radial, n_angular)]
     if quad is not None:
@@ -524,13 +562,13 @@ def _residual_sweep(cfg, n_radial, n_angular, quad=None):
         q_radii = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         q_w = 0.5 * (hi - lo) * wts
         grids.append(_shell_grid(q_radii, quad_angular))
+    bands = [_band_rows(cfg, g) for g in grids]
     maxima = np.zeros((3, cfg.N))
     sup = np.zeros(cfg.N)
     shell_integrals = np.zeros(cfg.N)
-    step = max(1, _ROW_BUDGET // sum(len(g) for g in grids))
-    for first in range(0, cfg.N, step):
-        shells = np.arange(first, min(first + step, cfg.N))
-        owner, (live, xh, gT, gL, higgs) = _grid_residuals(cfg, shells, grids[0])
+    for block in _row_blocks(cfg.N, 18 * sum(len(b) for b in bands))[1]:
+        shells = np.arange(block.start, block.stop)
+        owner, (live, xh, gT, gL, higgs) = _grid_residuals(cfg, shells, grids[0][bands[0]])
         owner = owner[live]
         inner = np.abs(np.einsum("bk,bmk->bm", xh, gL)).max(axis=1)
         for row, vals in zip(maxima, (form_norm(gT), form_norm(gL), inner)):
@@ -540,10 +578,13 @@ def _residual_sweep(cfg, n_radial, n_angular, quad=None):
         if quad is None:
             continue
 
-        _, (live, _, gTq, _, higgs_q) = _grid_residuals(cfg, shells, grids[1])
+        band = bands[1]
+        _, (live, _, gTq, _, higgs_q) = _grid_residuals(cfg, shells, grids[1][band])
         # |[sh, gT]| = |gT| for transverse parts in su(2).
-        dens = np.zeros(live.shape)
-        dens[live] = (form_norm(gTq) / higgs_q) ** 3
+        formed = np.zeros((len(shells), len(band)))
+        formed.reshape(-1)[live] = (form_norm(gTq) / higgs_q) ** 3
+        dens = np.zeros((len(shells), len(grids[1])))
+        dens[:, band] = formed
         dens = dens.reshape(len(shells), quad_radial, quad_angular)
         shell_integrals[shells] = np.sum(
             q_w * q_radii**2 * dens.sum(axis=2) * (4.0 * np.pi / quad_angular), axis=1

@@ -52,7 +52,9 @@ class Curvature:
 
 def _stencil_points(x, h):
     """The 7-point stencil (..., 7, 3) of points x (..., 3): x + h e_j for
-    j = 0, 1, 2, then x - h e_j, then x."""
+    j = 0, 1, 2, then x - h e_j, then x.  Raises unless the step h is finite
+    and positive."""
+    _check_positive(h=h)
     x = np.asarray(x, dtype=float)
     offsets = h * np.eye(3)
     return np.concatenate(

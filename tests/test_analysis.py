@@ -290,7 +290,7 @@ def test_sphere_floor_bounds_the_sampled_minimum(field):
 def test_radial_gap_equals_min_over_every_point(N, m):
     cfg = make_shell_config(N, m)
     pn = np.linalg.norm(cfg.points, axis=1)
-    gap, radii_sorted = glued._radial_gap(cfg.points)
+    gap, radii_sorted = glued._radial_gap(pn)
     radii = np.concatenate([np.random.default_rng(5).uniform(0.0, 2.0 * cfg.R, 300), pn,
                             np.nextafter(pn, 0.0), np.nextafter(pn, np.inf)])
     want = np.array([np.min(np.abs(r - pn)) for r in radii])
@@ -325,7 +325,7 @@ def test_sphere_bounds_are_no_looser_than_the_coulomb_bounds(N, m):
     cfg = make_shell_config(N, m)
     radii = np.linspace(4.0 * cfg.R / 2000, 4.0 * cfg.R, 2000)
     floor, ceiling = analysis._sphere_bounds(cfg)(radii)
-    gap, pn = glued._radial_gap(cfg.points)
+    gap, pn = glued._radial_gap(np.linalg.norm(cfg.points, axis=1))
     delta = gap(radii)
     lo, hi = 1.0 - analysis._FLOOR_SLACK, 1.0 + analysis._FLOOR_SLACK
     with np.errstate(divide="ignore"):

@@ -755,8 +755,7 @@ def test_residual_report_keys(cfg25, monkeypatch):
     monkeypatch.setattr(glued, "_ball_residual", lambda *args: calls.append(args) or original(*args))
     monkeypatch.setattr(glued, "higgs_norm", None)
     rep = glued.residual_report(cfg25, n_radial=4, n_angular=32)
-    shells_per_block = glued._ROW_BUDGET // (4 * 32 + 8 * 64)
-    assert len(calls) == 2 * math.ceil(cfg25.N / shells_per_block)
+    assert len(calls) == 2 * math.ceil(cfg25.N / _shells_per_block(cfg25, 4, 32, 8, 64))
     monkeypatch.undo()
 
     assert set(rep) >= {"max_gT", "max_gL", "max_inner_sigma_g", "gstar", "per_annulus"}
@@ -809,22 +808,41 @@ def test_weighted_norm_matches_higgs_norm_sweep(N):
     assert np.array_equal(glued.annulus_maxima(cfg, 4, 32), maxima)
 
 
+def _shells_per_block(cfg, n_radial, n_angular, quad_radial, quad_angular):
+    """Shells per block of the residual sweep: its blocks hold about
+    `_BLOCK_ELEMENTS // 18` band rows, the rows of a shell's two grids whose
+    radius lies in the closed band [5L/32, 3L/16]."""
+    L = cfg.L
+    nodes = np.polynomial.legendre.leggauss(quad_radial)[0]
+    band_rows = sum(
+        n * np.count_nonzero((radii >= 5 * L / 32) & (radii <= 3 * L / 16))
+        for radii, n in [(np.linspace(L / 8, L / 4, n_radial), n_angular),
+                         (L * (3 + nodes) / 16, quad_angular)]
+    )
+    return max(1, shell._BLOCK_ELEMENTS // (18 * band_rows))
+
+
 @pytest.mark.parametrize(
     "N, res, budget",
     [
         (25, (4, 32, 4, 16), None),
         (64, (4, 32, 4, 16), None),
         (256, (4, 32, 4, 16), None),
-        # blocks of 21 shells: the last block ends mid-configuration
+        # blocks of 11 shells: the last block ends mid-configuration
         (64, (8, 128, 8, 64), None),
         # one shell per block
         (25, (4, 32, 4, 16), 1),
+        # grid radii on both band edges, L/8 + 2L/64 and + 4L/64, and the
+        # middle Gauss-Legendre node at 3L/16
+        (64, (9, 32, 9, 16), None),
+        # (N, m) with R/L = 1.2e5: the rounding of p + o is largest against the band
+        ((1600, 256.0), (4, 32, 4, 16), None),
     ],
 )
 def test_residual_sweep_equals_per_shell_sweep(N, res, budget, monkeypatch):
     if budget is not None:
-        monkeypatch.setattr(glued, "_ROW_BUDGET", budget)
-    cfg = make_shell_config(N, 16.0)
+        monkeypatch.setattr(shell, "_BLOCK_ELEMENTS", budget)
+    cfg = make_shell_config(*(N if isinstance(N, tuple) else (N, 16.0)))
     maxima, sup_term, int_term = glued._residual_sweep(cfg, res[0], res[1], res[2:])
     want = per_shell_residual_sweep(cfg, *res)
     assert np.array_equal(maxima, want[0])
@@ -832,10 +850,37 @@ def test_residual_sweep_equals_per_shell_sweep(N, res, budget, monkeypatch):
     assert int_term == want[2]
 
 
-def test_residual_sweep_blocks_split_configurations():
-    # the mid-configuration case above really ends a block inside the shell list
-    shells_per_block = glued._ROW_BUDGET // (8 * 128 + 8 * 64)
+def test_residual_sweep_blocks_split_configurations(monkeypatch):
+    # the mid-configuration case above really ends a block inside the shell
+    # list, with one _ball_residual call per block and grid
+    cfg = make_shell_config(64, 16.0)
+    shells_per_block = _shells_per_block(cfg, 8, 128, 8, 64)
     assert 64 % shells_per_block != 0 and shells_per_block < 64
+    owners = []
+    original = glued._ball_residual
+    monkeypatch.setattr(glued, "_ball_residual", lambda X, owner, c: owners.append(owner) or original(X, owner, c))
+    glued._residual_sweep(cfg, 8, 128, (8, 64))
+    assert len(owners) == 2 * math.ceil(64 / shells_per_block)
+    first = np.arange(shells_per_block)
+    assert all(np.array_equal(np.unique(o), first) for o in owners[:2])
+
+
+@pytest.mark.parametrize("N, m, res", [(64, 16.0, (9, 32)), (256, 16.0, (8, 128)),
+                                       (1600, 256.0, (9, 16))])
+def test_band_rows_hold_every_live_sample(N, m, res):
+    # the rows the sweep forms are those whose grid radius lies in the closed
+    # band, edges included (n_radial = 9 has radii on both), and the rows it
+    # never forms are dead at every shell point
+    cfg = make_shell_config(N, m)
+    offsets = glued._annulus_offsets(cfg, *res)
+    band = glued._band_rows(cfg, offsets)
+    radii = np.repeat(np.linspace(cfg.L / 8, cfg.L / 4, res[0]), res[1])
+    closed = np.flatnonzero((radii >= 5 * cfg.L / 32) & (radii <= 3 * cfg.L / 16))
+    assert np.array_equal(band, closed)
+    assert len(band) < len(offsets) / 2
+    for p_idx in range(0, N, max(1, N // 64)):
+        live = glued._ball_residual(cfg.points[p_idx] + offsets, p_idx, cfg)[0]
+        assert np.all(np.isin(np.flatnonzero(live), band))
 
 
 def test_residual_report_memory_is_bounded():
@@ -846,5 +891,5 @@ def test_residual_report_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # blocks of at most _ROW_BUDGET sample rows, whatever N is
-    assert peak <= 12e6
+    # blocks of about _BLOCK_ELEMENTS // 18 band rows, whatever N is
+    assert peak <= 4e6

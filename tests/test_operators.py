@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magbag.analysis import laplacian_identity
 from magbag.glued import ball_evaluator
 from magbag.monopole import ScaledMonopole, ps_evaluator
 from magbag.operators import (
@@ -472,6 +473,16 @@ def test_adjointness_gap_rejects_bad_box(box):
 def test_bump_pair_rejects_bad_width(width):
     with pytest.raises(InvalidParameterError, match="width"):
         bump_pair([0, 0, 0], width, 1)
+
+
+@pytest.mark.parametrize("h", [0.0, math.nan, math.inf, -1e-4, True])
+def test_fd_steps_must_be_finite_and_positive(h):
+    # a zero, non-finite or negative step gave NaN tables, and True read as 1.0
+    x = np.array([[0.3, -0.2, 0.5]])
+    with pytest.raises(InvalidParameterError, match="h must be finite and positive"):
+        fd_curvature(ps_evaluator(ORIGIN), x, h=h)
+    with pytest.raises(InvalidParameterError, match="h must be finite and positive"):
+        laplacian_identity(x[0], ps_evaluator(ORIGIN), h=h)
 
 
 def test_adjointness_gap_memory_is_bounded():

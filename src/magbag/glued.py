@@ -294,10 +294,11 @@ def sphere_sweep(dirs, points, pn, reduce):
     at p; a source at the origin enters only through |p| = 0.  G is the
     only (B, N) array kept.  Each radius takes it in blocks of
     `_BLOCK_ELEMENTS // N` rows, run by `shell._map_blocks`: out[rows] =
-    reduce(r, d2), with d2 = |r u - p|^2 on those rows in the block buffer
-    of the part that runs the block.  The parts' buffers are allocated once
-    here, not once per radius.  reduce may overwrite d2 and must write
-    nothing else that another block reads.
+    reduce(r)(d2), with d2 = |r u - p|^2 on those rows in the block buffer
+    of the part that runs the block.  reduce(r) is called once per radius,
+    before any block.  The parts' buffers are allocated once here, not once
+    per radius.  The block function may overwrite d2 and must write nothing
+    else that another block reads.
     """
     phat = points / np.where(pn > 0.0, pn, 1.0)[:, None]
     G = np.empty((len(dirs), len(phat)))
@@ -312,11 +313,12 @@ def sphere_sweep(dirs, points, pn, reduce):
     def sweep(r):
         out = np.empty(len(G))
         scale, shift = r * pn, (r - pn) ** 2
+        fn = reduce(r)
 
         def block(rows, buf):
             d2 = np.multiply(scale, G[rows], out=buf[: rows.stop - rows.start])
             d2 += shift
-            out[rows] = reduce(r, d2)
+            out[rows] = fn(d2)
 
         _map_blocks(blocks, block, buffers)
         return out
@@ -350,7 +352,7 @@ def sphere_higgs_norm(dirs, cfg):
     A sphere whose gap delta = min_p |r - |p|| clears L has no sample in a
     ball, and each block reduces straight to |phi_theta|, with no
     nearest-point pass: exactly what `_higgs_from_distances` returns when
-    no row is near.
+    no row is near.  The gap is taken once per radius.
     """
     pn = np.linalg.norm(cfg.points, axis=1)
     gap, _ = _radial_gap(pn)
@@ -361,13 +363,15 @@ def sphere_higgs_norm(dirs, cfg):
     # L (1 + 4u)(1 - u) gives d > L (1 + 4u)(1 - u)(1 - 2u) > L on every row.
     clear = cfg.L * (1.0 + 2.0 * np.finfo(float).eps)
 
-    def reduce(r, d2):
+    def clear_sphere(d2):
         d = np.sqrt(d2, out=d2)
-        if gap(r) > clear:
-            return np.abs(1.0 - np.sum(np.reciprocal(d, out=d), axis=1))
-        return _higgs_from_distances(d, cfg)
+        return np.abs(1.0 - np.sum(np.reciprocal(d, out=d), axis=1))
 
-    return sphere_sweep(dirs, cfg.points, pn, reduce)
+    def any_sphere(d2):
+        return _higgs_from_distances(np.sqrt(d2, out=d2), cfg)
+
+    return sphere_sweep(dirs, cfg.points, pn,
+                        lambda r: clear_sphere if gap(r) > clear else any_sphere)
 
 
 # ---------------------------------------------------------------------------

@@ -690,12 +690,16 @@ def write_points_csv(cfg, fh):
     """Point table index,band,x,y,z,r_p, 17 significant digits, to text file fh.
 
     Rows are formatted from Python scalars and written 1024 at a time, so
-    the text never holds more than one chunk.
+    the text never holds more than one chunk.  z takes one value per band,
+    so each distinct z (told apart by its bits) is formatted once.
     """
     fh.write("index,band,x,y,z,r_p\n")
     x, y, z = cfg.points.T
+    z_bits, z_of = np.unique(z.view(np.int64), return_inverse=True)
+    z_text = ["%.17g" % v for v in z_bits.view(float).tolist()]
     for lo in range(0, cfg.N, 1024):
         part = slice(lo, lo + 1024)
         rows = zip(range(lo, lo + 1024), cfg.bands[part].tolist(), x[part].tolist(),
-                   y[part].tolist(), z[part].tolist(), cfg.residues[part].tolist())
-        fh.write("".join(["%d,%d,%.17g,%.17g,%.17g,%.17g\n" % row for row in rows]))
+                   y[part].tolist(), [z_text[i] for i in z_of[part].tolist()],
+                   cfg.residues[part].tolist())
+        fh.write("".join(["%d,%d,%.17g,%.17g,%s,%.17g\n" % row for row in rows]))

@@ -581,8 +581,16 @@ def _dirs_through(points, B):
 
 
 @pytest.mark.parametrize("name", ["cfg25", "cfg100"])
-def test_sphere_higgs_norm_equals_whole_table(name, request):
+def test_sphere_higgs_norm_equals_whole_table(name, request, monkeypatch):
     cfg = request.getfixturevalue(name)
+    gaps = []  # radii the clear-sphere gap is taken at
+    radial_gap = glued._radial_gap
+
+    def counted(pn):
+        gap, sorted_pn = radial_gap(pn)
+        return lambda r: gaps.append(r) or gap(r), sorted_pn
+
+    monkeypatch.setattr(glued, "_radial_gap", counted)
     edge = 1.0 + np.array([-1.0, 1.0]) * 2.0**-40
     radii = np.concatenate([
         [0.1 * cfg.R, 0.5 * cfg.R, cfg.R],
@@ -597,6 +605,9 @@ def test_sphere_higgs_norm_equals_whole_table(name, request):
             sphere, whole = glued.sphere_higgs_norm(dirs, cfg), whole_sphere_higgs_norm(dirs, cfg)
             for r in radii:
                 assert np.array_equal(sphere(r), whole(r))
+        # once per radius, however many row blocks the sphere spans
+        assert gaps == list(radii)
+        gaps.clear()
 
 
 def _raises_in_a_later_block(f, cfg):

@@ -345,9 +345,22 @@ def _run_fresh(code):
 
 
 def test_import_starts_no_thread():
-    _run_fresh("import sys, threading; import magbag; "
-               "assert 'concurrent.futures' not in sys.modules, 'imported the pool'; "
-               "assert threading.active_count() == 1")
+    _run_fresh("import importlib, pkgutil, sys, threading; import magbag\n"
+               "names = {m.name for m in pkgutil.iter_modules(magbag.__path__)}\n"
+               "assert {'analysis', 'cli', 'glued', 'shell', 'suites'} <= names, names\n"
+               "for name in names: importlib.import_module('magbag.' + name)\n"
+               "assert 'concurrent.futures' not in sys.modules, 'imported the pool'\n"
+               "assert threading.active_count() == 1\n")
+
+
+def test_package_and_cli_imports_load_no_other_module():
+    # the command line imports a subcommand's modules when it runs
+    _run_fresh("import sys\n"
+               "def loaded(): return sorted(m for m in sys.modules if m.startswith('magbag.'))\n"
+               "import magbag\n"
+               "assert loaded() == [], loaded()\n"
+               "import magbag.cli\n"
+               "assert loaded() == ['magbag.cli'], loaded()\n")
 
 
 def test_serial_kernels_start_no_thread():

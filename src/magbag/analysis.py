@@ -60,8 +60,9 @@ def _sphere_fn(field, dirs):
     """
     if isinstance(field, ScaledMonopole):
         center = field.center[None]
-        return glued.sphere_sweep(dirs, center, np.linalg.norm(center, axis=1),
-                                  lambda r: lambda d2: ps_higgs_norm(np.sqrt(d2[:, 0]), field.scale))
+        return glued.sphere_sweep(
+            dirs, center, np.linalg.norm(center, axis=1),
+            lambda r: lambda d2: ps_higgs_norm(np.sqrt(d2[:, 0]), field.scale))
     return glued.sphere_higgs_norm(dirs, field)
 
 

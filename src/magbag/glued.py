@@ -313,12 +313,12 @@ def sphere_sweep(dirs, points, pn, reduce):
     def sweep(r):
         out = np.empty(len(G))
         scale, shift = r * pn, (r - pn) ** 2
-        fn = reduce(r)
+        reduce_rows = reduce(r)
 
         def block(rows, buf):
             d2 = np.multiply(scale, G[rows], out=buf[: rows.stop - rows.start])
             d2 += shift
-            out[rows] = fn(d2)
+            out[rows] = reduce_rows(d2)
 
         _map_blocks(blocks, block, buffers)
         return out

@@ -690,13 +690,17 @@ def write_points_csv(cfg, fh):
     """Point table index,band,x,y,z,r_p, 17 significant digits, to text file fh.
 
     Rows are formatted from Python scalars and written 1024 at a time, so
-    the text never holds more than one chunk.  z takes one value per band,
-    so each distinct z (told apart by its bits) is formatted once.
+    the text never holds more than one chunk.  z is one value per band, and
+    a band's rows are consecutive: z is formatted once per run of rows with
+    the same bits.
     """
     fh.write("index,band,x,y,z,r_p\n")
     x, y, z = cfg.points.T
-    z_bits, z_of = np.unique(z.view(np.int64), return_inverse=True)
-    z_text = ["%.17g" % v for v in z_bits.view(float).tolist()]
+    bits = z.view(np.int64)
+    starts = np.ones(cfg.N, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    z_text = ["%.17g" % v for v in z[starts].tolist()]
+    z_of = np.cumsum(starts) - 1
     for lo in range(0, cfg.N, 1024):
         part = slice(lo, lo + 1024)
         rows = zip(range(lo, lo + 1024), cfg.bands[part].tolist(), x[part].tolist(),

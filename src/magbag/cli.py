@@ -1,12 +1,11 @@
 """Command-line front end.
 
-Each subcommand takes only the options it reads, as flags or as the keys of
-a flat JSON object given with `--config` (flags override the file):
+Flags are the only input, and each subcommand takes only the flags it reads:
 
-- `place` writes the shell point table: n, m, out;
-- `profile` writes a radial |Phi| profile: n, m, quad, r-min, r-max, steps,
-  out (config keys r_min, r_max);
-- `verify` runs a named check suite and emits a JSON report: suite, out.
+- `place` writes the shell point table: --n, --m, --out;
+- `profile` writes a radial |Phi| profile: --n, --m, --quad, --r-min,
+  --r-max, --steps, --out;
+- `verify` runs a named check suite and emits a JSON report: --suite, --out.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 invalid
 invocation.
@@ -17,13 +16,12 @@ import contextlib
 import functools
 import json
 import math
-import numbers
+import os
 import sys
 
 import numpy as np
 
-# name -> (type, default, help).  argparse types the flags; a --config value
-# must already have the type (out may also be null).
+# name -> (type, default, help)
 OPTIONS = {
     "n": (int, 100, "topological charge"),
     "m": (float, 16.0, "shell thickness parameter"),
@@ -34,9 +32,6 @@ OPTIONS = {
     "suite": (str, "all", "suite name or 'all'"),
     "out": (str, None, "output path (default stdout)"),
 }
-
-_FILE_TYPES = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number"),
-               str: (str, "a string")}
 
 # subcommand -> (help, the options it reads)
 COMMANDS = {
@@ -57,37 +52,13 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (docs, names) in COMMANDS.items():
-        # A flag not spelled out in full, or not read by the subcommand, is an
-        # error.  A flag not given sets no attribute, so the file shows through.
-        p = sub.add_parser(command, help=docs, allow_abbrev=False,
-                           argument_default=argparse.SUPPRESS)
+        # A flag not spelled out in full, or not read by the subcommand, is an error.
+        p = sub.add_parser(command, help=docs, allow_abbrev=False)
         for name in names:
-            kind, _, text = OPTIONS[name]
-            p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, help=text)
-        p.add_argument("--config", help="JSON object keyed by this subcommand's options")
+            kind, default, text = OPTIONS[name]
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind,
+                           default=default, help=text)
     return parser
-
-
-def _merge_config(args):
-    """Defaults, then the --config file, then the flags given."""
-    names = COMMANDS[args.command][1]
-    cfg = {name: OPTIONS[name][1] for name in names}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            data = json.load(fh)
-        _require(isinstance(data, dict), "the config file must hold a JSON object")
-        unknown = sorted(set(data) - set(names))
-        _require(not unknown, f"unknown config keys for {args.command}: {unknown}")
-        for key, val in data.items():
-            kind, default, _ = OPTIONS[key]
-            base, noun = _FILE_TYPES[kind]
-            if default is None:  # out: a path or null
-                base, noun = (base, type(None)), noun + " or null"
-            ok = isinstance(val, base) and not isinstance(val, bool)
-            _require(ok, f"{key} must be {noun}, got {val!r}")
-        cfg.update(data)
-    cfg.update((name, getattr(args, name)) for name in names if hasattr(args, name))
-    return argparse.Namespace(**cfg)
 
 
 def _require(ok, message):
@@ -162,7 +133,11 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     handler = {"place": cmd_place, "profile": cmd_profile, "verify": cmd_verify}[args.command]
     try:
-        return handler(_merge_config(args))
+        # Checked before computing; the file itself is opened only afterwards,
+        # so a failed run leaves an existing file as it was.
+        _require(not args.out or os.path.isdir(os.path.dirname(args.out) or "."),
+                 f"--out {args.out}: its directory does not exist")
+        return handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-SETTABLE_VALUES = 57
+SETTABLE_VALUES = 56
 
 
 def _settable_values(tree):

@@ -137,6 +137,7 @@ def main(argv=None):
         # so a failed run leaves an existing file as it was.
         _require(not args.out or os.path.isdir(os.path.dirname(args.out) or "."),
                  f"--out {args.out}: its directory does not exist")
+        _require(not args.out or not os.path.isdir(args.out), f"--out {args.out}: is a directory")
         return handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -125,13 +125,14 @@ def test_out_directory_checked_before_computing(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr("magbag.suites.run_suite", never)
     monkeypatch.setattr("magbag.shell.make_shell_config", never)
-    out = str(tmp_path / "missing" / "dir" / "r.json")
-    for argv in (["verify", "--suite", "all"], ["place"], ["profile", "--n", "100"]):
-        assert run_cli([*argv, "--out", out]) == 2
-        captured = capsys.readouterr()
-        assert "--out" in captured.err and "does not exist" in captured.err
-        assert captured.out == ""
-    assert not (tmp_path / "missing").exists()
+    missing = str(tmp_path / "missing" / "dir" / "r.json")
+    for out, message in ((missing, "its directory does not exist"), (str(tmp_path), "is a directory")):
+        for argv in (["verify", "--suite", "all"], ["place"], ["profile", "--n", "100"]):
+            assert run_cli([*argv, "--out", out]) == 2
+            captured = capsys.readouterr()
+            assert f"--out {out}: {message}" in captured.err
+            assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_run_keeps_existing_out(tmp_path):

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import math
@@ -660,6 +661,50 @@ def test_block_parallel_evaluators_equal_the_serial_ones(workers, cfg100, monkey
     finally:
         sys.setswitchinterval(interval)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_evaluators_leave_the_callers_buffer_and_error_state(workers, cfg100, monkeypatch):
+    # the tables run under `shell._short_rows`; the caller's non-default
+    # buffer size and error state hold again after each call, in the caller
+    # and in the pool threads, and the values keep their bits
+    X = 2.0 * cfg100.R * fibonacci_sphere(100)
+    dirs = fibonacci_sphere(100)
+    radii = [0.5 * cfg100.R, cfg100.R + 2.0 * cfg100.L]
+
+    def evaluate():
+        sphere = glued.sphere_higgs_norm(dirs, cfg100)
+        return [phi_theta(X, cfg100), higgs_norm(X, cfg100), grad_phi_theta(X, cfg100),
+                *(sphere(r) for r in radii)]
+
+    want = evaluate()
+    monkeypatch.setattr(shell, "_BLOCK_ELEMENTS", 13 * 100)
+    monkeypatch.setattr(shell, "_WORKERS", workers)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        np.setbufsize(4096)
+        state = np.geterr()
+        got = evaluate()
+        assert np.getbufsize() == 4096 and np.geterr() == state
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    if workers > 1:
+        pool = shell._pool.submit(lambda: (np.getbufsize(), np.geterr())).result()
+        assert pool == (8192, np.geterr())
+
+
+@pytest.mark.parametrize("N", [100, 1600])
+def test_grad_phi_theta_same_bits_under_either_buffer(N, monkeypatch):
+    # its row sums run under `shell._short_rows` too, on rows longer than
+    # the small buffer at N = 1600
+    cfg = make_shell_config(N, 16.0)
+    rng = np.random.default_rng(N)
+    X = cfg.points[rng.integers(0, N, 300)] + rng.normal(size=(300, 3)) * cfg.L
+    want = grad_phi_theta(X, cfg)
+    monkeypatch.setattr(glued, "_short_rows", contextlib.nullcontext)
+    monkeypatch.setattr(shell, "_short_rows", contextlib.nullcontext)
+    with np.errstate():
+        np.setbufsize(8192)
+        got = grad_phi_theta(X, cfg)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_glued_takes_the_sphere_lattice_from_shell():

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import io
 import math
 import os
@@ -206,6 +207,33 @@ def test_squared_distances_into_buffers_equal_allocating_call():
     want = shell._squared_distances(pts[30:], pts)
     got = shell._squared_distances(pts[30:], pts, out=buf[:7], work=work[:7])
     assert np.shares_memory(got, buf) and np.array_equal(got, want)
+
+
+def test_short_rows_scopes_the_buffer_and_keeps_the_error_state():
+    with np.errstate(divide="raise", over="ignore"):
+        np.setbufsize(1024)
+        state = np.geterr()
+        with shell._short_rows():
+            assert np.getbufsize() == 256
+            assert np.geterr() == state
+        assert np.getbufsize() == 1024 and np.geterr() == state
+        with pytest.raises(ZeroDivisionError), shell._short_rows():
+            1 / 0
+        assert np.getbufsize() == 1024 and np.geterr() == state
+
+
+@pytest.mark.parametrize("c", [1, 31, 100, 256, 1600])
+def test_squared_distances_same_bits_under_either_buffer(c, monkeypatch):
+    # rows shorter than the default buffer are buffered there, not under `_short_rows`
+    rng = np.random.default_rng(c)
+    x = rng.normal(size=(70, 3)) * 10.0 ** rng.integers(-3, 4, size=(70, 1))
+    pts = rng.normal(size=(c, 3)) * 100.0
+    want = [shell._squared_distances(x, p) for p in (pts, np.asfortranarray(pts))]
+    monkeypatch.setattr(shell, "_short_rows", contextlib.nullcontext)
+    with np.errstate():
+        np.setbufsize(8192)
+        got = [shell._squared_distances(x, p) for p in (pts, np.asfortranarray(pts))]
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
 
 def _modules_naming(name):

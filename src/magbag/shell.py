@@ -227,12 +227,13 @@ def _short_rows():
     of its default 8192-element buffer, and then fills a (k, c) table at
     about 1 ns per entry for any c up to about 2730.  Under this buffer an
     outer subtraction into (k, c) blocks of 64k entries takes about 0.5 ns
-    per entry at c = 99, 0.3 at 255 and 0.2 at 1600 (2-core x86 host).
-    Every element is rounded as before.  The size lives in numpy's
-    error-state context variable, so `np.errstate` restores the caller's
-    setting on exit, in whichever thread or context runs this.  Row
-    reductions stay outside: at (256, 256) they run 20-30 % slower under
-    the small buffer.
+    per entry at c = 99, 0.3 at 255 and 0.2 at 1600 (2-core x86 host);
+    rows shorter than about 86 entries stay buffered.  Every element is
+    rounded as before.  The size lives in numpy's error-state context
+    variable, so `np.errstate` restores the caller's setting on exit, in
+    whichever thread or context runs this.  Row reductions mostly stay
+    outside: a (256, 256) row sum or minimum runs 10-15 % slower under the
+    small buffer.
     """
     with np.errstate():
         np.setbufsize(256)

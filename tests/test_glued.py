@@ -687,8 +687,8 @@ def test_evaluators_leave_the_callers_buffer_and_error_state(workers, cfg100, mo
         assert np.getbufsize() == 4096 and np.geterr() == state
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     if workers > 1:
-        pool = shell._pool.submit(lambda: (np.getbufsize(), np.geterr())).result()
-        assert pool == (8192, np.geterr())
+        state = (np.getbufsize(), np.geterr())
+        assert shell._pool.submit(lambda: (np.getbufsize(), np.geterr())).result() == state
 
 
 @pytest.mark.parametrize("N", [100, 1600])

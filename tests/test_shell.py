@@ -224,7 +224,8 @@ def test_short_rows_scopes_the_buffer_and_keeps_the_error_state():
 
 @pytest.mark.parametrize("c", [1, 31, 100, 256, 1600])
 def test_squared_distances_same_bits_under_either_buffer(c, monkeypatch):
-    # rows shorter than the default buffer are buffered there, not under `_short_rows`
+    # numpy buffers rows shorter than a third of its buffer; the bits must
+    # not depend on the buffer size
     rng = np.random.default_rng(c)
     x = rng.normal(size=(70, 3)) * 10.0 ** rng.integers(-3, 4, size=(70, 1))
     pts = rng.normal(size=(c, 3)) * 100.0

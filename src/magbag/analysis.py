@@ -52,20 +52,6 @@ class SphereQuadrature:
         return 4.0 * np.pi / self.M
 
 
-def _sphere_fn(field, dirs):
-    """The function r -> |Phi|(r * dirs) over unit directions dirs (B, 3).
-
-    Accepts a ShellConfig (glued pair) or a ScaledMonopole (exact core);
-    either is a `glued.sphere_sweep` over one direction table built here.
-    """
-    if isinstance(field, ScaledMonopole):
-        center = field.center[None]
-        return glued.sphere_sweep(
-            dirs, center, np.linalg.norm(center, axis=1),
-            lambda r: lambda d2: ps_higgs_norm(np.sqrt(d2[:, 0]), field.scale))
-    return glued.sphere_higgs_norm(dirs, field)
-
-
 def sphere_stats(r, field, quad):
     """(min, mean, max) of |Phi| over the radius-r sphere: the one row of
     `radial_profile([r])`."""
@@ -73,16 +59,18 @@ def sphere_stats(r, field, quad):
 
 
 def radial_profile(radii, field, quad):
-    """Rows of (radius, min, mean, max); radii must be finite, positive and
-    increase strictly."""
+    """Rows of (radius, min, mean, max); radii must be a 1-D sequence of
+    finite, positive, strictly increasing values."""
     radii = np.asarray(radii, dtype=float)
+    if radii.ndim != 1:
+        raise InvalidParameterError("radii must be a 1-D sequence")
     if not np.all(np.isfinite(radii)):
         raise InvalidParameterError("radii must be finite")
     if np.any(radii <= 0):
         raise InvalidParameterError("radii must be positive")
     if np.any(np.diff(radii) <= 0):
         raise InvalidParameterError("radii must be strictly increasing")
-    sphere = _sphere_fn(field, quad.points)
+    sphere = glued.sphere_higgs_norm(quad.points, field)
     rows = []
     for r in radii:
         vals = sphere(r)
@@ -226,7 +214,7 @@ def critical_radii(eps, field, quad, r_max=None, n_scan=400):
     if not (isinstance(n_scan, (int, np.integer)) and n_scan >= 2):
         raise InvalidParameterError("n_scan must be an integer >= 2")
     resolution = 1e-3 * max(1.0, r_max / 40.0)
-    sphere = _sphere_fn(field, quad.points)
+    sphere = glued.sphere_higgs_norm(quad.points, field)
     grid = np.linspace(r_max / n_scan, r_max, n_scan)
     stats = {}  # grid index -> (min, mean, max), each sphere evaluated once
 
@@ -285,6 +273,8 @@ def flux_charge(r, cfg, quad):
     Uses the exterior identity <sigma_hat, F> = *d(phi_theta); exact value
     is the point count by the divergence theorem.
     """
+    if np.ndim(r) != 0:
+        raise InvalidParameterError(f"flux sphere radius must be a scalar, got {r!r}")
     if not cfg.R + cfg.L < r < np.inf:
         raise InvalidParameterError("flux sphere must be finite and enclose the shell")
     dirs = quad.points
@@ -424,11 +414,11 @@ def theorem_report(cfg):
     still dips below half the floor of |Phi| sampled at R + L x {1, 1.5, 2,
     3, 5}.  The four origin spheres share one 4096-direction evaluator.
     """
-    sphere = _sphere_fn(cfg, fibonacci_sphere(4096))
+    sphere = glued.sphere_higgs_norm(fibonacci_sphere(4096), cfg)
     interior = max(float(sphere(frac * cfg.R).max()) for frac in (0.1, 0.25, 0.5))
     spread = float(np.max(np.abs(np.linalg.norm(cfg.points, axis=1) - cfg.R)))
 
-    sphere_512 = _sphere_fn(cfg, fibonacci_sphere(512))
+    sphere_512 = glued.sphere_higgs_norm(fibonacci_sphere(512), cfg)
     radii = cfg.R + cfg.L * np.array([1.0, 1.5, 2.0, 3.0, 5.0])
     floor = min(float(np.min(sphere_512(r))) for r in radii)
     R_eps, _, _ = critical_radii(
@@ -449,18 +439,23 @@ def higgs_floor(cfg):
     1.2, 1.5, 2} around each point, plus the origin spheres of radius
     R / 2, R + 2L and 2R; each radius factor is one `glued._point_rows`
     pass over N x 256 points, and the origin spheres share one evaluator.
+
+    A row counts where its nearest shell point is at least L (1 - 1e-12)
+    away, and there |Phi| is |phi_theta| = |1 - sum_p 1/|x - p|| to the
+    bit: at d >= L by definition, and below L the cutoff chi(8 d / L - 1)
+    is 0, so the ball-chart blend is phi_theta alone.
     """
     dirs = fibonacci_sphere(256)
 
     def reduce(d):
         clear = np.min(d, axis=1) >= cfg.L * (1 - 1e-12)
-        return np.where(clear, glued._higgs_from_distances(d, cfg), np.inf)
+        return np.where(clear, np.abs(1.0 - np.sum(np.reciprocal(d, out=d), axis=1)), np.inf)
 
     floor = np.inf
     for fac in (1.0, 1.05, 1.2, 1.5, 2.0):
         x = cfg.points[:, None, :] + fac * cfg.L * dirs
         floor = min(floor, float(glued._point_rows(x, cfg, reduce).min()))
-    sphere = _sphere_fn(cfg, fibonacci_sphere(1024))
+    sphere = glued.sphere_higgs_norm(fibonacci_sphere(1024), cfg)
     for rad in (0.5 * cfg.R, cfg.R + 2 * cfg.L, 2 * cfg.R):
         floor = min(floor, float(sphere(rad).min()))
     return floor

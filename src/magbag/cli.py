@@ -33,15 +33,6 @@ OPTIONS = {
     "out": (str, None, "output path (default stdout)"),
 }
 
-# subcommand -> (help, the options it reads)
-COMMANDS = {
-    "place": ("write the shell point table as CSV", ("n", "m", "out")),
-    "profile": ("write a radial |Phi| profile as CSV",
-                ("n", "m", "quad", "r_min", "r_max", "steps", "out")),
-    "verify": ("run a verification suite, emit a JSON report", ("suite", "out")),
-}
-
-
 @functools.cache
 def _build_parser():
     """The parser, built once per process: parsing leaves it unchanged, and
@@ -51,7 +42,7 @@ def _build_parser():
         description="Shell monopole configurations and verification suites",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (docs, names) in COMMANDS.items():
+    for command, (docs, names, _) in COMMANDS.items():
         # A flag not spelled out in full, or not read by the subcommand, is an error.
         p = sub.add_parser(command, help=docs, allow_abbrev=False)
         for name in names:
@@ -125,13 +116,22 @@ def cmd_verify(cfg):
     return 0 if all(r["pass"] for r in results) else 1
 
 
+# subcommand -> (help, the options it reads, handler)
+COMMANDS = {
+    "place": ("write the shell point table as CSV", ("n", "m", "out"), cmd_place),
+    "profile": ("write a radial |Phi| profile as CSV",
+                ("n", "m", "quad", "r_min", "r_max", "steps", "out"), cmd_profile),
+    "verify": ("run a verification suite, emit a JSON report", ("suite", "out"), cmd_verify),
+}
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    handler = {"place": cmd_place, "profile": cmd_profile, "verify": cmd_verify}[args.command]
+    handler = COMMANDS[args.command][2]
     try:
         # Checked before computing; the file itself is opened only afterwards,
         # so a failed run leaves an existing file as it was.

@@ -26,6 +26,7 @@ import math
 import numpy as np
 
 from .monopole import (
+    ScaledMonopole,
     SingularEvaluationError,
     _hedgehog_form,
     inv_minus_csch,
@@ -34,7 +35,6 @@ from .monopole import (
 from .shell import (
     _check_count,
     _map_blocks,
-    _part_buffers,
     _row_blocks,
     _short_rows,
     _table_map,
@@ -285,9 +285,9 @@ def higgs_norm(x, cfg):
 # For a source p and radius r, |r u - p|^2 = (r - |p|)^2 + r |p| G with
 # G = |u - p/|p||^2.  G depends only on the directions and the sources, so
 # one (B, N) table serves every radius, and every sphere function is a
-# `sphere_sweep` over it.
+# `_sphere_sweep` over it.
 
-def sphere_sweep(dirs, points, pn, reduce):
+def _sphere_sweep(dirs, points, pn, reduce):
     """The function r -> out (B,) on the spheres r u, u = dirs (B, 3), about
     the sources `points` (N, 3) of norms pn = np.linalg.norm(points, axis=1).
 
@@ -297,10 +297,9 @@ def sphere_sweep(dirs, points, pn, reduce):
     only (B, N) array kept.  Each radius takes it in blocks of
     `_BLOCK_ELEMENTS // N` rows, run by `shell._map_blocks`: out[rows] =
     reduce(r)(d2), with d2 = |r u - p|^2 on those rows in the block buffer
-    of the part that runs the block.  reduce(r) is called once per radius,
-    before any block.  The parts' buffers are allocated once here, not once
-    per radius.  The block function may overwrite d2 and must write nothing
-    else that another block reads.
+    `_map_blocks` gives the part that runs the block.  reduce(r) is called
+    once per radius, before any block.  The block function may overwrite
+    d2 and must write nothing else that another block reads.
     """
     phat = points / np.where(pn > 0.0, pn, 1.0)[:, None]
     G = np.empty((len(dirs), len(phat)))
@@ -310,7 +309,6 @@ def sphere_sweep(dirs, points, pn, reduce):
 
     _table_map(dirs, phat, fill)
     size, blocks = _row_blocks(*G.shape)
-    buffers = _part_buffers(len(blocks), (size, len(pn)))
 
     def sweep(r):
         out = np.empty(len(G))
@@ -322,7 +320,7 @@ def sphere_sweep(dirs, points, pn, reduce):
             d2 += shift
             out[rows] = reduce_rows(d2)
 
-        _map_blocks(blocks, block, buffers)
+        _map_blocks(blocks, block, (size, len(pn)))
         return out
 
     return sweep
@@ -330,7 +328,7 @@ def sphere_sweep(dirs, points, pn, reduce):
 
 def _radial_gap(pn):
     """(r -> min_p |r - |p||, the radii |p| in ascending order) from the
-    norms pn of the points, as `sphere_sweep` takes them; the function
+    norms pn of the points, as `_sphere_sweep` takes them; the function
     takes radii of any shape.
 
     The rounded |r - |p|| is monotone in |p| on either side of r, so the
@@ -347,33 +345,40 @@ def _radial_gap(pn):
     return gap, pn
 
 
-def sphere_higgs_norm(dirs, cfg):
-    """The function r -> higgs_norm(r * dirs, cfg) for unit directions (B, 3):
-    a `sphere_sweep` reducing each block by `_higgs_from_distances`.
+def sphere_higgs_norm(dirs, field):
+    """The function r -> |Phi|(r * dirs) for unit directions dirs (B, 3), a
+    `_sphere_sweep` of a ShellConfig (`higgs_norm`, each block reduced by
+    `_higgs_from_distances`) or of the exact core, a ScaledMonopole
+    (`ps_higgs_norm` of the distance to its centre).
 
-    A sphere whose gap delta = min_p |r - |p|| clears L has no sample in a
-    ball, and each block reduces straight to |phi_theta|, with no
-    nearest-point pass: exactly what `_higgs_from_distances` returns when
-    no row is near.  The gap is taken once per radius.
+    A sphere of the glued pair whose gap delta = min_p |r - |p|| clears L
+    has no sample in a ball, and each block reduces straight to
+    |phi_theta|, with no nearest-point pass: exactly what
+    `_higgs_from_distances` returns when no row is near.  The gap is taken
+    once per radius.
     """
-    pn = np.linalg.norm(cfg.points, axis=1)
+    if isinstance(field, ScaledMonopole):
+        center = field.center[None]
+        return _sphere_sweep(dirs, center, np.linalg.norm(center, axis=1),
+                             lambda r: lambda d2: ps_higgs_norm(np.sqrt(d2[:, 0]), field.scale))
+    pn = np.linalg.norm(field.points, axis=1)
     gap, _ = _radial_gap(pn)
     # The sweep rounds d^2 = fl(fl(r |p|) G) + fl(t^2), t = fl(r - |p|) with
     # |t| >= delta.  Both terms are >= 0 and rounding is monotone, so d^2 >=
     # fl(t^2) >= t^2 (1 - u), and d = fl(sqrt(d^2)) >= |t| (1 - u)^(3/2)
     # > delta (1 - 2u), u = eps / 2.  Hence delta > fl(L (1 + 2 eps)) >=
     # L (1 + 4u)(1 - u) gives d > L (1 + 4u)(1 - u)(1 - 2u) > L on every row.
-    clear = cfg.L * (1.0 + 2.0 * np.finfo(float).eps)
+    clear = field.L * (1.0 + 2.0 * np.finfo(float).eps)
 
     def clear_sphere(d2):
         d = np.sqrt(d2, out=d2)
         return np.abs(1.0 - np.sum(np.reciprocal(d, out=d), axis=1))
 
     def any_sphere(d2):
-        return _higgs_from_distances(np.sqrt(d2, out=d2), cfg)
+        return _higgs_from_distances(np.sqrt(d2, out=d2), field)
 
-    return sphere_sweep(dirs, cfg.points, pn,
-                        lambda r: clear_sphere if gap(r) > clear else any_sphere)
+    return _sphere_sweep(dirs, field.points, pn,
+                         lambda r: clear_sphere if gap(r) > clear else any_sphere)
 
 
 # ---------------------------------------------------------------------------

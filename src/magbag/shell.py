@@ -168,21 +168,16 @@ def _row_blocks(n_rows, row_entries):
     return min(step, n_rows), [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
-def _part_buffers(n_blocks, shape):
-    """An uninitialised float array (W, *shape), W = min(`_WORKERS`,
-    n_blocks) but at least 1: row i is part i's block buffers in
-    `_map_blocks`.  It is allocated here, in the calling thread: allocated
-    in the pool threads, the buffers came from per-thread malloc arenas,
-    which held on to them and raised the peak RSS of the benchmark's
-    `exterior` workload by another 1.1 MB (66.4-66.7 against 65.3-65.9
-    MB)."""
-    return np.empty((max(1, min(_WORKERS, n_blocks)), *shape))
+def _map_blocks(blocks, fn, shape):
+    """[fn(rows, buf) for rows in blocks], in block order, over W =
+    min(`_WORKERS`, len(blocks)) parts but at least 1: part i takes the
+    blocks i, i + W, i + 2W, ... and works in buf alone, its own
+    uninitialised float array of the given shape.
 
-
-def _map_blocks(blocks, fn, buffers):
-    """[fn(rows, buffers[i]) for rows in blocks], in block order, over W =
-    len(buffers) parts: part i takes the blocks i, i + W, i + 2W, ... and
-    works in buffers[i] alone.
+    The parts' buffers are allocated here, in the calling thread: allocated
+    in the pool threads, they came from per-thread malloc arenas, which
+    held on to them and raised the peak RSS of the benchmark's `exterior`
+    workload by another 1.1 MB (66.4-66.7 against 65.3-65.9 MB).
 
     One part runs inline.  Otherwise the caller runs part 0 and pool
     threads the others (numpy releases the GIL in the ufuncs that take a
@@ -195,6 +190,7 @@ def _map_blocks(blocks, fn, buffers):
     on the pool could wait forever.
     """
     global _pool
+    buffers = np.empty((max(1, min(_WORKERS, len(blocks))), *shape))
     parts = len(buffers)
     if parts == 1:
         return [fn(rows, buffers[0]) for rows in blocks]
@@ -302,8 +298,7 @@ def _table_map(x, sources, fn):
     """[fn(rows, d2, spare) for each block of `_table_blocks(x, sources)`]:
     the blocks run by `_map_blocks`, each part in its own pair of buffers."""
     blocks, shape, table = _table_plan(x, sources)
-    return _map_blocks(blocks, lambda rows, buffers: fn(rows, *table(rows, buffers)),
-                       _part_buffers(len(blocks), shape))
+    return _map_blocks(blocks, lambda rows, buffers: fn(rows, *table(rows, buffers)), shape)
 
 
 def _distance_blocks(points):

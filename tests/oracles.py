@@ -22,7 +22,7 @@ per `ps_energy` radius); the package's kernels must match them to the bit.
 
 import numpy as np
 
-from magbag.analysis import _sphere_fn, fibonacci_sphere
+from magbag.analysis import fibonacci_sphere
 from magbag import glued
 from magbag.glued import annulus_points, higgs_norm, residual_fields
 from magbag.monopole import ScaledMonopole, SingularEvaluationError, _hedgehog_form, ps_evaluator
@@ -452,7 +452,7 @@ def per_radius_ps_energy(r_max=40.0, n_radial=64):
 
 
 def whole_direction_table(dirs, points):
-    """(|p|, G = |u - p/|p||^2) of `glued.sphere_sweep` in one (B, N) pass."""
+    """(|p|, G = |u - p/|p||^2) of `glued._sphere_sweep` in one (B, N) pass."""
     pn = np.linalg.norm(points, axis=1)
     phat = points / np.where(pn > 0.0, pn, 1.0)[:, None]
     return pn, _squared_distances(dirs, phat)
@@ -517,7 +517,7 @@ def critical_radii_full_scan(eps, field, quad, r_max=None, n_scan=400):
     if r_max is None:
         r_max = 40.0 if isinstance(field, ScaledMonopole) else 4.0 * field.R
     resolution = 1e-3 * max(1.0, r_max / 40.0)
-    sphere = _sphere_fn(field, quad.points)
+    sphere = glued.sphere_higgs_norm(quad.points, field)
     grid = np.linspace(r_max / n_scan, r_max, n_scan)
     mins = np.empty(n_scan)
     maxs = np.empty(n_scan)

@@ -101,6 +101,12 @@ def test_radial_profile_monotone_radii(cfg100):
             radial_profile(radii, PS, quad)
 
 
+@pytest.mark.parametrize("radii", [2.0, [[1.0, 2.0]]])
+def test_radial_profile_rejects_radii_not_one_dimensional(radii):
+    with pytest.raises(InvalidParameterError, match="radii must be a 1-D sequence"):
+        radial_profile(radii, PS, SphereQuadrature(256))
+
+
 @pytest.mark.parametrize("radii", [[1.0, 2.0, math.inf], [1.0, math.nan, 3.0], [math.nan]])
 def test_radial_profile_rejects_non_finite_radii(radii):
     with pytest.raises(InvalidParameterError, match="finite"):
@@ -258,7 +264,7 @@ def _bound_test_sphere(field):
     if not isinstance(field, ScaledMonopole):
         through = field.points[:64]
         dirs = np.vstack([dirs, through / np.linalg.norm(through, axis=1)[:, None]])
-    return analysis._sphere_fn(field, dirs)
+    return glued.sphere_higgs_norm(dirs, field)
 
 
 def _glued_radii(cfg, rng):
@@ -352,13 +358,13 @@ def test_sphere_bounds_memory_is_bounded():
 def _counted_critical_radii(monkeypatch, *args):
     """critical_radii(*args) and the radii of the spheres it evaluated."""
     calls = []
-    sphere_fn = analysis._sphere_fn
+    sphere_fn = glued.sphere_higgs_norm
 
-    def counted(field, dirs):
-        sphere = sphere_fn(field, dirs)
+    def counted(dirs, field):
+        sphere = sphere_fn(dirs, field)
         return lambda r: calls.append(r) or sphere(r)
 
-    monkeypatch.setattr(analysis, "_sphere_fn", counted)
+    monkeypatch.setattr(glued, "sphere_higgs_norm", counted)
     got = critical_radii(*args)
     monkeypatch.undo()
     return got, calls
@@ -405,10 +411,10 @@ def test_core_sphere_rows_cross_blocks(monkeypatch):
     mono = ScaledMonopole(center=np.array([0.3, -1.2, 0.7]), scale=1.7)
     dirs = fibonacci_sphere(500)
     radii = (0.4, 1.0, np.linalg.norm(mono.center), 1.5, 6.0)
-    one_block = analysis._sphere_fn(mono, dirs)
+    one_block = glued.sphere_higgs_norm(dirs, mono)
     want = [one_block(r) for r in radii]
     monkeypatch.setattr(shell, "_BLOCK_ELEMENTS", 140)  # one source: rows 140, 140, 140, 80
-    blocked = analysis._sphere_fn(mono, dirs)
+    blocked = glued.sphere_higgs_norm(dirs, mono)
     for r, one in zip(radii, want):
         got = blocked(r)
         assert np.array_equal(got, one)
@@ -443,6 +449,11 @@ def test_flux_quantisation_at_any_charge(N, m):
 def test_flux_charge_rejects_non_finite_radius(cfg25, r):
     with pytest.raises(InvalidParameterError, match="finite"):
         flux_charge(r, cfg25, SphereQuadrature(64))
+
+
+def test_flux_charge_rejects_non_scalar_radius(cfg25):
+    with pytest.raises(InvalidParameterError, match="scalar"):
+        flux_charge(np.array([3.0, 4.0]) * cfg25.R, cfg25, SphereQuadrature(64))
 
 
 def test_flux_charge_single_pole():
@@ -620,6 +631,16 @@ def test_higgs_floor_value(cfg100, monkeypatch):
     # 100-row blocks straddle each point's 256 sphere rows
     monkeypatch.setattr(shell, "_BLOCK_ELEMENTS", 100 * 100)
     assert higgs_floor(cfg100) == 0.08250524421097039
+
+
+def test_higgs_floor_forms_no_ball_chart(cfg100, monkeypatch):
+    # every row it keeps is clear of the balls, where |Phi| = |phi_theta|:
+    # the same floor, with the ball-chart reduction never called
+    def refuse(*args):
+        raise AssertionError("ball chart formed")
+
+    monkeypatch.setattr(glued, "_higgs_from_distances", refuse)
+    assert higgs_floor(cfg100).hex() == (0.08250524421097039).hex()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

@@ -313,26 +313,44 @@ def test_distance_blocks_reuse_one_buffer(monkeypatch):
 
 
 def _dealt(rows, buf):
-    return rows.start, int(buf[0]), threading.get_ident()
+    return rows.start, buf.ctypes.data, buf.shape, threading.get_ident()
+
+
+def _record_allocations(monkeypatch):
+    """The (shape, thread) of every `np.empty` call until the test ends."""
+    calls = []
+    empty = np.empty
+
+    def recorded(shape, *args, **kwargs):
+        calls.append((shape, threading.get_ident()))
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", recorded)
+    return calls
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_map_blocks_deals_every_wth_block_to_a_part(workers, monkeypatch):
-    # seven blocks; part i works in buffer row i on blocks i, i + W, ...; the
-    # caller runs part 0 and each other part runs on one pool thread
+    # seven blocks; part i works in its own buffer on blocks i, i + W, ...;
+    # the caller runs part 0, each other part runs on one pool thread, and
+    # every buffer is allocated in the caller's thread
     monkeypatch.setattr(shell, "_WORKERS", workers)
+    allocations = _record_allocations(monkeypatch)
     blocks = [slice(lo, lo + 3) for lo in range(0, 21, 3)]
-    buffers = shell._part_buffers(len(blocks), (1,))
-    assert buffers.shape == (workers, 1)
-    buffers[:, 0] = np.arange(workers)
-    got = shell._map_blocks(blocks, _dealt, buffers)
-    assert [start for start, _, _ in got] == list(range(0, 21, 3))
-    assert [part for _, part, _ in got] == [j % workers for j in range(7)]
-    threads = [{t for _, part, t in got if part == i} for i in range(workers)]
-    assert threads[0] == {threading.get_ident()}
+    got = shell._map_blocks(blocks, _dealt, (2, 5))
+    caller = threading.get_ident()
+    assert allocations == [((workers, 2, 5), caller)]
+    assert [start for start, *_ in got] == list(range(0, 21, 3))
+    assert {shape for _, _, shape, _ in got} == {(2, 5)}
+    buffers = [{buf for _, buf, _, _ in got[i::workers]} for i in range(workers)]
+    assert all(len(b) == 1 for b in buffers) and len(set.union(*buffers)) == workers
+    threads = [{t for *_, t in got[i::workers]} for i in range(workers)]
+    assert threads[0] == {caller}
     assert all(len(t) == 1 and t != threads[0] for t in threads[1:])
-    assert shell._part_buffers(1, (1,)).shape == (1, 1)  # one block runs inline
-    assert shell._part_buffers(0, (1,)).shape == (1, 1)
+    # one block runs inline, and no block still allocates one part
+    assert [t for *_, t in shell._map_blocks(blocks[:1], _dealt, (1,))] == [caller]
+    assert shell._map_blocks([], _dealt, (1,)) == []
+    assert allocations[1:] == [((1, 1), caller)] * 2
 
 
 def _divide_in_block_1(rows, buf):
@@ -345,12 +363,11 @@ def test_map_blocks_parts_see_the_callers_error_state(monkeypatch):
     # block 1 runs on a pool thread: the caller's errstate reaches it
     monkeypatch.setattr(shell, "_WORKERS", 2)
     blocks = [slice(0, 1), slice(1, 2)]
-    buffers = shell._part_buffers(2, (1,))
     with np.errstate(divide="raise"):
         with pytest.raises(FloatingPointError):
-            shell._map_blocks(blocks, _divide_in_block_1, buffers)
+            shell._map_blocks(blocks, _divide_in_block_1, (1,))
     with np.errstate(divide="ignore"):
-        assert shell._map_blocks(blocks, _divide_in_block_1, buffers)[1] == np.inf
+        assert shell._map_blocks(blocks, _divide_in_block_1, (1,))[1] == np.inf
 
 
 def test_map_blocks_waits_for_every_part_when_the_caller_raises(monkeypatch):
@@ -364,8 +381,32 @@ def test_map_blocks_waits_for_every_part_when_the_caller_raises(monkeypatch):
         done.append(rows.start)
 
     with pytest.raises(InvalidConfigurationError, match="block 0"):
-        shell._map_blocks([slice(0, 1), slice(1, 2)], fn, shell._part_buffers(2, (1,)))
+        shell._map_blocks([slice(0, 1), slice(1, 2)], fn, (1,))
     assert done == [1]
+
+
+def _map_blocks_given_buffers():
+    """`_map_blocks` calls in src/magbag/ outside shell whose third
+    argument is not a shape written out as a tuple."""
+    root = Path(__file__).resolve().parents[1]
+    return [
+        f"{path.relative_to(root).as_posix()}:{node.lineno}"
+        for path in root.glob("src/magbag/*.py") if path.name != "shell.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and "_map_blocks" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and not (len(node.args) > 2 and isinstance(node.args[2], ast.Tuple))
+    ]
+
+
+def test_exterior_sweeps_have_one_owner():
+    # `analysis` takes |Phi| on origin spheres from `glued.sphere_higgs_norm`
+    # and forms no ball chart of its own; only `shell` knows the part count
+    # and allocates the parts' buffers, which other modules size by shape
+    for name in ("_higgs_from_distances", "sphere_sweep", "_sphere_sweep"):
+        assert "src/magbag/analysis.py" not in _modules_naming(name), name
+    assert _modules_naming("_WORKERS") == {"src/magbag/shell.py"}
+    assert _map_blocks_given_buffers() == []
 
 
 def _run_fresh(code):

@@ -20,6 +20,7 @@ from .shell import (
     InvalidParameterError,
     _check_count,
     _check_positive,
+    _coulomb_rows,
     _row_blocks,
     fibonacci_sphere,
 )
@@ -449,7 +450,7 @@ def higgs_floor(cfg):
 
     def reduce(d):
         clear = np.min(d, axis=1) >= cfg.L * (1 - 1e-12)
-        return np.where(clear, np.abs(1.0 - np.sum(np.reciprocal(d, out=d), axis=1)), np.inf)
+        return np.where(clear, np.abs(_coulomb_rows(d)), np.inf)
 
     floor = np.inf
     for fac in (1.0, 1.05, 1.2, 1.5, 2.0):

@@ -8,7 +8,7 @@ Flags are the only input, and each subcommand takes only the flags it reads:
 - `verify` runs a named check suite and emits a JSON report: --suite, --out.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 invalid
-invocation.
+invocation or a run that does not fit in memory.
 """
 
 import argparse
@@ -141,6 +141,9 @@ def main(argv=None):
         return handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # not a failed check: the run never finished
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 2
 
 

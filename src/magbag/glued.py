@@ -34,6 +34,7 @@ from .monopole import (
 )
 from .shell import (
     _check_count,
+    _coulomb_rows,
     _map_blocks,
     _row_blocks,
     _short_rows,
@@ -109,7 +110,7 @@ def phi_theta(x, cfg):
     def reduce(d):
         if np.any(d == 0.0):
             raise SingularEvaluationError("phi_theta evaluated on a shell point")
-        return 1.0 - np.sum(np.reciprocal(d, out=d), axis=1)
+        return _coulomb_rows(d)
 
     return _point_rows(x, cfg, reduce)[()]
 
@@ -260,7 +261,7 @@ def _higgs_from_distances(d_all, cfg):
     r = cfg.residues[np.argmin(d_all[near], axis=1)]
     with np.errstate(divide="ignore"):
         # phi_theta; -inf on a shell point
-        ext = 1.0 - np.sum(np.reciprocal(d_all, out=d_all), axis=1)
+        ext = _coulomb_rows(d_all)
     out = np.abs(ext)
 
     c = chi(8.0 * dn / cfg.L - 1.0)
@@ -372,7 +373,7 @@ def sphere_higgs_norm(dirs, field):
 
     def clear_sphere(d2):
         d = np.sqrt(d2, out=d2)
-        return np.abs(1.0 - np.sum(np.reciprocal(d, out=d), axis=1))
+        return np.abs(_coulomb_rows(d))
 
     def any_sphere(d2):
         return _higgs_from_distances(np.sqrt(d2, out=d2), field)

@@ -57,10 +57,20 @@ _CSCH_SERIES = np.array(
 
 
 def _odd_series(z, coeffs):
-    """z * sum_n coeffs[n] z^(2n), by Horner's rule in z^2."""
+    """z * sum_n coeffs[n] z^(2n), by Horner's rule in z^2.
+
+    In place, each step c * z^2 + coeffs[n] over all the points at once:
+    `np.polynomial.polynomial.polyval`'s association for finite z, without
+    its per-call conversions and its (len(coeffs), 1) coefficient column.
+    """
     if z.size == 0:  # no argument in the series branch
         return z
-    return z * np.polynomial.polynomial.polyval(z * z, coeffs)
+    z2 = z * z
+    acc = np.full(z.shape, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= z2
+        acc += c
+    return z * acc
 
 
 def coth_minus_inv(s):

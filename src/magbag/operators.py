@@ -53,13 +53,22 @@ class Curvature:
 def _stencil_points(x, h):
     """The 7-point stencil (..., 7, 3) of points x (..., 3): x + h e_j for
     j = 0, 1, 2, then x - h e_j, then x.  Raises unless the step h is finite
-    and positive."""
+    and positive.
+
+    The six offset points are x tiled three times plus or minus the flat
+    h I, written straight into the stencil: each operation's inner loop
+    runs over 9 entries per point, not over 3.  Every off-axis coordinate
+    is still x + 0.0 or x - 0.0, so a -0.0 coordinate keeps the bits it had.
+    """
     _check_positive(h=h)
     x = np.asarray(x, dtype=float)
-    offsets = h * np.eye(3)
-    return np.concatenate(
-        [x[..., None, :] + offsets, x[..., None, :] - offsets, x[..., None, :]], axis=-2
-    )
+    offsets = (h * np.eye(3)).ravel()
+    tiled = np.tile(x, 3)
+    out = np.empty((*x.shape[:-1], 21))
+    np.add(tiled, offsets, out=out[..., :9])
+    np.subtract(tiled, offsets, out=out[..., 9:18])
+    out[..., 18:] = x
+    return out.reshape(*x.shape[:-1], 7, 3)
 
 
 def _central_differences(pair_eval, x, h):
@@ -107,6 +116,11 @@ def bump_pair(center, width, seed):
     drawn from `seed`: smooth enough for the second-order stencils and
     quadrature-friendly at its support edge.  The width must be finite and
     positive.
+
+    The evaluator works one coordinate and one table entry at a time, so
+    each elementwise operation runs its inner loop over the points; a
+    broadcast over the trailing 3 or 3 x 3 axes would run it over 3
+    entries.  Each entry is the same scalar operation as the broadcast's.
     """
     _check_positive(width=width)
     rng = np.random.default_rng(seed)
@@ -115,13 +129,18 @@ def bump_pair(center, width, seed):
     center = np.asarray(center, dtype=float)
 
     def ev(pts):
-        d = (np.asarray(pts, dtype=float) - center) / width
-        d *= d
-        t = d[..., 0] + d[..., 1] + d[..., 2]  # np.sum's order over the last axis
+        pts = np.asarray(pts, dtype=float)
+        d0, d1, d2 = ((pts[..., k] - center[k]) / width for k in range(3))
+        t = d0 * d0 + d1 * d1 + d2 * d2  # np.sum's order over the last axis
         inside = t < 1.0
         prof = np.zeros(t.shape)
         prof[inside] = (1.0 - t[inside]) ** 8
-        return prof[..., None, None] * A, prof[..., None] * E
+        a, e = np.empty((*t.shape, 9)), np.empty((*t.shape, 3))
+        for r, coeff in enumerate(A.flat):
+            np.multiply(prof, coeff, out=a[..., r])
+        for r, coeff in enumerate(E):
+            np.multiply(prof, coeff, out=e[..., r])
+        return a.reshape(*t.shape, 3, 3), e
 
     return ev
 

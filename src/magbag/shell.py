@@ -319,13 +319,20 @@ def _distance_blocks(points):
         yield rows, np.sqrt(d, out=d), math.sqrt(d_min), spare
 
 
+def _coulomb_rows(d):
+    """1 - sum 1/d along each row of a distance table d (rows, N), which is
+    overwritten with 1/d: the residue of a shell point against the others,
+    and phi_theta at a point off the shell.  Callers check for d = 0."""
+    return 1.0 - np.sum(np.reciprocal(d, out=d), axis=1)
+
+
 def _residues_and_separation(points):
     """(r_p, smallest separation) of the points, one pass over `_distance_blocks`."""
     r_p = np.empty(len(points))
     min_sep = math.inf
     for rows, d, d_min, _ in _distance_blocks(points):
         min_sep = min(min_sep, d_min)
-        r_p[rows] = 1.0 - np.sum(np.reciprocal(d, out=d), axis=1)
+        r_p[rows] = _coulomb_rows(d)
     return r_p, min_sep
 
 

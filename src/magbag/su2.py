@@ -73,9 +73,18 @@ def eps_table(v):
 
 
 def hodge_star(t):
-    """out[..., m, :] = sum_{j,l} eps_{jlm} t[..., j, l, :] for a table t (..., 3, 3, k)."""
+    """out[..., m, :] = sum_{j,l} eps_{jlm} t[..., j, l, :] for a table t (..., 3, 3, k).
+
+    One subtraction per entry (m, k), written into a C-ordered table: each
+    runs its inner loop over the points, where a gather of the cyclic
+    (j, l) rows would run it over the k entries.
+    """
     t = np.asarray(t)
-    return _difference(t[..., _J, _L, :], t[..., _L, _J, :])
+    out = np.empty((*t.shape[:-3], 3, t.shape[-1]))
+    for m, (j, l) in enumerate(zip(_J, _L)):
+        for k in range(t.shape[-1]):
+            np.subtract(t[..., j, l, k], t[..., l, j, k], out=out[..., m, k])
+    return out
 
 
 def wedge_dual(a, b):

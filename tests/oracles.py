@@ -17,7 +17,11 @@ Levi-Civita contractions.
 The deformation-operator kernels are also kept in the longer form they were
 first written in (the whole curvature table, connection brackets taken on
 every background, the `np.where` bump profile and one `fd_curvature` call
-per `ps_energy` radius); the package's kernels must match them to the bit.
+per `ps_energy` radius), and so are four kernels in the broadcast form they
+had before their inner loops ran over the points (the bump's tables as
+broadcast products, the Hodge star from two gathers, the stencil from three
+concatenated offsets and the core series by `polyval`); the package's
+kernels must match them to the bit.
 """
 
 import numpy as np
@@ -60,6 +64,15 @@ def eps_hedgehog_form(xhat, coeff):
 def eps_hodge_star(t):
     """sum_{j,l} eps_{jlm} t_jl of a table t (..., 3, 3, k)."""
     return np.einsum("jlm,...jlk->...mk", EPS, t)
+
+
+def gather_hodge_star(t):
+    """`su2.hodge_star` as one difference of the gathered cyclic (j, l) and
+    (l, j) rows, into a C-ordered table."""
+    t = np.asarray(t)
+    J, L = [1, 2, 0], [2, 0, 1]
+    out = np.empty((*t.shape[:-3], 3, t.shape[-1]))
+    return np.subtract(t[..., J, L, :], t[..., L, J, :], out=out)
 
 
 TAU = np.array(
@@ -415,6 +428,35 @@ def bracket_apply_D(h_pair, bg_pair, x, h=1e-4, sign=1.0):
     return first, second + bracket(phi, eta0)
 
 
+def concatenated_stencil_points(x, h):
+    """`operators._stencil_points` as x + h I, x - h I and x broadcast and
+    concatenated along the stencil axis."""
+    x = np.asarray(x, dtype=float)
+    offsets = h * np.eye(3)
+    return np.concatenate(
+        [x[..., None, :] + offsets, x[..., None, :] - offsets, x[..., None, :]], axis=-2)
+
+
+def broadcast_bump_pair(center, width, seed):
+    """`operators.bump_pair` with its offsets formed as (..., 3) arrays and
+    its tables as broadcast products of the profile."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(3, 3))
+    E = rng.normal(size=3)
+    center = np.asarray(center, dtype=float)
+
+    def ev(pts):
+        d = (np.asarray(pts, dtype=float) - center) / width
+        d *= d
+        t = d[..., 0] + d[..., 1] + d[..., 2]
+        inside = t < 1.0
+        prof = np.zeros(t.shape)
+        prof[inside] = (1.0 - t[inside]) ** 8
+        return prof[..., None, None] * A, prof[..., None] * E
+
+    return ev
+
+
 def where_bump_pair(center, width, seed):
     """`operators.bump_pair` with its profile taken at every point and masked
     by `np.where`."""
@@ -430,6 +472,11 @@ def where_bump_pair(center, width, seed):
         return prof[..., None, None] * A, prof[..., None] * E
 
     return ev
+
+
+def polyval_odd_series(z, coeffs):
+    """`monopole._odd_series` by `np.polynomial.polynomial.polyval`."""
+    return z * np.polynomial.polynomial.polyval(z * z, coeffs)
 
 
 def per_radius_ps_energy(r_max=40.0, n_radial=64):

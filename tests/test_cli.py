@@ -135,6 +135,21 @@ def test_out_directory_checked_before_computing(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_allocation_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # exit 1 means a failed check; a run that cannot allocate checked nothing
+    def oversized(cfg):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    docs, names, _ = magbag.cli.COMMANDS["profile"]
+    monkeypatch.setitem(magbag.cli.COMMANDS, "profile", (docs, names, oversized))
+    out = tmp_path / "prof.csv"
+    assert run_cli(["profile", "--n", "100", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: not enough memory: Unable to allocate 74.5 GiB for an array\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_failed_run_keeps_existing_out(tmp_path):
     out = tmp_path / "prof.csv"
     out.write_text("kept\n")

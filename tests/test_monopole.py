@@ -9,6 +9,9 @@ from magbag.monopole import (
     SERIES_CUTOFF,
     ScaledMonopole,
     SingularEvaluationError,
+    _COTH_SERIES,
+    _CSCH_SERIES,
+    _odd_series,
     coth_minus_inv,
     inv_minus_csch,
     ps_evaluator,
@@ -17,7 +20,7 @@ from magbag.operators import fd_curvature
 from magbag.shell import InvalidParameterError
 from magbag.su2 import alg_norm, bracket, form_norm
 
-from oracles import dirac_evaluator
+from oracles import dirac_evaluator, polyval_odd_series
 
 ORIGIN = ScaledMonopole(center=np.zeros(3), scale=1.0)
 
@@ -39,6 +42,19 @@ def test_profile_series_matches_highprec():
         want_c = float(1 / mz - 1 / mpmath.sinh(mz))
         assert abs(h - want_h) <= 1e-14 * abs(want_h), z
         assert abs(c - want_c) <= 1e-14 * abs(want_c), z
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (300,), (300, 7), (2, 5, 7)])
+def test_odd_series_keeps_the_polyval_bits(shape):
+    # the series branch's arguments, from -0.0 and the smallest subnormal up
+    # to just below the cutoff
+    rng = np.random.default_rng(34)
+    z = rng.uniform(0.0, SERIES_CUTOFF, size=shape)
+    z.flat[:4] = [-0.0, 0.0, 5e-324, np.nextafter(SERIES_CUTOFF, 0.0)][:z.size]
+    for coeffs in (_COTH_SERIES, _CSCH_SERIES):
+        got, want = _odd_series(z, coeffs), polyval_odd_series(z, coeffs)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_profile_large_argument():

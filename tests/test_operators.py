@@ -26,6 +26,8 @@ from magbag.su2 import bracket, form_norm, wedge_dual
 
 from oracles import (
     bracket_apply_D,
+    broadcast_bump_pair,
+    concatenated_stencil_points,
     dirac_evaluator,
     full_table_fd_curvature,
     union_support_pairings,
@@ -144,6 +146,37 @@ def test_bump_equals_the_where_profile():
         got, ref = q(pts), want(pts)
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
     assert np.all(q(edge)[1] == 0.0) and np.all(np.any(q(just_inside)[1] != 0.0, axis=-1))
+
+
+# a point, one row, a batch, its stencils and a batch of stencils
+POINT_SHAPES = [(3,), (1, 3), (300, 3), (300, 7, 3), (2, 5, 7, 3)]
+
+
+def _same_bits(got, want):
+    # array_equal cannot tell -0.0 from 0.0
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_bump_and_stencil_keep_the_broadcast_bits():
+    rng = np.random.default_rng(34)
+    centre, width = np.array([0.5, 0.0, -0.25]), 2.0
+    q, want = bump_pair(centre, width, 37), broadcast_bump_pair(centre, width, 37)
+    # random points around the support, a third of their coordinates -0.0 or
+    # 0.0, led by the support's edge (t = 1 exactly) and the points just inside
+    edge = centre + width * np.concatenate([np.eye(3), -np.eye(3)])
+    pts = centre + rng.uniform(-1.5 * width, 1.5 * width, size=(2100, 3))
+    zero = rng.random(pts.shape) < 1 / 3
+    pts[zero] = rng.choice([-0.0, 0.0], size=np.count_nonzero(zero))
+    pts[:6], pts[6:12] = edge, np.nextafter(edge, centre)
+    for shape in POINT_SHAPES:
+        x = pts[:math.prod(shape[:-1])].reshape(shape)
+        for got, ref in zip(q(x), want(x)):
+            assert _same_bits(got, ref) and got.flags.c_contiguous
+        for h in (1e-4, 0.5):
+            got = _stencil_points(x, h)
+            assert _same_bits(got, concatenated_stencil_points(x, h)) and got.flags.c_contiguous
+    a, _ = q(pts)  # signed zeros reach the kernels and leave them
+    assert np.signbit(pts[pts == 0.0]).any() and np.signbit(a[a == 0.0]).any()
 
 
 def test_apply_D_batched_equals_rows():

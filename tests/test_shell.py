@@ -273,6 +273,27 @@ def test_core_higgs_is_written_once():
     assert callers == ["ps_higgs_norm"]
 
 
+def test_coulomb_row_sum_is_written_once():
+    # 1 - sum 1/d over the rows of a distance table is `shell._coulomb_rows`:
+    # the residues, phi_theta and each |phi_theta| reducer call it and take
+    # no reciprocal of their own
+    src = Path(__file__).resolve().parents[1] / "src/magbag"
+    users = {
+        "shell.py": ("_coulomb_rows", "_residues_and_separation"),
+        "glued.py": ("phi_theta", "_higgs_from_distances", "sphere_higgs_norm"),
+        "analysis.py": ("higgs_floor",),
+    }
+    calls = {}
+    for module, names in users.items():
+        for fn in ast.parse((src / module).read_text()).body:
+            if isinstance(fn, ast.FunctionDef) and fn.name in names:
+                called = [getattr(node.func, "attr", getattr(node.func, "id", None))
+                          for node in ast.walk(fn) if isinstance(node, ast.Call)]
+                calls[fn.name] = (called.count("reciprocal"), called.count("_coulomb_rows"))
+    assert calls == {"_coulomb_rows": (1, 0), **{
+        name: (0, 1) for names in users.values() for name in names if name != "_coulomb_rows"}}
+
+
 def _builds_difference_array(node):
     """Whether node is `y[..., None, :] - points` (or `- cfg.points`): a
     subtraction of the points from an operand indexed with None."""

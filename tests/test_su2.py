@@ -14,6 +14,7 @@ from oracles import (
     eps_hodge_star,
     eps_star_real_wedge,
     eps_wedge_dual,
+    gather_hodge_star,
     matrix_bracket,
     matrix_inner,
 )
@@ -134,3 +135,15 @@ def test_kernels_equal_cross_and_eps_oracles(batch, data):
         assert got.shape == want.shape
         assert got.flags.c_contiguous
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (300,), (300, 7), (2, 5, 7)])
+def test_hodge_star_keeps_the_gather_bits(lead):
+    # entry by entry as the two gathers did, signed zeros included
+    rng = np.random.default_rng(34)
+    t = rng.normal(size=(*lead, 3, 3, 3))
+    zero = rng.random(t.shape) < 1 / 3
+    t[zero] = rng.choice([-0.0, 0.0], size=np.count_nonzero(zero))
+    got, want = hodge_star(t), gather_hodge_star(t)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

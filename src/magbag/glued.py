@@ -33,6 +33,7 @@ from .monopole import (
     ps_higgs_norm,
 )
 from .shell import (
+    InvalidParameterError,
     _check_count,
     _coulomb_rows,
     _map_blocks,
@@ -564,8 +565,15 @@ def _residual_sweep(cfg, n_radial, n_angular, quad=None):
     quadrature densities scattered back onto the whole grid with zeros
     elsewhere, and combined shell by shell in index order, so the results
     do not depend on the blocking.
+
+    A grid with no live sample at any shell raises InvalidParameterError,
+    since its terms would read 0 whatever the field.  That is a grid with no
+    radius strictly inside the band, such as n_radial or quad_radial in
+    {1, 2, 3, 5}: 3L/16, the middle of [L/8, L/4], is a radius of the
+    sampling grid for odd n_radial and a node for odd quad_radial.
     """
     grids = [_annulus_offsets(cfg, n_radial, n_angular)]
+    names = [f"sampling grid (n_radial={n_radial}, n_angular={n_angular})"]
     if quad is not None:
         quad_radial, quad_angular = quad
         _check_count(quad_radial=quad_radial, quad_angular=quad_angular)
@@ -574,7 +582,9 @@ def _residual_sweep(cfg, n_radial, n_angular, quad=None):
         q_radii = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         q_w = 0.5 * (hi - lo) * wts
         grids.append(_shell_grid(q_radii, quad_angular))
+        names.append(f"quadrature grid (quad_radial={quad_radial}, quad_angular={quad_angular})")
     bands = [_band_rows(cfg, g) for g in grids]
+    live_samples = [0] * len(grids)
     maxima = np.zeros((3, cfg.N))
     sup = np.zeros(cfg.N)
     shell_integrals = np.zeros(cfg.N)
@@ -582,6 +592,7 @@ def _residual_sweep(cfg, n_radial, n_angular, quad=None):
         shells = np.arange(block.start, block.stop)
         owner, (live, xh, gT, gL, higgs) = _grid_residuals(cfg, shells, grids[0][bands[0]])
         owner = owner[live]
+        live_samples[0] += len(owner)
         inner = np.abs(np.einsum("bk,bmk->bm", xh, gL)).max(axis=1)
         for row, vals in zip(maxima, (form_norm(gT), form_norm(gL), inner)):
             np.maximum.at(row, owner, vals)
@@ -592,6 +603,7 @@ def _residual_sweep(cfg, n_radial, n_angular, quad=None):
 
         band = bands[1]
         _, (live, _, gTq, _, higgs_q) = _grid_residuals(cfg, shells, grids[1][band])
+        live_samples[1] += len(higgs_q)
         # |[sh, gT]| = |gT| for transverse parts in su(2).
         formed = np.zeros((len(shells), len(band)))
         formed.reshape(-1)[live] = (form_norm(gTq) / higgs_q) ** 3
@@ -601,6 +613,9 @@ def _residual_sweep(cfg, n_radial, n_angular, quad=None):
         shell_integrals[shells] = np.sum(
             q_w * q_radii**2 * dens.sum(axis=2) * (4.0 * np.pi / quad_angular), axis=1
         )
+    for name, count in zip(names, live_samples):
+        if count == 0:
+            raise InvalidParameterError(f"the {name} has no sample inside the band (5L/32, 3L/16) at any shell")
     # shell by shell: a NaN shell maximum is passed over, and the integral
     # is summed left to right
     sup_term = max([0.0, *sup.tolist()])

@@ -169,15 +169,15 @@ def _row_blocks(n_rows, row_entries):
 
 
 def _map_blocks(blocks, fn, shape):
-    """[fn(rows, buf) for rows in blocks], in block order, over W =
-    min(`_WORKERS`, len(blocks)) parts but at least 1: part i takes the
-    blocks i, i + W, i + 2W, ... and works in buf alone, its own
-    uninitialised float array of the given shape.
+    """fn(rows, buf) for each slice rows of blocks, over W = min(`_WORKERS`,
+    len(blocks)) parts but at least 1: part i takes the blocks i, i + W,
+    i + 2W, ... in order and works in buf alone, its own uninitialised float
+    array of the given shape.  Nothing is returned: fn writes its results
+    into the caller's arrays itself.
 
     The parts' buffers are allocated here, in the calling thread: allocated
-    in the pool threads, they came from per-thread malloc arenas, which
-    held on to them and raised the peak RSS of the benchmark's `exterior`
-    workload by another 1.1 MB (66.4-66.7 against 65.3-65.9 MB).
+    in the pool threads, they would come from per-thread malloc arenas,
+    which hold on to them and raise the process's peak RSS.
 
     One part runs inline.  Otherwise the caller runs part 0 and pool
     threads the others (numpy releases the GIL in the ufuncs that take a
@@ -192,27 +192,26 @@ def _map_blocks(blocks, fn, shape):
     global _pool
     buffers = np.empty((max(1, min(_WORKERS, len(blocks))), *shape))
     parts = len(buffers)
-    if parts == 1:
-        return [fn(rows, buffers[0]) for rows in blocks]
 
     def part(i):
-        return [fn(rows, buffers[i]) for rows in blocks[i::parts]]
+        for rows in blocks[i::parts]:
+            fn(rows, buffers[i])
 
+    if parts == 1:
+        part(0)
+        return
     if _pool is None:
         from concurrent.futures import ThreadPoolExecutor  # 4 ms to import: not at start-up
 
         _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="magbag-blocks")
     futures = [_pool.submit(contextvars.copy_context().run, part, i) for i in range(1, parts)]
     try:
-        results = [part(0)]
+        part(0)
     finally:
         for future in futures:
             future.exception()  # waits; the parts may still write to the caller's arrays
-    results += [future.result() for future in futures]
-    out = [None] * len(blocks)
-    for i, res in enumerate(results):
-        out[i::parts] = res
-    return out
+    for future in futures:
+        future.result()
 
 
 @contextlib.contextmanager
@@ -295,10 +294,11 @@ def _table_blocks(x, sources):
 
 
 def _table_map(x, sources, fn):
-    """[fn(rows, d2, spare) for each block of `_table_blocks(x, sources)`]:
-    the blocks run by `_map_blocks`, each part in its own pair of buffers."""
+    """fn(rows, d2, spare) for each block of `_table_blocks(x, sources)`,
+    run by `_map_blocks`, each part in its own pair of buffers; like
+    `_map_blocks`, it returns nothing."""
     blocks, shape, table = _table_plan(x, sources)
-    return _map_blocks(blocks, lambda rows, buffers: fn(rows, *table(rows, buffers)), shape)
+    _map_blocks(blocks, lambda rows, buffers: fn(rows, *table(rows, buffers)), shape)
 
 
 def _distance_blocks(points):
@@ -494,17 +494,13 @@ def _ring_spectra(R, K, sizes, a, b, J):
 def _cosine_series(sizes, spectra):
     """(sum n_a,): band by band, sum_f E_f cos(2 pi f i / n_a) at every
     longitude index i < n_a, from `spectra` as `_ring_spectra` lays them
-    out, for nondecreasing band sizes.  The constant E_0 is added apart; the
-    rest takes one FFT per run of equal sizes."""
+    out.  The constant E_0 is added apart; the rest takes one FFT per band."""
     start = np.cumsum(sizes) - sizes
     out = np.repeat(spectra[start], sizes)
     wave = spectra.copy()
     wave[start] = 0.0
-    lo = 0
-    for size, bands in zip(*(v.tolist() for v in np.unique(sizes, return_counts=True))):
-        hi = lo + size * bands
-        out[lo:hi] += np.fft.fft(wave[lo:hi].reshape(bands, size)).real.ravel()
-        lo = hi
+    for lo, hi in zip(start.tolist(), (start + sizes).tolist()):
+        out[lo:hi] += np.fft.fft(wave[lo:hi]).real
     return out
 
 

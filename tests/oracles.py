@@ -20,8 +20,9 @@ every background, the `np.where` bump profile and one `fd_curvature` call
 per `ps_energy` radius), and so are four kernels in the broadcast form they
 had before their inner loops ran over the points (the bump's tables as
 broadcast products, the Hodge star from two gathers, the stencil from three
-concatenated offsets and the core series by `polyval`); the package's
-kernels must match them to the bit.
+concatenated offsets and the core series by `polyval`), and the ring
+residues' cosine series with one FFT per run of equal band sizes; the
+package's kernels must match them to the bit.
 """
 
 import numpy as np
@@ -278,6 +279,21 @@ def brute_band_sizes(K):
         if mpmath.almosteq(target, n, abs_eps=mpmath.mpf("1e-40")):
             n -= 1  # exact integer: strictly-below drops to the one beneath
         out.append(n)
+    return out
+
+
+def grouped_cosine_series(sizes, spectra):
+    """`shell._cosine_series` for nondecreasing band sizes, with one FFT over
+    the rows of each run of equal sizes instead of one per band."""
+    start = np.cumsum(sizes) - sizes
+    out = np.repeat(spectra[start], sizes)
+    wave = spectra.copy()
+    wave[start] = 0.0
+    lo = 0
+    for size, bands in zip(*(v.tolist() for v in np.unique(sizes, return_counts=True))):
+        hi = lo + size * bands
+        out[lo:hi] += np.fft.fft(wave[lo:hi].reshape(bands, size)).real.ravel()
+        lo = hi
     return out
 
 

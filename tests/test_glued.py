@@ -802,6 +802,30 @@ def test_annulus_maxima_rejects_empty_grid(cfg25, sizes):
         glued.annulus_maxima(cfg25, *sizes)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_residual_sweeps_reject_a_grid_with_no_live_sample(cfg100, n):
+    # no radius of these grids lies strictly inside the band (5L/32, 3L/16):
+    # 3L/16, the middle of [L/8, L/4], is a grid radius for odd n and a
+    # Gauss-Legendre node for odd quad_radial.  Such a grid used to read 0.
+    sampling = rf"sampling grid \(n_radial={n}, n_angular=16\)"
+    with pytest.raises(InvalidParameterError, match=sampling):
+        glued.annulus_maxima(cfg100, n, 16)
+    with pytest.raises(InvalidParameterError, match=sampling):
+        glued.gstar_norm(cfg100, n, 16, 4, 16)
+    with pytest.raises(InvalidParameterError, match=rf"quadrature grid \(quad_radial={n}, quad_angular=16\)"):
+        glued.gstar_norm(cfg100, 4, 16, n, 16)
+    with pytest.raises(InvalidParameterError, match=sampling):
+        glued.residual_report(cfg100, n, 16)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_residual_sweeps_accept_a_grid_with_live_samples(cfg100, n):
+    assert glued.annulus_maxima(cfg100, n, 16).max() > 0
+    _, sup_term, int_term = glued.gstar_norm(cfg100, n, 16, n, 16)
+    assert sup_term > 0 and int_term > 0
+    assert glued.residual_report(cfg100, n, 16)["max_gT"] > 0
+
+
 def test_residual_report_keys(cfg25, monkeypatch):
     # one residual evaluation per block of support shells on the sampling
     # grid, shared by the maxima and the sup term, and one on the quadrature

@@ -35,6 +35,7 @@ from magbag.shell import (
 from oracles import (
     brute_band_sizes,
     difference_distances,
+    grouped_cosine_series,
     layout_loop,
     round_robin_survivors,
     shell_coulomb_rows,
@@ -333,8 +334,15 @@ def test_distance_blocks_reuse_one_buffer(monkeypatch):
         assert np.shares_memory(d, first) and np.shares_memory(work, spare)
 
 
-def _dealt(rows, buf):
-    return rows.start, buf.ctypes.data, buf.shape, threading.get_ident()
+def _dealt():
+    """(fn, calls): fn(rows, buf) appends (rows.start, the address of buf,
+    its shape, the calling thread) to calls."""
+    calls = []
+
+    def fn(rows, buf):
+        calls.append((rows.start, buf.ctypes.data, buf.shape, threading.get_ident()))
+
+    return fn, calls
 
 
 def _record_allocations(monkeypatch):
@@ -352,15 +360,17 @@ def _record_allocations(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_map_blocks_deals_every_wth_block_to_a_part(workers, monkeypatch):
-    # seven blocks; part i works in its own buffer on blocks i, i + W, ...;
-    # the caller runs part 0, each other part runs on one pool thread, and
-    # every buffer is allocated in the caller's thread
+    # seven blocks; part i works in its own buffer on blocks i, i + W, ...
+    # in order; the caller runs part 0, each other part runs on one pool
+    # thread, and every buffer is allocated in the caller's thread
     monkeypatch.setattr(shell, "_WORKERS", workers)
     allocations = _record_allocations(monkeypatch)
     blocks = [slice(lo, lo + 3) for lo in range(0, 21, 3)]
-    got = shell._map_blocks(blocks, _dealt, (2, 5))
+    fn, calls = _dealt()
+    assert shell._map_blocks(blocks, fn, (2, 5)) is None
     caller = threading.get_ident()
     assert allocations == [((workers, 2, 5), caller)]
+    got = sorted(calls)
     assert [start for start, *_ in got] == list(range(0, 21, 3))
     assert {shape for _, _, shape, _ in got} == {(2, 5)}
     buffers = [{buf for _, buf, _, _ in got[i::workers]} for i in range(workers)]
@@ -368,27 +378,34 @@ def test_map_blocks_deals_every_wth_block_to_a_part(workers, monkeypatch):
     threads = [{t for *_, t in got[i::workers]} for i in range(workers)]
     assert threads[0] == {caller}
     assert all(len(t) == 1 and t != threads[0] for t in threads[1:])
+    for i, (buf,) in enumerate(buffers):
+        assert [start for start, b, *_ in calls if b == buf] == list(range(3 * i, 21, 3 * workers))
     # one block runs inline, and no block still allocates one part
-    assert [t for *_, t in shell._map_blocks(blocks[:1], _dealt, (1,))] == [caller]
-    assert shell._map_blocks([], _dealt, (1,)) == []
+    fn, calls = _dealt()
+    shell._map_blocks(blocks[:1], fn, (1,))
+    assert [t for *_, t in calls] == [caller]
+    fn, calls = _dealt()
+    assert shell._map_blocks([], fn, (1,)) is None and calls == []
     assert allocations[1:] == [((1, 1), caller)] * 2
-
-
-def _divide_in_block_1(rows, buf):
-    if rows.start == 1:
-        buf[0] = np.reciprocal(np.zeros(1))[0]
-    return buf[0]
 
 
 def test_map_blocks_parts_see_the_callers_error_state(monkeypatch):
     # block 1 runs on a pool thread: the caller's errstate reaches it
     monkeypatch.setattr(shell, "_WORKERS", 2)
     blocks = [slice(0, 1), slice(1, 2)]
+    written = {}
+
+    def fn(rows, buf):
+        buf[0] = np.reciprocal(np.zeros(1))[0] if rows.start == 1 else 0.0
+        written[rows.start] = buf[0]
+
     with np.errstate(divide="raise"):
         with pytest.raises(FloatingPointError):
-            shell._map_blocks(blocks, _divide_in_block_1, (1,))
+            shell._map_blocks(blocks, fn, (1,))
+    assert 1 not in written
     with np.errstate(divide="ignore"):
-        assert shell._map_blocks(blocks, _divide_in_block_1, (1,))[1] == np.inf
+        shell._map_blocks(blocks, fn, (1,))
+    assert written == {0: 0.0, 1: np.inf}
 
 
 def test_map_blocks_waits_for_every_part_when_the_caller_raises(monkeypatch):
@@ -406,18 +423,39 @@ def test_map_blocks_waits_for_every_part_when_the_caller_raises(monkeypatch):
     assert done == [1]
 
 
+def _block_driver_calls():
+    """(where, name, call, whether it is an expression statement) for every
+    call of `_map_blocks` or `_table_map` in src/magbag/."""
+    root = Path(__file__).resolve().parents[1]
+    calls = []
+    for path in root.glob("src/magbag/*.py"):
+        tree = ast.parse(path.read_text())
+        statements = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("_map_blocks", "_table_map"):
+                    where = f"{path.relative_to(root).as_posix()}:{node.lineno}"
+                    calls.append((where, name, node, id(node) in statements))
+    return calls
+
+
 def _map_blocks_given_buffers():
     """`_map_blocks` calls in src/magbag/ outside shell whose third
     argument is not a shape written out as a tuple."""
-    root = Path(__file__).resolve().parents[1]
     return [
-        f"{path.relative_to(root).as_posix()}:{node.lineno}"
-        for path in root.glob("src/magbag/*.py") if path.name != "shell.py"
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Call)
-        and "_map_blocks" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        where for where, name, node, _ in _block_driver_calls()
+        if name == "_map_blocks" and not where.startswith("src/magbag/shell.py:")
         and not (len(node.args) > 2 and isinstance(node.args[2], ast.Tuple))
     ]
+
+
+def test_block_drivers_are_called_as_statements():
+    # `_map_blocks` and `_table_map` return nothing: each block function
+    # writes its own rows, so no call is assigned, returned or passed on
+    calls = _block_driver_calls()
+    assert len(calls) >= 5
+    assert [where for where, *_, statement in calls if not statement] == []
 
 
 def test_exterior_sweeps_have_one_owner():
@@ -649,6 +687,34 @@ def test_sampled_rings_within_their_interpolation_bound():
             bound = 4 * alias ** (M + 1) / (1 - alias)
             assert bound <= 2.0**-53
             assert np.all(np.abs(got - want) <= (bound + 12 * np.finfo(float).eps) * want.mean())
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("N", [99, 1600, 4800, 51200])
+def test_cosine_series_equals_the_grouped_one(N, monkeypatch):
+    # one FFT per north band gives the bits of one FFT per run of equal
+    # band sizes, on the spectra the shell's residues are built from
+    seen = []
+    series = shell._cosine_series
+
+    def checked(sizes, spectra):
+        out = series(sizes, spectra)
+        seen.append((len(np.unique(sizes)), len(sizes), _same_bits(out, grouped_cosine_series(sizes, spectra))))
+        return out
+
+    monkeypatch.setattr(shell, "_cosine_series", checked)
+    make_shell_config(N, 16.0)
+    [(distinct, bands, same)] = seen
+    assert same and 1 < distinct <= bands
+
+
+def test_cosine_series_equals_the_grouped_one_on_repeated_sizes():
+    sizes = np.array([3, 3, 5, 5, 5, 8])
+    spectra = np.random.default_rng(0).standard_normal(sizes.sum())
+    assert _same_bits(shell._cosine_series(sizes, spectra), grouped_cosine_series(sizes, spectra))
 
 
 def test_coulomb_sums_singleton():

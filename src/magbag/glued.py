@@ -615,7 +615,8 @@ def _residual_sweep(cfg, n_radial, n_angular, quad=None):
         )
     for name, count in zip(names, live_samples):
         if count == 0:
-            raise InvalidParameterError(f"the {name} has no sample inside the band (5L/32, 3L/16) at any shell")
+            raise InvalidParameterError(
+                f"the {name} has no sample inside the band (5L/32, 3L/16) at any shell")
     # shell by shell: a NaN shell maximum is passed over, and the integral
     # is summed left to right
     sup_term = max([0.0, *sup.tolist()])

@@ -294,9 +294,8 @@ def _table_blocks(x, sources):
 
 
 def _table_map(x, sources, fn):
-    """fn(rows, d2, spare) for each block of `_table_blocks(x, sources)`,
-    run by `_map_blocks`, each part in its own pair of buffers; like
-    `_map_blocks`, it returns nothing."""
+    """fn(rows, d2, spare) for each block of `_table_blocks(x, sources)`, run
+    by `_map_blocks`, each part in its own pair of buffers; returns nothing."""
     blocks, shape, table = _table_plan(x, sources)
     _map_blocks(blocks, lambda rows, buffers: fn(rows, *table(rows, buffers)), shape)
 

@@ -702,7 +702,8 @@ def test_cosine_series_equals_the_grouped_one(N, monkeypatch):
 
     def checked(sizes, spectra):
         out = series(sizes, spectra)
-        seen.append((len(np.unique(sizes)), len(sizes), _same_bits(out, grouped_cosine_series(sizes, spectra))))
+        same = _same_bits(out, grouped_cosine_series(sizes, spectra))
+        seen.append((len(np.unique(sizes)), len(sizes), same))
         return out
 
     monkeypatch.setattr(shell, "_cosine_series", checked)

@@ -423,7 +423,7 @@ def test_map_blocks_waits_for_every_part_when_the_caller_raises(monkeypatch):
     assert done == [1]
 
 
-def _block_driver_calls():
+def _block_map_calls():
     """(where, name, call, whether it is an expression statement) for every
     call of `_map_blocks` or `_table_map` in src/magbag/."""
     root = Path(__file__).resolve().parents[1]
@@ -444,16 +444,16 @@ def _map_blocks_given_buffers():
     """`_map_blocks` calls in src/magbag/ outside shell whose third
     argument is not a shape written out as a tuple."""
     return [
-        where for where, name, node, _ in _block_driver_calls()
+        where for where, name, node, _ in _block_map_calls()
         if name == "_map_blocks" and not where.startswith("src/magbag/shell.py:")
         and not (len(node.args) > 2 and isinstance(node.args[2], ast.Tuple))
     ]
 
 
-def test_block_drivers_are_called_as_statements():
+def test_block_maps_are_called_as_statements():
     # `_map_blocks` and `_table_map` return nothing: each block function
     # writes its own rows, so no call is assigned, returned or passed on
-    calls = _block_driver_calls()
+    calls = _block_map_calls()
     assert len(calls) >= 5
     assert [where for where, *_, statement in calls if not statement] == []
 

@@ -19,6 +19,7 @@ from .operators import _stencil_points, fd_curvature
 from .shell import (
     InvalidParameterError,
     _check_count,
+    _check_index,
     _check_positive,
     _coulomb_rows,
     _row_blocks,
@@ -349,6 +350,7 @@ def degree_of_map(values, faces):
 
 def local_degree(p_idx, cfg):
     """Winding number of Phi/|Phi| on a small sphere around a shell point."""
+    p_idx = _check_index(p_idx, cfg.N)
     verts, faces = icosphere()
     radius = cfg.L / 16.0
     pts = cfg.points[p_idx] + radius * verts

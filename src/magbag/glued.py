@@ -35,6 +35,7 @@ from .monopole import (
 from .shell import (
     InvalidParameterError,
     _check_count,
+    _check_index,
     _coulomb_rows,
     _map_blocks,
     _row_blocks,
@@ -198,6 +199,7 @@ def ball_fields(X, p_idx, cfg):
     tensored with the radial algebra direction; Higgs: the core profile
     blended with the recentred exterior potential.
     """
+    p_idx = _check_index(p_idx, cfg.N)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     p = cfg.points[p_idx]
     r = cfg.residues[p_idx]
@@ -238,6 +240,9 @@ def ball_higgs(d, r, c, ext):
 
 
 def ball_evaluator(cfg, p_idx):
+    """Pair evaluator (..., 3) -> (a, phi) of `ball_fields` around point p_idx."""
+    p_idx = _check_index(p_idx, cfg.N)
+
     def ev(pts):
         pts = np.asarray(pts, dtype=float)
         flat = pts.reshape(-1, 3)
@@ -453,6 +458,7 @@ def residual_fields(X, p_idx, cfg):
                                              - *(alpha ^ [sh, A_p]) ]
         gL = chi (chi - 1) *(A_p ^ A_p) - ( *(dchi ^ alpha) + (Q - eta) dchi ) sh
     """
+    p_idx = _check_index(p_idx, cfg.N)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     live, _, gT_l, gL_l, _ = _ball_residual(X, p_idx, cfg)
     gT = np.zeros((len(X), 3, 3))
@@ -467,7 +473,7 @@ def residual_fields(X, p_idx, cfg):
 
 def annulus_points(cfg, p_idx, n_radial, n_angular):
     """Deterministic product sampling of the residual support shell."""
-    return cfg.points[p_idx] + _annulus_offsets(cfg, n_radial, n_angular)
+    return cfg.points[_check_index(p_idx, cfg.N)] + _annulus_offsets(cfg, n_radial, n_angular)
 
 
 def _shell_grid(radii, n_angular):

@@ -114,19 +114,28 @@ def bump_pair(center, width, seed):
 
     Polynomial profile (1 - |x-c|^2/w^2)^8 times constant coefficients
     drawn from `seed`: smooth enough for the second-order stencils and
-    quadrature-friendly at its support edge.  The width must be finite and
-    positive.
+    quadrature-friendly at its support edge.  The centre must be three
+    finite reals and the width finite and positive.
+
+    The evaluator states the ball it vanishes outside as `ev.support =
+    (center, width)`, the centre a read-only float copy.  Its computed
+    t = sum_k ((x_k - c_k)/w)^2 is the exact one of the float point times
+    (1 + d), |d| <= 7u (u = 2^-53: two roundings in each offset, one in
+    each square, two in the sum), so every entry is +-0 wherever that
+    computed t is >= 1, and so wherever |x - c|^2 >= w^2 (1 + 7u) / (1 - 7u).
 
     The evaluator works one coordinate and one table entry at a time, so
     each elementwise operation runs its inner loop over the points; a
     broadcast over the trailing 3 or 3 x 3 axes would run it over 3
     entries.  Each entry is the same scalar operation as the broadcast's.
     """
+    _check_point(center)
     _check_positive(width=width)
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(3, 3))
     E = rng.normal(size=3)
-    center = np.asarray(center, dtype=float)
+    center = np.array(center, dtype=float)
+    center.flags.writeable = False
 
     def ev(pts):
         pts = np.asarray(pts, dtype=float)
@@ -142,6 +151,7 @@ def bump_pair(center, width, seed):
             np.multiply(prof, coeff, out=e[..., r])
         return a.reshape(*t.shape, 3, 3), e
 
+    ev.support = (center, width)
     return ev
 
 
@@ -280,6 +290,19 @@ def _check_box(box):
         )
 
 
+def _check_point(center):
+    """Raises unless `center` is three finite reals (bools excluded)."""
+    try:
+        ok = len(center) == 3 and all(
+            not isinstance(c, bool) and isinstance(c, numbers.Real) and math.isfinite(c)
+            for c in center
+        )
+    except TypeError:  # not a sequence
+        ok = False
+    if not ok:
+        raise InvalidParameterError(f"center must be three finite reals, got {center!r}")
+
+
 def _grid_nodes(axes, flat):
     """The axis indices and the points (n, 3) of flat indices into the grid
     axes[0] x axes[1] x axes[2]."""
@@ -304,6 +327,53 @@ def _pairing(pair, d_pair, bg_pair, axes, flat, sign):
     return float(np.sum(first) + np.sum(second))
 
 
+def _scan_blocks(pair, axes):
+    """Flat index blocks, in increasing order, of the grid nodes on which the
+    support scan evaluates `pair`: every node, in blocks of
+    `_BLOCK_ELEMENTS // 9` rows, or, for a pair that states its support
+    ball (c, w), only the nodes whose t' = sum_k ((x_k - c_k)/w)^2 is below
+    1 + 1e-12.  Those are found one x-slab at a time from an n x n table of
+    the other two terms, so no table spans the whole grid.
+
+    t' carries the same rounding bound as the bump's t, |d| <= 7u, so a
+    node where the pair's computed t < 1 has t' < (1 + 7u)/(1 - 7u) <
+    1 + 1.6e-15: the slack 1e-12 covers it more than 600 times over.
+    """
+    n = len(axes[0])
+    support = getattr(pair, "support", None)
+    if support is None:
+        return (np.arange(rows.start, rows.stop) for rows in _row_blocks(n**3, 9)[1])
+    center, width = support
+    t0, t1, t2 = (np.square((axis - c) / width) for axis, c in zip(axes, center))
+    plane = t1[:, None] + t2
+    flat = np.concatenate([
+        i * n * n + np.flatnonzero(t0[i] + plane < 1.0 + 1e-12)
+        for i in np.flatnonzero(t0 < 1.0 + 1e-12)
+    ] or [np.empty(0, dtype=np.intp)])
+    return (flat[rows] for rows in _row_blocks(len(flat), 9)[1])
+
+
+def _support_nodes(pair, axes):
+    """The flat indices, in increasing order, of the grid nodes where an
+    entry of `pair` is nonzero; raises if one of them lies on the boundary
+    shell of nodes.  Only the nodes of `_scan_blocks` are evaluated."""
+    n = len(axes[0])
+    kept = []
+    for flat in _scan_blocks(pair, axes):
+        ijk, pts = _grid_nodes(axes, flat)
+        a, e = pair(pts)
+        # a sum of absolute values vanishes only where every term does,
+        # while squares below 1e-162 underflow
+        supp = np.abs(a.reshape(-1, 9)) @ np.ones(9) + np.abs(e) @ np.ones(3) != 0.0
+        on_edge = np.zeros(len(pts), dtype=bool)
+        for i in ijk:
+            on_edge |= (i == 0) | (i == n - 1)
+        if np.any(supp[on_edge]):
+            raise ValueError("pair support touches the quadrature box boundary")
+        kept.append(flat[supp])
+    return np.concatenate(kept or [np.empty(0, dtype=np.intp)])
+
+
 def adjointness_gap(q_pair, q2_pair, bg_pair, box, n_nodes=64):
     """| int <q2, D q> - int <D^dag q2, q> | over a box, by midpoint rule,
     with D at its default step.
@@ -317,11 +387,23 @@ def adjointness_gap(q_pair, q2_pair, bg_pair, box, n_nodes=64):
     support, so D q is evaluated on supp q2 and D^dag q2 on supp q.
     Returns (gap, scale) with scale the magnitude of the first integral.
 
-    The n_nodes^3 grid is scanned in blocks of `_BLOCK_ELEMENTS // 9` rows,
-    keeping only the grid indices of each pair's support; each pairing then
-    evaluates its pair and `apply_D` in blocks over its support.  No table
-    spans the whole grid.  Both pairings are summed over the whole
-    supports, as one batch would.
+    A pair may state a ball it vanishes outside as `pair.support =
+    (center, width)`, as `bump_pair` does: a promise that every entry is
+    +-0 wherever |x - c|^2 >= w^2 (1 + 7u)/(1 - 7u), u = 2^-53.  Its scan
+    then evaluates it only on the nodes of that ball, widened by a relative
+    slack of 1e-12 on the squared radius that covers the rounding of both
+    the pair's and the scan's squared distance (`_scan_blocks`).  A pair
+    that states no support is scanned on all n_nodes^3 nodes.  Either way
+    the nodes with a nonzero entry are found by evaluation, every node
+    evaluated goes through the boundary check, and the pairings get the
+    same flat indices in the same order, so the result is the whole-grid
+    scan's to the bit.
+
+    The scan runs in blocks of `_BLOCK_ELEMENTS // 9` nodes, keeping only
+    the grid indices of each pair's support; each pairing then evaluates
+    its pair and `apply_D` in blocks over its support.  No table spans the
+    whole grid.  Both pairings are summed over the whole supports, as one
+    batch would.
     """
     _check_count(n_nodes=n_nodes)
     if n_nodes < 3:
@@ -333,21 +415,7 @@ def adjointness_gap(q_pair, q2_pair, bg_pair, box, n_nodes=64):
         step = (hi - lo) / n_nodes
         axes.append(lo + step * (np.arange(n_nodes) + 0.5))
         vol *= step
-    kept1, kept2 = [], []  # flat node indices on supp q and supp q2, per block
-    for rows in _row_blocks(n_nodes**3, 9)[1]:
-        flat = np.arange(rows.start, rows.stop)
-        ijk, pts = _grid_nodes(axes, flat)
-        # nodes with a nonzero entry: a sum of absolute values vanishes only
-        # where every term does, while squares below 1e-162 underflow
-        supp1, supp2 = (np.abs(a.reshape(-1, 9)) @ np.ones(9) + np.abs(e) @ np.ones(3) != 0.0
-                        for a, e in (q_pair(pts), q2_pair(pts)))
-        on_edge = np.zeros(len(pts), dtype=bool)
-        for i in ijk:
-            on_edge |= (i == 0) | (i == n_nodes - 1)
-        if np.any((supp1 | supp2)[on_edge]):
-            raise ValueError("pair support touches the quadrature box boundary")
-        kept1.append(flat[supp1])
-        kept2.append(flat[supp2])
-    total1 = vol * _pairing(q2_pair, q_pair, bg_pair, axes, np.concatenate(kept2), 1.0)
-    total2 = vol * _pairing(q_pair, q2_pair, bg_pair, axes, np.concatenate(kept1), -1.0)
+    supp1, supp2 = _support_nodes(q_pair, axes), _support_nodes(q2_pair, axes)
+    total1 = vol * _pairing(q2_pair, q_pair, bg_pair, axes, supp2, 1.0)
+    total2 = vol * _pairing(q_pair, q2_pair, bg_pair, axes, supp1, -1.0)
     return abs(total1 - total2), abs(total1)

@@ -108,6 +108,14 @@ def _check_count(**counts):
             raise InvalidParameterError(f"{name} must be an integer >= 1, got {n!r}")
 
 
+def _check_index(p_idx, N):
+    """p_idx as an int; raises unless it is an integer (bools excluded) in
+    range(N), the index of one of N shell points."""
+    if isinstance(p_idx, bool) or not isinstance(p_idx, numbers.Integral) or not 0 <= p_idx < N:
+        raise InvalidParameterError(f"p_idx must be an integer in range({N}), got {p_idx!r}")
+    return int(p_idx)
+
+
 def _check_positive(**values):
     """Raises unless every value is a finite real number (bools excluded) > 0."""
     for name, x in values.items():

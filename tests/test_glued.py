@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magbag import glued, shell
+from magbag import analysis, glued, shell
 from magbag.analysis import fibonacci_sphere
 from magbag.glued import (
     ChartViolationError,
@@ -816,6 +816,33 @@ def test_residual_sweeps_reject_a_grid_with_no_live_sample(cfg100, n):
         glued.gstar_norm(cfg100, 4, 16, n, 16)
     with pytest.raises(InvalidParameterError, match=sampling):
         glued.residual_report(cfg100, n, 16)
+
+
+# Each public function of one shell point's index, called at index p.
+_POINT_FUNCTIONS = {
+    "ball_fields": lambda cfg, p: glued.ball_fields(cfg.points[0] + 0.01 * cfg.L, p, cfg),
+    "ball_evaluator": lambda cfg, p: glued.ball_evaluator(cfg, p),
+    "residual_fields": lambda cfg, p: glued.residual_fields(cfg.points[0] + 0.17 * cfg.L, p, cfg),
+    "annulus_points": lambda cfg, p: glued.annulus_points(cfg, p, 4, 16),
+    "local_degree": lambda cfg, p: analysis.local_degree(p, cfg),
+}
+
+
+@pytest.mark.parametrize("name", _POINT_FUNCTIONS)
+@pytest.mark.parametrize("p_idx", [True, np.True_, 2.0, "3", 25, -1, None, np.array([0, 1])])
+def test_point_index_must_name_a_shell_point(cfg25, name, p_idx):
+    # these ended in numpy broadcast or indexing errors, and -1 silently
+    # took point N - 1 (local_degree(-1, cfg25) returned 1)
+    with pytest.raises(InvalidParameterError, match=r"p_idx must be an integer in range\(25\)"):
+        _POINT_FUNCTIONS[name](cfg25, p_idx)
+
+
+@pytest.mark.parametrize("name", ["ball_fields", "residual_fields", "annulus_points", "local_degree"])
+def test_point_index_accepts_numpy_integers(cfg25, name):
+    got, want = (_POINT_FUNCTIONS[name](cfg25, p) for p in (np.int64(0), 0))
+    if not isinstance(got, tuple):
+        got, want = (got,), (want,)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])

@@ -414,9 +414,7 @@ def test_adjointness_gap_matches_union_support():
     q2 = bump_pair([-0.3, -0.2, 0.1], 0.8, 22)
     box, n = ((-2, 2), (-2, 2), (-2, 2)), 24
     gap, scale = adjointness_gap(q1, q2, flat_bg(), box, n_nodes=n)
-    axis = -2.0 + (4.0 / n) * (np.arange(n) + 0.5)
-    pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-    total1, total2 = union_support_pairings(q1, q2, flat_bg(), pts, (4.0 / n) ** 3)
+    total1, total2 = union_support_pairings(q1, q2, flat_bg(), _grid(n), (4.0 / n) ** 3)
     assert scale == pytest.approx(abs(total1), rel=1e-14)
     assert abs(gap - abs(total1 - total2)) <= 1e-14 * scale
 
@@ -438,19 +436,96 @@ def _suite_pairs():
 BOX = ((-2, 2), (-2, 2), (-2, 2))
 
 
+# The slack on the squared radius of a stated support ball, from
+# `operators._scan_blocks`' docstring.
+SUPPORT_SLACK = 1e-12
+
+
+def _plain(ev):
+    """The evaluator ev without its stated support."""
+    return lambda pts: ev(pts)
+
+
+def _grid(n_nodes):
+    """The midpoint nodes (n_nodes^3, 3) of BOX, in flat index order."""
+    axis = -2.0 + (4.0 / n_nodes) * (np.arange(n_nodes) + 0.5)
+    return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
 @pytest.mark.parametrize("n_nodes", [12, 20, 48, 64])
 def test_adjointness_gap_equals_whole_grid(n_nodes):
-    # 64^3 nodes fill 36 scan blocks of 7281 rows, the last partial, and each
-    # support (about 30k nodes) ends in a partial apply_D block of 1040 rows
+    # Without a stated support, 64^3 nodes fill 36 scan blocks of 7281 rows,
+    # the last partial; with one, each ball's nodes (about 30k) end in a
+    # partial scan block, and each support in a partial apply_D block of
+    # 1040 rows.
     q1, q2 = _suite_pairs()
-    got = adjointness_gap(q1, q2, flat_bg(), BOX, n_nodes=n_nodes)
-    assert got == whole_grid_adjointness_gap(q1, q2, flat_bg(), BOX, n_nodes=n_nodes)
+    want = whole_grid_adjointness_gap(q1, q2, flat_bg(), BOX, n_nodes=n_nodes)
+    for pair in ((q1, q2), (_plain(q1), _plain(q2)), (q1, _plain(q2))):
+        assert adjointness_gap(*pair, flat_bg(), BOX, n_nodes=n_nodes) == want
+
+
+def test_bump_pair_states_its_support():
+    centre = [0.2, 0.1, -0.3]
+    q = bump_pair(centre, 1.2, 3)
+    c, w = q.support
+    assert c.tolist() == centre and w == 1.2
+    centre[0] = 5.0  # the stated centre is a copy, and read-only
+    assert c[0] == 0.2
+    with pytest.raises(ValueError):
+        c[0] = 5.0
+
+
+def test_bump_pair_vanishes_outside_its_slack_ball():
+    # the promise behind the scan's slack ball: exactly +-0 on every node of
+    # a 64^3 box outside it, and at seeded points just beyond it
+    pts = _grid(64)
+    rng = np.random.default_rng(5)
+    dirs = rng.normal(size=(4096, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    for q in (*_suite_pairs(), bump_pair([0.0, 0.0, 0.0], 1.9, 7), bump_pair([1e-3, -1.5, 0.7], 0.3, 8)):
+        c, w = q.support
+        outside = np.sum(((pts - c) / w) ** 2, axis=-1) >= 1.0 + SUPPORT_SLACK
+        assert 0 < outside.sum() < len(pts)
+        for x in (pts[outside], c + w * (1.0 + SUPPORT_SLACK) * dirs):
+            a, e = q(x)
+            assert not np.any(a) and not np.any(e)
+
+
+def test_adjointness_gap_scans_only_the_support_balls():
+    # at n = 48 the whole-grid scan evaluates both pairs on 2 x 110592 nodes
+    n = 48
+    calls = []
+
+    def counted(ev):
+        def out(pts):
+            calls.append(np.shape(pts))
+            return ev(pts)
+
+        out.support = ev.support
+        return out
+
+    q1, q2 = _suite_pairs()
+    adjointness_gap(counted(q1), counted(q2), flat_bg(), BOX, n_nodes=n)
+    pts = _grid(n)
+    ball = supports = 0
+    for q in (q1, q2):
+        c, w = q.support
+        ball += np.count_nonzero(np.sum(((pts - c) / w) ** 2, axis=-1) < 1.0 + SUPPORT_SLACK)
+        a, e = q(pts)
+        supports += np.count_nonzero(np.any(a.reshape(-1, 9), axis=1) | np.any(e, axis=1))
+    # the two-dimensional calls are the scan's and the pairings' (one per
+    # support node); apply_D's stencils are (n, 7, 3)
+    flat = sum(shape[0] for shape in calls if len(shape) == 2)
+    scanned = flat - supports
+    assert scanned <= ball < 26000
+    assert sum(math.prod(shape[:-1]) for shape in calls) <= 226000
 
 
 def test_adjointness_gap_zero_pair_equals_whole_grid():
     z = constant_pair(np.zeros((3, 3)), np.zeros(3))
+    far = bump_pair([5.0, 0, 0], 0.5, 9)  # its stated ball holds no grid node
     q = bump_pair([0, 0, 0], 1.0, 13)
-    for pair in ((z, q), (q, z)):
+    for pair in ((z, q), (q, z), (far, q), (q, far), (far, far)):
         got = adjointness_gap(*pair, flat_bg(), BOX, n_nodes=20)
         assert got == whole_grid_adjointness_gap(*pair, flat_bg(), BOX, n_nodes=20)
 
@@ -500,6 +575,26 @@ def test_adjointness_gap_rejects_bad_box(box):
     q1, q2 = _suite_pairs()
     with pytest.raises(InvalidParameterError, match="box"):
         adjointness_gap(q1, q2, flat_bg(), box, n_nodes=12)
+
+
+@pytest.mark.parametrize(
+    "centre",
+    [
+        [math.nan, 0, 0],  # was zero everywhere, and its adjointness gap (0.0, 0.0)
+        [0, math.inf, 0],
+        [0, 0],  # failed only when evaluated
+        [0, 0, 0, 0],  # its fourth entry was ignored
+        [[0], [0], [0]],
+        [True, 0, 0],
+        ["0", 0, 0],
+        "abc",
+        0.0,
+        None,
+    ],
+)
+def test_bump_pair_rejects_bad_centre(centre):
+    with pytest.raises(InvalidParameterError, match="center must be three finite reals"):
+        bump_pair(centre, 1.2, 3)
 
 
 @pytest.mark.parametrize("width", [0, 0.0, -1.0, math.nan, math.inf, None, "1", True])

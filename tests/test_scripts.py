@@ -96,3 +96,49 @@ def test_survey_row_keys():
         "gstar_coarse", "gstar_fine", "gstar_stable",
     }
     assert row["N"] == 64 and row["gstar_stable"] is False
+
+
+def test_bench_pairs_verdicts():
+    verdict = _load("bench_pairs").verdict
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    # lower in every pair, by more than the parent's IQR (0.0375)
+    v = verdict(parent, [p - 0.1 for p in parent], "lower", 0.25)
+    assert v["wins"] == 10 and v["gain"] and v["no_regression"]
+    assert v["parent_quartiles"][1] == 1.0
+    # 9 of 10 wins and one tie: still a gain; ties count for neither side
+    change = [p - 0.1 for p in parent[:9]] + [parent[9]]
+    assert verdict(parent, change, "lower", 0.25)["wins"] == 9
+    assert verdict(parent, change, "lower", 0.25)["gain"]
+    # 8 of 10 wins is no gain, however large the median gap
+    change = [p - 0.1 for p in parent[:8]] + [p + 0.1 for p in parent[8:]]
+    assert not verdict(parent, change, "lower", 0.25)["gain"]
+    # every pair won, but the medians differ by less than the parent's IQR
+    v = verdict(parent, [p - 0.01 for p in parent], "lower", 0.25)
+    assert v["wins"] == 10 and not v["gain"]
+    # "higher" is better: the same samples read the other way round
+    v = verdict(parent, [p + 0.1 for p in parent], "higher", 0.05)
+    assert v["wins"] == 10 and v["gain"] and v["no_regression"]
+    assert not verdict(parent, [p - 0.1 for p in parent], "higher", 0.05)["no_regression"]
+    # a parent IQR of 3.75 % resolves a 5 % bound but not a 2 % one, unless
+    # every change run is better than every parent run
+    assert verdict(parent, [p + 0.01 for p in parent], "lower", 0.05)["resolved"]
+    assert not verdict(parent, [p - 0.01 for p in parent], "lower", 0.02)["resolved"]
+    assert verdict(parent, [p - 0.1 for p in parent], "lower", 0.02)["resolved"]
+    # a median 20 % worse is within a 25 % bound, 30 % worse is not
+    assert verdict(parent, [1.2 * p for p in parent], "lower", 0.25)["no_regression"]
+    assert not verdict(parent, [1.3 * p for p in parent], "lower", 0.25)["no_regression"]
+    for bad in ((parent, parent[:9], "lower"), (parent[:1], parent[:1], "lower"),
+                (parent, parent, "smaller")):
+        with pytest.raises(ValueError):
+            verdict(*bad, 0.25)
+
+
+def test_bench_pairs_reads_only_the_benchmark():
+    # the script runs perfbench/run.py and reads BENCHMARK.json; it names no
+    # magbag module and keeps every name inside its functions
+    tree = ast.parse((SCRIPTS / "bench_pairs.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not any("magbag" in name for name in imported)
+    assert [type(node).__name__ for node in tree.body
+            if not isinstance(node, (ast.Import, ast.ImportFrom, ast.FunctionDef))] == ["Expr", "If"]
